@@ -3,7 +3,9 @@
 
 One report per model, in family order: truncated integration tables in both
 orientations, the free half-shuffle tables, and the trivial models.  The
-orientation gate is picked per table (right first) unless forced.
+orientation gate is picked per table (right first) unless forced.  Claims
+are evaluated sequentially; --parallel N is accepted for compatibility and
+ignored.
 
     python scripts/run_claim_audit.py
     python scripts/run_claim_audit.py --max-n 5 --claims lie_admissible,center_symmetric
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from zinbielkit import fuzz
-from zinbielkit.algebra import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
+from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,6 @@ class AuditRunConfig:
     max_n: int = 8
     orientation: str = "auto"
     claims: tuple[str, ...] | None = None
-    workers: int = 1
     format: str = "text"
     out: Path | None = None
 
@@ -52,7 +53,6 @@ def run(config: AuditRunConfig) -> str:
             pick_orientation(table, config.orientation),
             claims=list(config.claims) if config.claims else None,
             subject=name,
-            workers=config.workers,
         )
         chunks.append(audit_report_text(report))
         payloads.append(audit_report_jsonable(report))
@@ -68,7 +68,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="largest truncation order to include")
     p.add_argument("--orientation", choices=("auto", "right", "left"), default="auto")
     p.add_argument("--claims", default=None, help="comma-separated claim filter")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
+    p.add_argument("--parallel", type=int, default=1, metavar="N",
+                   help="accepted for compatibility; ignored")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, metavar="FILE")
     args = p.parse_args(argv)
@@ -77,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         max_n=args.max_n,
         orientation=args.orientation,
         claims=tuple(args.claims.split(",")) if args.claims else None,
-        workers=args.parallel,
         format=args.format,
         out=args.out,
     )

@@ -142,69 +142,3 @@ def direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         a.basis_labels + b.basis_labels,
         Tensor3(n + b.dim, n + b.dim, n + b.dim, entries),
     )
-
-
-def _residual_right(a: AlgebraTable, i: int, j: int, k: int) -> dict:
-    # e_i*(e_j*e_k) - (e_i*e_j)*e_k - (e_j*e_i)*e_k, straight off the tensor
-    ei, ej, ek = {i: Fraction(1)}, {j: Fraction(1)}, {k: Fraction(1)}
-    out = a.multiply_raw(ei, a.multiply_raw(ej, ek))
-    for term in (
-        a.multiply_raw(a.multiply_raw(ei, ej), ek),
-        a.multiply_raw(a.multiply_raw(ej, ei), ek),
-    ):
-        for m, v in term.items():
-            acc = out.get(m, ZERO) - v
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _residual_left(a: AlgebraTable, i: int, j: int, k: int) -> dict:
-    # (e_i*e_j)*e_k - e_i*(e_j*e_k) - e_i*(e_k*e_j)
-    ei, ej, ek = {i: Fraction(1)}, {j: Fraction(1)}, {k: Fraction(1)}
-    out = a.multiply_raw(a.multiply_raw(ei, ej), ek)
-    for term in (
-        a.multiply_raw(ei, a.multiply_raw(ej, ek)),
-        a.multiply_raw(ei, a.multiply_raw(ek, ej)),
-    ):
-        for m, v in term.items():
-            acc = out.get(m, ZERO) - v
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-    return out
-
-
-def right_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
-    """Hard-coded check of x*(y*z) = (x*y)*z + (y*x)*z on all basis triples.
-
-    Independent of the identity DSL; used to cross-check the engine.
-    Returns [(triple, residual dict), ...] in lexicographic triple order.
-    """
-    out = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                r = _residual_right(a, i, j, k)
-                if r:
-                    out.append(((i, j, k), r))
-                    if first_only:
-                        return out
-    return out
-
-
-def left_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
-    """Hard-coded check of (x*y)*z = x*(y*z) + x*(z*y) on all basis triples."""
-    out = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                r = _residual_left(a, i, j, k)
-                if r:
-                    out.append(((i, j, k), r))
-                    if first_only:
-                        return out
-    return out

@@ -1,7 +1,8 @@
 """Claim audit: evaluates the catalog of textbook claims on one table.
 
-Each claim is an equation between two term sums.  The audit scans every
-basis tuple in lexicographic order and records the complete list of failing
+Each claim is an equation between two term sums, drawn from the identity
+catalog's sides.  The audit scans every basis tuple in lexicographic order
+with ``identities.evaluate`` and records the complete list of failing
 tuples with both side values; the first entry doubles as the headline
 witness.  Claims whose usual statements assume a Zinbiel table are still
 evaluated when the table fails its orientation check; the report is then
@@ -14,13 +15,10 @@ contested, and the audit reports rather than decides.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from .algebra import AlgebraTable
-from .identities import Identity, eval_terms_raw, parse_term_sum
+from .identities import CLAIM_SIDES, compile_terms, difference, evaluate, parse_term_sum
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 from .tensors import Vector
 
@@ -33,29 +31,23 @@ class ClaimSpec:
     target: str  # "product" or "symmetrized product"
 
 
-# Claim list, in report order.  rhs == "" means "equals zero".
-CLAIMS: tuple[ClaimSpec, ...] = (
-    ClaimSpec("right_zinbiel", "(x (y z))", "((x y) z) + ((y x) z)", "product"),
-    ClaimSpec("left_zinbiel", "((x y) z)", "(x (y z)) + (x (z y))", "product"),
-    ClaimSpec("left_relation", "(x (y z))", "(y (x z))", "product"),
-    ClaimSpec("right_relation", "((x y) z)", "((x z) y)", "product"),
-    ClaimSpec("derived_1", "(x (z y))", "((x z) y) + ((z x) y)", "product"),
-    ClaimSpec("derived_2", "(z (x y))", "((x z) y) + ((z x) y)", "product"),
-    ClaimSpec("derived_3", "(z (y x))", "((y z) x) + ((z y) x)", "product"),
-    ClaimSpec("derived_4", "(x (y z))", "(y (x z))", "product"),
-    ClaimSpec("aguiar_commutative", "(x y)", "(y x)", "symmetrized product"),
-    ClaimSpec("aguiar_associative", "((x y) z)", "(x (y z))", "symmetrized product"),
-    ClaimSpec(
-        "lie_admissible",
-        "(x (y z)) - (x (z y)) - ((y z) x) + ((z y) x) "
-        "+ (y (z x)) - (y (x z)) - ((z x) y) + ((x z) y) "
-        "+ (z (x y)) - (z (y x)) - ((x y) z) + ((y x) z)",
-        "",
-        "product",
-    ),
-    ClaimSpec(
-        "center_symmetric", "((x y) z) - (x (y z))", "((z y) x) - (z (y x))", "product"
-    ),
+# Claim list, in report order: (claim, catalog sides, target).
+CLAIMS: tuple[ClaimSpec, ...] = tuple(
+    ClaimSpec(name, *CLAIM_SIDES[sides], target)
+    for name, sides, target in (
+        ("right_zinbiel", "right_zinbiel", "product"),
+        ("left_zinbiel", "left_zinbiel", "product"),
+        ("left_relation", "left_relation", "product"),
+        ("right_relation", "right_relation", "product"),
+        ("derived_1", "derived_1", "product"),
+        ("derived_2", "derived_2", "product"),
+        ("derived_3", "derived_3", "product"),
+        ("derived_4", "derived_4", "product"),
+        ("aguiar_commutative", "commutative", "symmetrized product"),
+        ("aguiar_associative", "associative", "symmetrized product"),
+        ("lie_admissible", "lie_admissible", "product"),
+        ("center_symmetric", "center_symmetric", "product"),
+    )
 )
 
 _ORIENTATION_CLAIM = {"right": "right_zinbiel", "left": "left_zinbiel"}
@@ -75,20 +67,6 @@ class AuditReport:
         raise KeyError(name)
 
 
-def _merge_sides(lhs_src: str, rhs_src: str):
-    lhs_vars, lhs_terms = parse_term_sum(lhs_src)
-    if rhs_src:
-        rhs_vars, rhs_terms = parse_term_sum(rhs_src)
-    else:
-        rhs_vars, rhs_terms = (), ()
-    seen: dict[str, None] = {}
-    for name in lhs_vars + rhs_vars:
-        seen.setdefault(name)
-    variables = tuple(seen)
-    residual_terms = lhs_terms + tuple((-c, t) for c, t in rhs_terms)
-    return variables, lhs_terms, rhs_terms, residual_terms
-
-
 def _failure_text(spec: ClaimSpec, assignment, lhs_val, rhs_val, residual) -> str:
     where = format_assignment(assignment)
     if not spec.rhs:
@@ -104,36 +82,35 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Ve
     evidence rather than spot checks, and these tables are small enough
     that a complete scan is cheap.
     """
-    variables, lhs_terms, rhs_terms, residual_terms = _merge_sides(spec.lhs, spec.rhs)
-    one = Fraction(1)
-    failures = []
-    headline = None
-    for assignment in product(range(table.dim), repeat=len(variables)):
-        env = {name: {idx: one} for name, idx in zip(variables, assignment)}
-        acc = eval_terms_raw(table, residual_terms, env)
-        if acc:
-            lhs_val = Vector(table.dim, eval_terms_raw(table, lhs_terms, env))
-            rhs_val = Vector(table.dim, eval_terms_raw(table, rhs_terms, env))
-            residual = Vector(table.dim, acc)
-            if headline is None:
-                headline = (
-                    f"at {format_assignment(assignment)}: "
-                    f"lhs = {format_vector(lhs_val)}, rhs = {format_vector(rhs_val)}, "
-                    f"residual = {format_vector(residual)}"
-                )
-            failures.append(
-                {
-                    "tuple": list(assignment),
-                    "text": _failure_text(spec, assignment, lhs_val, rhs_val, residual),
-                    "lhs": vector_jsonable(lhs_val),
-                    "rhs": vector_jsonable(rhs_val),
-                    "residual": vector_jsonable(residual),
-                }
-            )
-    if not failures:
+    lhs_terms = parse_term_sum(spec.lhs)
+    rhs_terms = parse_term_sum(spec.rhs) if spec.rhs else ()
+    identity = difference(lhs_terms, rhs_terms)
+    residuals = evaluate(table, identity)
+    if not residuals:
         return Verdict(spec.name, True)
+    lhs_at = compile_terms(table, identity.variables, lhs_terms)
+    rhs_at = compile_terms(table, identity.variables, rhs_terms)
+    failures = []
+    for r in residuals:
+        lhs_val = Vector(table.dim, lhs_at(r.assignment))
+        rhs_val = Vector(table.dim, rhs_at(r.assignment))
+        if not failures:
+            headline = (
+                f"at {format_assignment(r.assignment)}: "
+                f"lhs = {format_vector(lhs_val)}, rhs = {format_vector(rhs_val)}, "
+                f"residual = {format_vector(r.value)}"
+            )
+        failures.append(
+            {
+                "tuple": list(r.assignment),
+                "text": _failure_text(spec, r.assignment, lhs_val, rhs_val, r.value),
+                "lhs": vector_jsonable(lhs_val),
+                "rhs": vector_jsonable(rhs_val),
+                "residual": vector_jsonable(r.value),
+            }
+        )
     data = {
-        "variables": list(variables),
+        "variables": list(identity.variables),
         "target": target_name,
         "failure_count": len(failures),
         "failures": failures,
@@ -153,8 +130,9 @@ def audit_claims(
 
     ``orientation`` selects which Zinbiel check gates the vacuous flag; the
     gate is evaluated even when a claim filter leaves it out of the report.
-    Claims are independent, so ``workers`` > 1 fans them out; the report
-    order is fixed either way.
+    Claims run one after another on the same engine as ``check``
+    (``identities.evaluate``); ``workers`` is accepted for compatibility and
+    ignored.
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
@@ -169,19 +147,13 @@ def audit_claims(
         table = sym if spec.target == "symmetrized product" else algebra
         return evaluate_claim(table, spec, spec.target)
 
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, selected))
-    else:
-        results = [run(spec) for spec in selected]
+    results = [run(spec) for spec in selected]
 
-    gate_name = _ORIENTATION_CLAIM[orientation]
-    by_name = {v.name: v for v in results}
-    if gate_name in by_name:
-        gate_holds = by_name[gate_name].holds
-    else:
-        gate_holds = run(next(c for c in CLAIMS if c.name == gate_name)).holds
-    return AuditReport(subject, orientation, not gate_holds, tuple(results))
+    gate = _ORIENTATION_CLAIM[orientation]
+    verdict = next((v for v in results if v.name == gate), None)
+    if verdict is None:
+        verdict = run(next(c for c in CLAIMS if c.name == gate))
+    return AuditReport(subject, orientation, not verdict.holds, tuple(results))
 
 
 def audit_report_text(report: AuditReport) -> str:

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraTable, right_zinbiel_residuals
+from .algebra import AlgebraTable
 from .coalgebra import dualize, dualize_co
+from .identities import right_zinbiel_residuals
 from .matched_pair import (
     MatchedPair,
     check_lie_matched_pair,

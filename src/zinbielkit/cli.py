@@ -1,8 +1,9 @@
 """Batch command line: check, audit, construct, model.
 
 Exit codes: 0 = checks pass (or an audit completed), 1 = a violation was
-found, 2 = input error.  All reports are deterministic; --parallel changes
-scheduling only, never bytes.
+found, 2 = input error.  All reports are deterministic.  ``check`` and
+``audit`` share one engine, ``identities.evaluate``, which runs sequentially;
+--parallel N is accepted for compatibility and ignored.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraTable, left_zinbiel_residuals, right_zinbiel_residuals
+from .algebra import AlgebraTable
 from .audit import audit_claims, audit_report_jsonable, audit_report_text
 from .bialgebra import BialgebraCandidate, check_manin_triple, equivalence_audit
 from .bimodule import (
@@ -38,7 +39,14 @@ from .coalgebra import (
     opposite_coproduct,
     triples_jsonable,
 )
-from .identities import IdentitySyntaxError, catalog, evaluate, parse_identity
+from .identities import (
+    IdentitySyntaxError,
+    catalog,
+    evaluate,
+    left_zinbiel_residuals,
+    parse_identity,
+    right_zinbiel_residuals,
+)
 from .matched_pair import (
     MatchedPair,
     check_matched_pair,
@@ -110,7 +118,7 @@ def _emit_json(payload: dict, out_path: str | None):
 # -- check -------------------------------------------------------------------
 
 
-def _check_algebra(a: AlgebraTable, name: str, workers: int):
+def _check_algebra(a: AlgebraTable, name: str):
     cat = catalog()
     if name in cat:
         ident = cat[name]
@@ -118,7 +126,7 @@ def _check_algebra(a: AlgebraTable, name: str, workers: int):
         ident = parse_identity(name)
     else:
         raise InputFormatError(f"unknown identity {name!r} (and not an expression)")
-    residuals = evaluate(a, ident, workers=workers)
+    residuals = evaluate(a, ident)
     if not residuals:
         return True, None, 0
     first = residuals[0]
@@ -222,7 +230,7 @@ def cmd_check(args) -> int:
     obj = _resolve_input(args.input)
     name = args.name
     if isinstance(obj, AlgebraTable):
-        holds, witness, count = _check_algebra(obj, name, args.parallel)
+        holds, witness, count = _check_algebra(obj, name)
     elif isinstance(obj, CoalgebraTable):
         holds, witness, count = _check_coalgebra(obj, name)
     elif isinstance(obj, Bimodule):
@@ -303,9 +311,7 @@ def cmd_audit(args) -> int:
 
     if isinstance(obj, AlgebraTable):
         orientation = _pick_orientation(obj, args.orientation)
-        report = audit_claims(
-            obj, orientation, claims=claims, subject=subject, workers=args.parallel
-        )
+        report = audit_claims(obj, orientation, claims=claims, subject=subject)
         if args.format == "json":
             _emit_json(audit_report_jsonable(report), args.out)
         else:
@@ -410,7 +416,8 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--parallel", type=int, default=1, metavar="N")
+        sp.add_argument("--parallel", type=int, default=1, metavar="N",
+                        help="accepted for compatibility; ignored")
         sp.add_argument("--out", default=None, metavar="FILE")
 
     c = sub.add_parser("check", help="evaluate one identity or structural check")

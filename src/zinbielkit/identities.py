@@ -12,22 +12,28 @@ what justifies checking identities on basis tuples only: a multilinear
 identity vanishes on all of the algebra iff it vanishes on every tuple of
 basis vectors.
 
-Evaluation walks basis tuples in lexicographic order, so the first reported
-residual is a deterministic witness independent of worker count.
+Evaluation walks basis tuples in lexicographic order, one at a time, so the
+first reported residual is a deterministic witness.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .algebra import AlgebraTable
-from .tensors import ZERO, Vector
+from .tensors import ONE, ZERO, Vector
 
 Tree = Union[str, tuple]
+
+# Deepest product nesting the parser accepts.  Parsing, the variable walk and
+# the compiled evaluator each recurse once per level, and this keeps them well
+# inside the interpreter's default limit of 1000 frames.  A tree this deep has
+# at least MAX_DEPTH + 1 variables, so it cannot be scanned on dim >= 2 anyway.
+MAX_DEPTH = 600
 
 
 class IdentitySyntaxError(ValueError):
@@ -112,13 +118,15 @@ class _Parser:
             raise IdentitySyntaxError(f"expected {what}, found {tok[1] or 'end of input'}", tok[2])
         return tok
 
-    def parse_tree(self) -> Tree:
+    def parse_tree(self, depth: int = 0) -> Tree:
         kind, value, pos = self.advance()
         if kind == "NAME":
             return value
         if kind == "LPAREN":
-            left = self.parse_tree()
-            right = self.parse_tree()
+            if depth == MAX_DEPTH:
+                raise IdentitySyntaxError(f"products nested deeper than {MAX_DEPTH}", pos)
+            left = self.parse_tree(depth + 1)
+            right = self.parse_tree(depth + 1)
             self.expect("RPAREN", "')'")
             return (left, right)
         raise IdentitySyntaxError(
@@ -186,18 +194,8 @@ def _validate_arity(variables: tuple[str, ...], terms: list[tuple[Fraction, Tree
             )
 
 
-def parse_term_sum(src: str) -> tuple[tuple[str, ...], tuple[tuple[Fraction, Tree], ...]]:
-    """Parse a signed sum of trees without the arity check (for claim sides)."""
-    parser = _Parser(src)
-    terms = parser.parse_terms()
-    tok = parser.peek()
-    if tok[0] != "EOF":
-        raise IdentitySyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return _ordered_variables(terms), tuple(terms)
-
-
-def parse_identity(src: str) -> Identity:
-    """Parse and validate an identity; accepts an optional '= 0' suffix."""
+def parse_term_sum(src: str) -> tuple[tuple[Fraction, Tree], ...]:
+    """Parse a signed sum of trees, with an optional '= 0' suffix, unchecked."""
     parser = _Parser(src)
     terms = parser.parse_terms()
     if parser.peek()[0] == "EQ":
@@ -208,9 +206,15 @@ def parse_identity(src: str) -> Identity:
     tok = parser.peek()
     if tok[0] != "EOF":
         raise IdentitySyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    return tuple(terms)
+
+
+def parse_identity(src: str) -> Identity:
+    """Parse an identity and check that every term uses every variable once."""
+    terms = parse_term_sum(src)
     variables = _ordered_variables(terms)
     _validate_arity(variables, terms)
-    return Identity(variables, tuple(terms))
+    return Identity(variables, terms)
 
 
 def render_tree(tree: Tree) -> str:
@@ -232,39 +236,39 @@ def render_identity(identity: Identity) -> str:
     return " ".join(parts)
 
 
-def eval_terms_raw(
-    algebra: AlgebraTable,
-    terms: tuple[tuple[Fraction, Tree], ...],
-    env: dict[str, dict],
-) -> dict:
-    """Raw coefficient dict of a term sum under a variable environment."""
-
-    def eval_tree(tree: Tree) -> dict:
-        if isinstance(tree, str):
-            return env[tree]
-        return algebra.multiply_raw(eval_tree(tree[0]), eval_tree(tree[1]))
-
-    acc: dict[int, Fraction] = {}
-    for coeff, tree in terms:
-        for k, v in eval_tree(tree).items():
-            s = acc.get(k, ZERO) + coeff * v
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
-    return acc
+def _compile_tree(tree: Tree, variables: tuple[str, ...], algebra: AlgebraTable):
+    """Evaluator of one product tree: basis assignment -> raw coefficient dict."""
+    if isinstance(tree, str):
+        p = variables.index(tree)
+        return lambda a: {a[p]: ONE}
+    left, right = tree
+    if isinstance(left, str) and isinstance(right, str):
+        p, q = variables.index(left), variables.index(right)
+        return lambda a: algebra.product_basis(a[p], a[q])
+    fx, fy = _compile_tree(left, variables, algebra), _compile_tree(right, variables, algebra)
+    return lambda a: algebra.multiply_raw(fx(a), fy(a))
 
 
-def _scan(algebra: AlgebraTable, identity: Identity, assignments) -> list[Residual]:
-    one = Fraction(1)
-    out = []
-    variables = identity.variables
-    for assignment in assignments:
-        env = {name: {idx: one} for name, idx in zip(variables, assignment)}
-        acc = eval_terms_raw(algebra, identity.terms, env)
-        if acc:
-            out.append(Residual(assignment, Vector(algebra.dim, acc)))
-    return out
+def compile_terms(algebra: AlgebraTable, variables: tuple[str, ...], terms) -> Callable:
+    """Evaluator of a term sum: basis assignment -> raw coefficient dict.
+
+    An assignment gives one basis index per entry of ``variables``.  Each
+    tree is compiled once, so a call walks no tree and builds no environment.
+    """
+    compiled = [(coeff, _compile_tree(tree, variables, algebra)) for coeff, tree in terms]
+
+    def at(assignment: tuple[int, ...]) -> dict:
+        acc: dict[int, Fraction] = {}
+        for coeff, tree_at in compiled:
+            for k, v in tree_at(assignment).items():
+                s = acc.get(k, ZERO) + coeff * v
+                if s:
+                    acc[k] = s
+                elif k in acc:
+                    del acc[k]
+        return acc
+
+    return at
 
 
 def evaluate(
@@ -276,70 +280,90 @@ def evaluate(
 ) -> list[Residual]:
     """All residuals of the identity over basis tuples, in lexicographic order.
 
-    ``first_only`` stops at the first violation (the deterministic witness).
-    ``workers`` > 1 partitions the tuple space; the merge is order-preserving,
-    so the result is identical for any worker count.
+    This is the package's one basis-tuple scan: ``check``, the claim audit
+    and the Zinbiel scans all run on it.  ``first_only`` stops at the first
+    violation (the deterministic witness).  Evaluation is sequential;
+    ``workers`` is accepted for compatibility and ignored.
     """
-    nvars = len(identity.variables)
-    if algebra.dim == 0:
-        return []
-    assignments = product(range(algebra.dim), repeat=nvars)
-    if first_only:
-        one = Fraction(1)
-        for assignment in assignments:
-            env = {name: {idx: one} for name, idx in zip(identity.variables, assignment)}
-            acc = eval_terms_raw(algebra, identity.terms, env)
-            if acc:
-                return [Residual(assignment, Vector(algebra.dim, acc))]
-        return []
-    if workers <= 1:
-        return _scan(algebra, identity, assignments)
-    all_assignments = list(assignments)
-    chunk = max(1, -(-len(all_assignments) // workers))
-    pieces = [all_assignments[i : i + chunk] for i in range(0, len(all_assignments), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda piece: _scan(algebra, identity, piece), pieces)
-        return [r for piece in results for r in piece]
+    at = compile_terms(algebra, identity.variables, identity.terms)
+    out = []
+    for assignment in product(range(algebra.dim), repeat=len(identity.variables)):
+        acc = at(assignment)
+        if acc:
+            out.append(Residual(assignment, Vector(algebra.dim, acc)))
+            if first_only:
+                break
+    return out
 
 
 def holds(algebra: AlgebraTable, identity: Identity) -> bool:
     return not evaluate(algebra, identity, first_only=True)
 
 
-# Named identities.  left_relation / right_relation keep the contested labels
-# they usually travel under; the audit evaluates both on every table rather
-# than trusting the attribution.  derived_1..derived_4 are the element forms
-# of the standard tensor-map consequences of the half-shuffle law.
-_CATALOG_SOURCES = {
-    "left_zinbiel": "((x y) z) - (x (y z)) - (x (z y))",
-    "right_zinbiel": "(x (y z)) - ((x y) z) - ((y x) z)",
-    "left_relation": "(x (y z)) - (y (x z))",
-    "right_relation": "((x y) z) - ((x z) y)",
-    "derived_1": "(x (z y)) - ((x z) y) - ((z x) y)",
-    "derived_2": "(z (x y)) - ((x z) y) - ((z x) y)",
-    "derived_3": "(z (y x)) - ((y z) x) - ((z y) x)",
-    "derived_4": "(x (y z)) - (y (x z))",
-    "commutative": "(x y) - (y x)",
-    "associative": "((x y) z) - (x (y z))",
-    "jacobi": "(x (y z)) + (y (z x)) + (z (x y))",
-    "center_symmetric": "((x y) z) - (x (y z)) - ((z y) x) + (z (y x))",
+def right_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
+    """Check of x*(y*z) = (x*y)*z + (y*x)*z on all basis triples.
+
+    Returns [(triple, residual dict), ...] in lexicographic triple order.
+    """
+    return _triples(a, "right_zinbiel", first_only)
+
+
+def left_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
+    """Check of (x*y)*z = x*(y*z) + x*(z*y); same shape as the right scan."""
+    return _triples(a, "left_zinbiel", first_only)
+
+
+def _triples(a: AlgebraTable, name: str, first_only: bool) -> list:
+    hits = evaluate(a, _catalog()[name], first_only=first_only)
+    return [(r.assignment, r.value.entries) for r in hits]
+
+
+# Claim sides, name -> (lhs, rhs), with rhs "" for 0.  The catalog identity of
+# a name is lhs - rhs; the claim audit evaluates the two sides.
+# left_relation / right_relation keep the contested labels they usually
+# travel under; the audit evaluates both on every table rather than trusting
+# the attribution.  derived_1..derived_4 are the element forms of the
+# standard tensor-map consequences of the half-shuffle law.
+CLAIM_SIDES: dict[str, tuple[str, str]] = {
+    "left_zinbiel": ("((x y) z)", "(x (y z)) + (x (z y))"),
+    "right_zinbiel": ("(x (y z))", "((x y) z) + ((y x) z)"),
+    "left_relation": ("(x (y z))", "(y (x z))"),
+    "right_relation": ("((x y) z)", "((x z) y)"),
+    "derived_1": ("(x (z y))", "((x z) y) + ((z x) y)"),
+    "derived_2": ("(z (x y))", "((x z) y) + ((z x) y)"),
+    "derived_3": ("(z (y x))", "((y z) x) + ((z y) x)"),
+    "derived_4": ("(x (y z))", "(y (x z))"),
+    "commutative": ("(x y)", "(y x)"),
+    "associative": ("((x y) z)", "(x (y z))"),
+    "jacobi": ("(x (y z)) + (y (z x)) + (z (x y))", ""),
+    "center_symmetric": ("((x y) z) - (x (y z))", "((z y) x) - (z (y x))"),
     "lie_admissible": (
         "(x (y z)) - (x (z y)) - ((y z) x) + ((z y) x) "
         "+ (y (z x)) - (y (x z)) - ((z x) y) + ((x z) y) "
-        "+ (z (x y)) - (z (y x)) - ((x y) z) + ((y x) z)"
+        "+ (z (x y)) - (z (y x)) - ((x y) z) + ((y x) z)",
+        "",
     ),
 }
 
-_catalog_cache: dict[str, Identity] | None = None
+
+def difference(lhs_terms, rhs_terms) -> Identity:
+    """lhs - rhs over the variables in order of first appearance, unchecked."""
+    terms = tuple(lhs_terms) + tuple((-c, t) for c, t in rhs_terms)
+    return Identity(_ordered_variables(terms), terms)
+
+
+@cache
+def _catalog() -> dict[str, Identity]:
+    return {
+        name: difference(parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ())
+        for name, (lhs, rhs) in CLAIM_SIDES.items()
+    }
 
 
 def catalog() -> dict[str, Identity]:
     """Named identity collection; every entry round-trips through the parser."""
-    global _catalog_cache
-    if _catalog_cache is None:
-        _catalog_cache = {name: parse_identity(src) for name, src in _CATALOG_SOURCES.items()}
-    return dict(_catalog_cache)
+    return dict(_catalog())
 
 
 def catalog_source(name: str) -> str:
-    return _CATALOG_SOURCES[name]
+    return render_identity(_catalog()[name])

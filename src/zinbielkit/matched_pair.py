@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraTable, algebra_from_entries, right_zinbiel_residuals
+from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
 from .bimodule import Bimodule, check_bimodule
+from .identities import CLAIM_SIDES, right_zinbiel_residuals
 from .reports import (
     VerdictBundle,
     format_matrix,
@@ -225,15 +226,12 @@ def check_commassoc_matched_pair(
     g: AlgebraTable, h: AlgebraTable, mu: tuple[Matrix, ...], rho: tuple[Matrix, ...]
 ) -> VerdictBundle:
     """Matched pair of commutative associative tables: mu acts on h, rho on g."""
+    commutative, associative = CLAIM_SIDES["commutative"], CLAIM_SIDES["associative"]
     verdicts = [
-        evaluate_claim(g, ClaimSpec("g_commutative", "(x y)", "(y x)", "product"), "product"),
-        evaluate_claim(
-            g, ClaimSpec("g_associative", "((x y) z)", "(x (y z))", "product"), "product"
-        ),
-        evaluate_claim(h, ClaimSpec("h_commutative", "(x y)", "(y x)", "product"), "product"),
-        evaluate_claim(
-            h, ClaimSpec("h_associative", "((x y) z)", "(x (y z))", "product"), "product"
-        ),
+        evaluate_claim(g, ClaimSpec("g_commutative", *commutative, "product"), "product"),
+        evaluate_claim(g, ClaimSpec("g_associative", *associative, "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_commutative", *commutative, "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_associative", *associative, "product"), "product"),
     ]
 
     def mu_rep():
@@ -289,12 +287,12 @@ def check_lie_matched_pair(
     g: AlgebraTable, h: AlgebraTable, rho: tuple[Matrix, ...], mu: tuple[Matrix, ...]
 ) -> VerdictBundle:
     """Matched pair of Lie bracket tables: rho is g acting on h, mu is h on g."""
-    jacobi_src = "(x (y z)) + (y (z x)) + (z (x y))"
+    jacobi = CLAIM_SIDES["jacobi"]
     verdicts = [
         evaluate_claim(g, ClaimSpec("g_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
-        evaluate_claim(g, ClaimSpec("g_jacobi", jacobi_src, "", "product"), "product"),
+        evaluate_claim(g, ClaimSpec("g_jacobi", *jacobi, "product"), "product"),
         evaluate_claim(h, ClaimSpec("h_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
-        evaluate_claim(h, ClaimSpec("h_jacobi", jacobi_src, "", "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_jacobi", *jacobi, "product"), "product"),
     ]
 
     def rho_rep():

@@ -10,11 +10,7 @@ from fractions import Fraction
 import pytest
 
 from zinbielkit import fuzz
-from zinbielkit.algebra import (
-    algebra_from_entries,
-    left_zinbiel_residuals,
-    right_zinbiel_residuals,
-)
+from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.audit import ClaimSpec, audit_claims, evaluate_claim
 from zinbielkit.bialgebra import (
     check_form,
@@ -32,6 +28,7 @@ from zinbielkit.coalgebra import (
     dualize_co,
     opposite_coproduct,
 )
+from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.matched_pair import check_matched_pair, double
 from zinbielkit.models import trunc_integration
 from zinbielkit.reports import format_vector

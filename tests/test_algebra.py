@@ -1,17 +1,14 @@
 """Structure-constant tables: products, derived tables, residual scans."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbielkit.algebra import (
-    AlgebraTable,
-    algebra_from_entries,
-    direct_sum,
-    left_zinbiel_residuals,
-    right_zinbiel_residuals,
-)
+from zinbielkit.algebra import AlgebraTable, algebra_from_entries, direct_sum
+from zinbielkit.audit import audit_claims
+from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.tensors import Vector
 
 import oracles
@@ -88,6 +85,31 @@ def test_zinbiel_scans_match_defect_oracle(a):
                         == ((i, j, k) in rights))
                 assert (bool(oracles.left_zinbiel_defect(a, i, j, k))
                         == ((i, j, k) in lefts))
+
+
+_AUDIT_ORACLES = {
+    "right_zinbiel": oracles.right_zinbiel_defect,
+    "left_zinbiel": oracles.left_zinbiel_defect,
+    "center_symmetric": oracles.center_defect,
+}
+
+
+@given(tables())
+@settings(max_examples=40)
+def test_audit_failures_match_defect_oracles(a):
+    report = audit_claims(a, "right", claims=list(_AUDIT_ORACLES))
+    for name, defect in _AUDIT_ORACLES.items():
+        verdict = report.verdict_for(name)
+        failures = [] if verdict.holds else verdict.witness_data["failures"]
+        got = {
+            tuple(f["tuple"]): {k: Fraction(v) for k, v in f["residual"]} for f in failures
+        }
+        want = {}
+        for triple in product(range(a.dim), repeat=3):
+            value = defect(a, *triple)
+            if value:
+                want[triple] = value
+        assert got == want, name
 
 
 def test_associator_method(t5):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zinbielkit import fuzz
-from zinbielkit.algebra import right_zinbiel_residuals
+from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import (
     Bimodule,
     check_bimodule,

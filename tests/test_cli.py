@@ -17,6 +17,21 @@ def _run_from_repo_root(request, monkeypatch):
     monkeypatch.chdir(request.config.rootpath)
 
 
+def _nested_product(depth):
+    """(x0 (x1 ( ... (x{depth-1} x{depth}) ... ))): ``depth`` nested products."""
+    src = f"x{depth}"
+    for i in reversed(range(depth)):
+        src = f"(x{i} {src})"
+    return src
+
+
+def _case_id(value):
+    text = " ".join(value) if isinstance(value, list) else value
+    if isinstance(text, str) and len(text) > 200:
+        return f"{text[:60]}...[{len(text)} chars]"
+    return text
+
+
 EXIT_CASES = [
     (["check", "tests/corpus/model_t3.json", "right_zinbiel"], 0),
     (["check", "tests/corpus/model_l3.json", "right_zinbiel"], 1),
@@ -26,6 +41,8 @@ EXIT_CASES = [
     (["check", "tests/corpus/no_such_file.json", "right_zinbiel"], 2),
     (["check", "tests/corpus/model_t3.json", "no_such_identity"], 2),
     (["check", "tests/corpus/model_t3.json", "(x (y z"], 2),
+    (["check", "zero:1", _nested_product(600)], 0),
+    (["check", "zero:1", _nested_product(1000)], 2),
     (["check", "tests/corpus/dual_t3.json", "co_right"], 0),
     (["check", "tests/corpus/dual_t3.json", "co_left"], 1),
     (["check", "tests/corpus/dual_t3.json", "no_such_check"], 2),
@@ -56,7 +73,7 @@ EXIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=_case_id)
 def test_exit_codes(argv, code, capsys):
     assert main(argv) == code
     capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zinbielkit import fuzz
-from zinbielkit.algebra import left_zinbiel_residuals, right_zinbiel_residuals
+from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.coalgebra import (
     CoalgebraTable,
     antisym_coproduct,

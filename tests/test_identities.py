@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import zinbielkit
 from zinbielkit.identities import (
     ArityError,
     IdentitySyntaxError,
@@ -116,3 +117,7 @@ def test_coefficient_terms_scale_residuals(t3):
     got = {r.assignment: r.value for r in evaluate(t3, doubled)}
     want = {r.assignment: r.value.scale(Fraction(2)) for r in evaluate(t3, plain)}
     assert got == want
+
+
+def test_public_api_names_resolve():
+    assert [name for name in zinbielkit.__all__ if not hasattr(zinbielkit, name)] == []

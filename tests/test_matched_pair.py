@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zinbielkit import fuzz
-from zinbielkit.algebra import algebra_from_entries, direct_sum, right_zinbiel_residuals
+from zinbielkit.algebra import algebra_from_entries, direct_sum
+from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import regular_bimodule, semidirect_sum
 from zinbielkit.matched_pair import (
     MatchedPair,

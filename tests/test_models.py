@@ -54,7 +54,7 @@ def test_orientation_facts():
 
 
 def test_left_failure_set_is_exactly_the_constant_corner():
-    from zinbielkit.algebra import left_zinbiel_residuals
+    from zinbielkit.identities import left_zinbiel_residuals
 
     for n in range(1, 9):
         got = left_zinbiel_residuals(trunc_integration(n, "left"))
