@@ -11,6 +11,7 @@ checking, bimodules, doubles, dualization -- reads ``c`` through this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,25 @@ class AlgebraTable:
         for (i, j, k), v in self.c.entries.items():
             table.setdefault((i, j), []).append((k, v))
         return {key: tuple(sorted(val)) for key, val in table.items()}
+
+    @cached_property
+    def _factor_rows(self) -> tuple[int, dict, dict]:
+        """The sparse product table over the integers, indexed by one factor.
+
+        Returns ``(d, by_left, by_right)``: ``d`` is the least common
+        denominator of the structure constants, ``by_left`` maps ``i`` to
+        ``[(j, ((k, d * c[i, j, k]), ...)), ...]`` over the nonzero pairs and
+        ``by_right`` maps ``j`` to ``[(i, ...), ...]``, so a join finds the
+        partners of an index without probing all ``dim`` of them.
+        """
+        d = math.lcm(*(v.denominator for v in self.c.entries.values()))
+        by_left: dict[int, list] = {}
+        by_right: dict[int, list] = {}
+        for (i, j), terms in self._pair_products.items():
+            scaled = tuple((k, v.numerator * (d // v.denominator)) for k, v in terms)
+            by_left.setdefault(i, []).append((j, scaled))
+            by_right.setdefault(j, []).append((i, scaled))
+        return d, by_left, by_right
 
     def product_basis(self, i: int, j: int) -> dict:
         """Raw coefficient dict of e_i * e_j."""

@@ -1,12 +1,13 @@
 """Claim audit: evaluates the catalog of textbook claims on one table.
 
 Each claim is an equation between two term sums, drawn from the identity
-catalog's sides.  The audit scans every basis tuple in lexicographic order
-with ``identities.evaluate`` and records the complete list of failing
-tuples with both side values; the first entry doubles as the headline
-witness.  Claims whose usual statements assume a Zinbiel table are still
-evaluated when the table fails its orientation check; the report is then
-marked vacuous rather than suppressed.
+catalog's sides.  One sparse-join pass of ``identities.evaluate_sides``
+gives both side values and the residual at every basis tuple where they
+differ; the audit records that complete list of failing tuples in
+lexicographic order, and the first entry doubles as the headline witness.
+Claims whose usual statements assume a Zinbiel table are still evaluated
+when the table fails its orientation check; the report is then marked
+vacuous rather than suppressed.
 
 Both orientation relations (left_relation, right_relation) are always
 evaluated side by side: their usual attribution to an orientation is
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraTable
-from .identities import CLAIM_SIDES, compile_terms, difference, evaluate, parse_term_sum
+from .identities import CLAIM_SIDES, difference, evaluate_sides, parse_term_sum
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 from .tensors import Vector
 
@@ -79,38 +80,36 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Ve
 
     Witness text is the lexicographically first failure; witness data lists
     every failure.  The full list is what makes audit reports diffable
-    evidence rather than spot checks, and these tables are small enough
-    that a complete scan is cheap.
+    evidence rather than spot checks; the sparse join finds it without
+    visiting the tuples on which every product vanishes.
     """
     lhs_terms = parse_term_sum(spec.lhs)
     rhs_terms = parse_term_sum(spec.rhs) if spec.rhs else ()
-    identity = difference(lhs_terms, rhs_terms)
-    residuals = evaluate(table, identity)
-    if not residuals:
+    variables = difference(lhs_terms, rhs_terms).variables
+    hits = evaluate_sides(table, variables, (lhs_terms, rhs_terms))
+    if not hits:
         return Verdict(spec.name, True)
-    lhs_at = compile_terms(table, identity.variables, lhs_terms)
-    rhs_at = compile_terms(table, identity.variables, rhs_terms)
     failures = []
-    for r in residuals:
-        lhs_val = Vector(table.dim, lhs_at(r.assignment))
-        rhs_val = Vector(table.dim, rhs_at(r.assignment))
+    for assignment, residual, (lhs, rhs) in hits:
+        lhs_val, rhs_val = Vector(table.dim, lhs), Vector(table.dim, rhs)
+        res_val = Vector(table.dim, residual)
         if not failures:
             headline = (
-                f"at {format_assignment(r.assignment)}: "
+                f"at {format_assignment(assignment)}: "
                 f"lhs = {format_vector(lhs_val)}, rhs = {format_vector(rhs_val)}, "
-                f"residual = {format_vector(r.value)}"
+                f"residual = {format_vector(res_val)}"
             )
         failures.append(
             {
-                "tuple": list(r.assignment),
-                "text": _failure_text(spec, r.assignment, lhs_val, rhs_val, r.value),
+                "tuple": list(assignment),
+                "text": _failure_text(spec, assignment, lhs_val, rhs_val, res_val),
                 "lhs": vector_jsonable(lhs_val),
                 "rhs": vector_jsonable(rhs_val),
-                "residual": vector_jsonable(r.value),
+                "residual": vector_jsonable(res_val),
             }
         )
     data = {
-        "variables": list(identity.variables),
+        "variables": list(variables),
         "target": target_name,
         "failure_count": len(failures),
         "failures": failures,
@@ -130,9 +129,9 @@ def audit_claims(
 
     ``orientation`` selects which Zinbiel check gates the vacuous flag; the
     gate is evaluated even when a claim filter leaves it out of the report.
-    Claims run one after another on the same engine as ``check``
-    (``identities.evaluate``); ``workers`` is accepted for compatibility and
-    ignored.
+    Claims run one after another on the same sparse join as ``check``
+    (``identities.evaluate_sides``); ``workers`` is accepted for
+    compatibility and ignored.
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")

@@ -32,7 +32,7 @@ from .matched_pair import (
     double,
     format_violation,
 )
-from .reports import Verdict, VerdictBundle, format_scalar, format_vector
+from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
 from .tensors import Matrix, rank
 
 
@@ -180,7 +180,7 @@ def check_manin_triple(bc: BialgebraCandidate) -> VerdictBundle:
             "double_right_zinbiel",
             False,
             f"at (e{x},e{y},e{z}): residual = {format_vector(res)}",
-            {"tuple": [x, y, z], "residual": [[k, format_scalar(v)] for k, v in res.items()]},
+            {"tuple": [x, y, z], "residual": vector_jsonable(res)},
         )
 
     inv = check_form(d, form).verdict_for("invariant")

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = checks pass (or an audit completed), 1 = a violation was
 found, 2 = input error.  All reports are deterministic.  ``check`` and
-``audit`` share one engine, ``identities.evaluate``, which runs sequentially;
---parallel N is accepted for compatibility and ignored.
+``audit`` share one engine, the sparse join of ``identities.evaluate_sides``,
+which runs sequentially; --parallel N is accepted for compatibility and
+ignored.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.

@@ -12,27 +12,36 @@ what justifies checking identities on basis tuples only: a multilinear
 identity vanishes on all of the algebra iff it vanishes on every tuple of
 basis vectors.
 
-Evaluation walks basis tuples in lexicographic order, one at a time, so the
-first reported residual is a deterministic witness.
+Evaluation is a sparse join: each product tree becomes a sparse tensor,
+joined bottom-up over the nonzero structure constants only, so the
+``dim^vars`` basis tuples are never walked one at a time.  Residuals come
+out in lexicographic order of their basis tuples, one slice of the first
+variable at a time, so the first reported residual is a deterministic
+witness.  Each evaluation logs one DEBUG record on the
+``zinbielkit.identities`` logger with the size of the tuple space, the
+slices visited, the joined tensor entries and the residual count.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterator, Union
 
 from .algebra import AlgebraTable
-from .tensors import ONE, ZERO, Vector
+from .tensors import Vector
 
 Tree = Union[str, tuple]
 
+_log = logging.getLogger("zinbielkit.identities")
+
 # Deepest product nesting the parser accepts.  Parsing, the variable walk and
-# the compiled evaluator each recurse once per level, and this keeps them well
-# inside the interpreter's default limit of 1000 frames.  A tree this deep has
-# at least MAX_DEPTH + 1 variables, so it cannot be scanned on dim >= 2 anyway.
+# the join's tensor builder each recurse once per level, and this keeps them
+# well inside the interpreter's default limit of 1000 frames.
 MAX_DEPTH = 600
 
 
@@ -192,6 +201,9 @@ def _validate_arity(variables: tuple[str, ...], terms: list[tuple[Fraction, Tree
             raise ArityError(
                 f"term {idx} is missing variable(s) {', '.join(sorted(missing))}"
             )
+        extra = counts.keys() - want
+        if extra:
+            raise ArityError(f"term {idx} uses unlisted variable(s) {', '.join(sorted(extra))}")
 
 
 def parse_term_sum(src: str) -> tuple[tuple[Fraction, Tree], ...]:
@@ -236,39 +248,134 @@ def render_identity(identity: Identity) -> str:
     return " ".join(parts)
 
 
-def _compile_tree(tree: Tree, variables: tuple[str, ...], algebra: AlgebraTable):
-    """Evaluator of one product tree: basis assignment -> raw coefficient dict."""
-    if isinstance(tree, str):
-        p = variables.index(tree)
-        return lambda a: {a[p]: ONE}
-    left, right = tree
-    if isinstance(left, str) and isinstance(right, str):
-        p, q = variables.index(left), variables.index(right)
-        return lambda a: algebra.product_basis(a[p], a[q])
-    fx, fy = _compile_tree(left, variables, algebra), _compile_tree(right, variables, algebra)
-    return lambda a: algebra.multiply_raw(fx(a), fy(a))
+Tensor = dict  # basis index k -> {leaf assignment: scaled integer coefficient of e_k}
 
 
-def compile_terms(algebra: AlgebraTable, variables: tuple[str, ...], terms) -> Callable:
-    """Evaluator of a term sum: basis assignment -> raw coefficient dict.
+def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable:
+    """Map from an assignment in leaf order to one in ``variables`` order."""
+    positions = tuple(leaves.index(name) for name in variables)
+    if positions == tuple(range(len(positions))):
+        return lambda a: a
+    return itemgetter(*positions)
 
-    An assignment gives one basis index per entry of ``variables``.  Each
-    tree is compiled once, so a call walks no tree and builds no environment.
+
+def evaluate_sides(
+    algebra: AlgebraTable,
+    variables: tuple[str, ...],
+    sides,
+    *,
+    first_only: bool = False,
+) -> list[tuple[tuple[int, ...], dict, list[dict]]]:
+    """Residuals of ``sides[0] - sides[1] - ...``, each with every side's value.
+
+    ``sides`` holds term sums over ``variables``, every term using each
+    variable exactly once.  Returns ``[(assignment, residual, side values)]``
+    for the basis assignments with a nonzero residual, in lexicographic
+    order, as raw coefficient dicts (side values may hold zeros).
+
+    Multilinearity means only assignments on which some product tree is
+    nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
+    is a sparse tensor, basis index -> {assignment of its leaves:
+    coefficient}, built bottom-up by joining only index pairs whose product
+    is nonzero.  Assignments are taken one slice of the first variable at a
+    time, in index order: subtrees without that variable are joined once
+    and reused by every slice, and ``first_only`` stops at the first
+    residual of the first slice that has one.
+
+    Every tree has ``len(variables) - 1`` products, so with the structure
+    constants scaled by their common denominator ``d`` and the term
+    coefficients by theirs, all tensors hold integers and every value is
+    the same multiple of the exact one; only returned values are divided
+    back into ``Fraction``s.
     """
-    compiled = [(coeff, _compile_tree(tree, variables, algebra)) for coeff, tree in terms]
+    for terms in sides:
+        _validate_arity(variables, terms)
+    coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
+    compiled = [
+        (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
+        for side, terms in enumerate(sides)
+        for coeff, tree in terms
+        if coeff
+    ]
+    dim = algebra.dim
+    d, by_left, by_right = algebra._factor_rows
+    scale = d ** max(len(variables) - 1, 0) * coeff_den
+    first = variables[0] if variables else None
+    fixed: dict[Tree, Tensor] = {}  # subtrees without the first variable
+    joined = 0
 
-    def at(assignment: tuple[int, ...]) -> dict:
-        acc: dict[int, Fraction] = {}
-        for coeff, tree_at in compiled:
-            for k, v in tree_at(assignment).items():
-                s = acc.get(k, ZERO) + coeff * v
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
-        return acc
+    def join(left: Tensor, right: Tensor) -> Tensor:
+        nonlocal joined
+        if len(left) <= len(right):
+            matches = [(kl, kr, t) for kl in left for kr, t in by_left.get(kl, ()) if kr in right]
+        else:
+            matches = [(kl, kr, t) for kr in right for kl, t in by_right.get(kr, ()) if kl in left]
+        out: Tensor = {}
+        for kl, kr, products in matches:
+            right_rows = right[kr].items()
+            pairs = [(a + b, u * w) for a, u in left[kl].items() for b, w in right_rows]
+            for k, c in products:
+                row = out.setdefault(k, {})
+                for a, u in pairs:
+                    row[a] = row.get(a, 0) + u * c
+        for k in list(out):
+            row = {a: u for a, u in out[k].items() if u}
+            if row:
+                out[k] = row
+                joined += len(row)
+            else:
+                del out[k]
+        return out
 
-    return at
+    def tensor(tree: Tree, sliced: dict) -> Tensor:
+        for memo in (sliced, fixed):
+            if tree in memo:
+                return memo[tree]
+        if isinstance(tree, str):
+            fixed[tree] = {i: {(i,): 1} for i in range(dim)}
+            return fixed[tree]
+        left, right = tensor(tree[0], sliced), tensor(tree[1], sliced)
+        memo = sliced if tree[0] in sliced or tree[1] in sliced else fixed
+        memo[tree] = join(left, right)
+        return memo[tree]
+
+    def exact(value: dict) -> dict:
+        return {k: Fraction(v, scale) for k, v in value.items()}
+
+    hits: list = []
+    slices = 0
+    for s in range(dim):
+        slices += 1
+        sliced = {first: {s: {(s,): 1}}}
+        acc: dict[tuple[int, ...], list[dict]] = {}
+        for side, coeff, tree, reorder in compiled:
+            for k, rows in tensor(tree, sliced).items():
+                for a, u in rows.items():
+                    full = reorder(a)
+                    values = acc.get(full)
+                    if values is None:
+                        values = acc[full] = [{} for _ in sides]
+                    value = values[side]
+                    value[k] = value.get(k, 0) + coeff * u
+        for full in sorted(acc):
+            values = acc[full]
+            residual = dict(values[0])
+            for other in values[1:]:
+                for k, v in other.items():
+                    residual[k] = residual.get(k, 0) - v
+            residual = {k: v for k, v in residual.items() if v}
+            if residual:
+                hits.append((full, exact(residual), [exact(v) for v in values]))
+                if first_only:
+                    break
+        if first_only and hits:
+            break
+    _log.debug(
+        "sparse join: %d^%d = %d basis tuples, %d of %d slices, "
+        "%d joined entries, %d residuals",
+        dim, len(variables), dim ** len(variables), slices, dim, joined, len(hits),
+    )
+    return hits
 
 
 def evaluate(
@@ -278,22 +385,17 @@ def evaluate(
     first_only: bool = False,
     workers: int = 1,
 ) -> list[Residual]:
-    """All residuals of the identity over basis tuples, in lexicographic order.
+    """All residuals of the identity on basis tuples, in lexicographic order.
 
-    This is the package's one basis-tuple scan: ``check``, the claim audit
-    and the Zinbiel scans all run on it.  ``first_only`` stops at the first
-    violation (the deterministic witness).  Evaluation is sequential;
-    ``workers`` is accepted for compatibility and ignored.
+    The sparse join of ``evaluate_sides`` visits only assignments on which
+    some product tree is nonzero, never the whole ``dim^vars`` tuple space;
+    ``check``, the claim audit and the Zinbiel scans all run on it.
+    ``first_only`` stops at the first violation (the deterministic witness).
+    Evaluation is sequential; ``workers`` is accepted for compatibility and
+    ignored.
     """
-    at = compile_terms(algebra, identity.variables, identity.terms)
-    out = []
-    for assignment in product(range(algebra.dim), repeat=len(identity.variables)):
-        acc = at(assignment)
-        if acc:
-            out.append(Residual(assignment, Vector(algebra.dim, acc)))
-            if first_only:
-                break
-    return out
+    hits = evaluate_sides(algebra, identity.variables, (identity.terms,), first_only=first_only)
+    return [Residual(a, Vector(algebra.dim, residual)) for a, residual, _ in hits]
 
 
 def holds(algebra: AlgebraTable, identity: Identity) -> bool:

@@ -3,13 +3,14 @@
 Each oracle recomputes a quantity by a different route than the library:
 monomial products by literal symbolic integration, shuffle products by a
 path-counting recursion over candidate words, identity defects by direct
-dictionary arithmetic on the raw structure-constant entries.  Agreement is
+dictionary arithmetic on the raw structure-constant entries, identity sums
+by the per-tuple scan the library's sparse join replaced.  Agreement is
 always exact; there are no tolerances anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import sympy
 
@@ -174,3 +175,48 @@ def left_zinbiel_defect(table, i: int, j: int, k: int) -> dict:
         table_product(table, x, table_product(table, z, y)),
     )
     return _sub(lhs, rhs)
+
+
+# -- reference identity scan ---------------------------------------------------
+
+
+def _compile_tree(tree, variables, algebra):
+    """Evaluator of one product tree: basis assignment -> raw coefficient dict."""
+    if isinstance(tree, str):
+        p = variables.index(tree)
+        return lambda a: {a[p]: Fraction(1)}
+    left, right = tree
+    fx, fy = _compile_tree(left, variables, algebra), _compile_tree(right, variables, algebra)
+    return lambda a: algebra.multiply_raw(fx(a), fy(a))
+
+
+def compile_terms(algebra, variables, terms):
+    """Evaluator of a term sum: basis assignment -> raw coefficient dict."""
+    compiled = [(coeff, _compile_tree(tree, variables, algebra)) for coeff, tree in terms]
+
+    def at(assignment):
+        acc: dict[int, Fraction] = {}
+        for coeff, tree_at in compiled:
+            for k, v in tree_at(assignment).items():
+                s = acc.get(k, Fraction(0)) + coeff * v
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        return acc
+
+    return at
+
+
+def reference_evaluate(algebra, identity, first_only=False) -> list:
+    """[(assignment, residual dict)] by visiting every one of the dim^vars
+    basis tuples in lexicographic order and evaluating each term there."""
+    at = compile_terms(algebra, identity.variables, identity.terms)
+    out = []
+    for assignment in product(range(algebra.dim), repeat=len(identity.variables)):
+        acc = at(assignment)
+        if acc:
+            out.append((assignment, acc))
+            if first_only:
+                break
+    return out

@@ -86,6 +86,17 @@ def test_pairing_invariant_on_every_seeded_double(candidates):
         assert bundle.verdict_for("isotropic_blocks").holds, name
 
 
+def test_double_residual_json_entries_ascend(candidates):
+    residuals = []
+    for name, bc in candidates:
+        v = check_manin_triple(bc).verdict_for("double_right_zinbiel")
+        if not v.holds:
+            residuals.append((name, [k for k, _ in v.witness_data["residual"]]))
+    assert any(len(keys) > 1 for _, keys in residuals)
+    for name, keys in residuals:
+        assert keys == sorted(keys), name
+
+
 def test_manin_triple_agrees_with_matched_pair(candidates):
     for name, bc in candidates:
         manin_ok = check_manin_triple(bc).holds

@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -22,6 +24,14 @@ def _nested_product(depth):
     src = f"x{depth}"
     for i in reversed(range(depth)):
         src = f"(x{i} {src})"
+    return src
+
+
+def _left_nested_product(depth):
+    """((..((x0 x1) x2) ..) x{depth}): ``depth`` nested products."""
+    src = "x0"
+    for i in range(1, depth + 1):
+        src = f"({src} x{i})"
     return src
 
 
@@ -210,3 +220,38 @@ def test_console_entry_points():
     )
     assert run.returncode == 1
     assert "FAILS" in run.stdout
+
+
+def test_check_with_vanishing_products_ends_at_once(request):
+    # 31 variables: a scan of all 2^31 basis tuples would not end, but every
+    # product of three elements of trunc-int:right:1 is zero.
+    expr = f"{_left_nested_product(30)} - {_nested_product(30)}"
+    paths = [str(request.config.rootpath / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, "-m", "zinbielkit", "check", "trunc-int:right:1", expr],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith(": HOLDS (trunc-int:right:1)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "trunc-int:left:3", "left_zinbiel"],
+        ["check", "trunc-int:right:3", "lie_admissible", "--format", "json"],
+        ["audit", "--model", "trunc-int:left:3"],
+        ["audit", "--model", "free:2:2", "--format", "json"],
+    ],
+)
+def test_debug_logging_leaves_stdout_unchanged(argv, capsys, caplog):
+    code = main(argv)
+    quiet = capsys.readouterr().out
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit"):
+        assert main(argv) == code
+    assert capsys.readouterr().out == quiet
+    assert any(r.name == "zinbielkit.identities" for r in caplog.records)

@@ -1,22 +1,30 @@
 """Identity DSL: parser, arity rule, evaluator, catalog."""
 
+import logging
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import zinbielkit
+from zinbielkit.algebra import algebra_from_entries
+from zinbielkit.audit import CLAIMS, evaluate_claim
 from zinbielkit.identities import (
     ArityError,
+    Identity,
     IdentitySyntaxError,
     catalog,
     catalog_source,
+    difference,
     evaluate,
     holds,
     parse_identity,
+    parse_term_sum,
     render_identity,
 )
-from zinbielkit.models import trunc_integration
+from zinbielkit.models import free_halfshuffle, trunc_integration
+from zinbielkit.reports import vector_jsonable
 
 import oracles
 
@@ -121,3 +129,100 @@ def test_coefficient_terms_scale_residuals(t3):
 
 def test_public_api_names_resolve():
     assert [name for name in zinbielkit.__all__ if not hasattr(zinbielkit, name)] == []
+
+
+def _random_table(rng, dim):
+    """A table of dimension ``dim`` whose density is drawn too; 0 gives the zero table."""
+    density = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
+    entries = []
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if rng.random() < density:
+                    value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                    entries.append((i, j, k, value))
+    return algebra_from_entries(dim, entries)
+
+
+def _random_tables(seed, count=30):
+    rng = random.Random(seed)
+    tables = [algebra_from_entries(d, []) for d in range(4)]
+    return tables + [_random_table(rng, rng.randint(0, 5)) for _ in range(count)]
+
+
+_SHAPES_4 = ("(((a b) c) d)", "((a (b c)) d)", "((a b) (c d))", "(a ((b c) d))", "(a (b (c d)))")
+
+
+def _degree_4_identity(rng):
+    """Every degree-4 tree shape once, each over its own variable order, with
+    the coefficients 0, 1, 2, 1/2 and 5/3 dealt out in random order and sign."""
+    coeffs = rng.sample(["0 * ", "", "2 * ", "1/2 * ", "5/3 * "], 5)
+    terms = []
+    for shape, coeff in zip(_SHAPES_4, coeffs):
+        tree = shape
+        for slot, name in zip("abcd", rng.sample(["w", "x", "y", "z"], 4)):
+            tree = tree.replace(slot, name)
+        terms.append(f"{rng.choice(['+', '-'])} {coeff}{tree}")
+    return parse_identity(" ".join(terms))
+
+
+def _as_pairs(residuals):
+    return [(r.assignment, dict(r.value.entries)) for r in residuals]
+
+
+def test_sparse_join_matches_reference_scan():
+    rng = random.Random(20181)
+    identities = list(catalog().values()) + [_degree_4_identity(rng) for _ in range(2)]
+    tables = _random_tables(2018, count=20) + [trunc_integration(4, "left"), free_halfshuffle(2, 2)]
+    for table in tables:
+        for ident in identities:
+            want = oracles.reference_evaluate(table, ident)
+            assert _as_pairs(evaluate(table, ident)) == want, render_identity(ident)
+            assert _as_pairs(evaluate(table, ident, first_only=True)) == want[:1]
+
+
+def test_claim_sides_match_reference_scan():
+    tables = _random_tables(2019, count=15) + [trunc_integration(4, "left")]
+    for table in tables:
+        sym = table.symmetrize()
+        for spec in CLAIMS:
+            target = sym if spec.target == "symmetrized product" else table
+            lhs_terms = parse_term_sum(spec.lhs)
+            rhs_terms = parse_term_sum(spec.rhs) if spec.rhs else ()
+            ident = difference(lhs_terms, rhs_terms)
+            lhs_at = oracles.compile_terms(target, ident.variables, lhs_terms)
+            rhs_at = oracles.compile_terms(target, ident.variables, rhs_terms)
+            want = [
+                {
+                    "tuple": list(a),
+                    "lhs": vector_jsonable(lhs_at(a)),
+                    "rhs": vector_jsonable(rhs_at(a)),
+                    "residual": vector_jsonable(residual),
+                }
+                for a, residual in oracles.reference_evaluate(target, ident)
+            ]
+            verdict = evaluate_claim(target, spec, spec.target)
+            got = (verdict.witness_data or {}).get("failures", [])
+            keys = ("tuple", "lhs", "rhs", "residual")
+            assert [{k: f[k] for k in keys} for f in got] == want, spec.name
+            assert verdict.holds == (not want)
+
+
+def test_evaluate_rejects_non_multilinear_terms(t3):
+    for src in ("(x x)", "(x y) + x"):
+        lhs = parse_term_sum(src)
+        with pytest.raises(ArityError):
+            evaluate(t3, difference(lhs, ()))
+    with pytest.raises(ArityError):
+        evaluate(t3, Identity(("x",), parse_term_sum("(x y)")))
+
+
+def test_debug_record_per_evaluate_call(caplog, t5):
+    ident = catalog()["left_zinbiel"]
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        evaluate(t5, ident)
+        evaluate(t5, ident, first_only=True)
+    records = [r for r in caplog.records if r.name == "zinbielkit.identities"]
+    assert len(records) == 2
+    assert "6^3 = 216 basis tuples" in records[0].getMessage()
+    assert records[0].getMessage().endswith(f"{len(evaluate(t5, ident))} residuals")
