@@ -21,10 +21,10 @@ from pathlib import Path
 
 from zinbielkit import cli
 from zinbielkit.algebra import algebra_from_entries
-from zinbielkit.bialgebra import BialgebraCandidate, equivalence_audit
+from zinbielkit.bialgebra import BialgebraCandidate, dual_reps, equivalence_audit
 from zinbielkit.bimodule import Bimodule, regular_bimodule
 from zinbielkit.fuzz import DEFAULT_SEED, seeded_candidates
-from zinbielkit.matched_pair import zero_matched_pair
+from zinbielkit.matched_pair import MatchedPair, zero_matched_pair
 from zinbielkit.models import trunc_integration
 from zinbielkit.serialization import dump_path
 from zinbielkit.tensors import Matrix
@@ -62,6 +62,15 @@ def _broken_bimodule() -> Bimodule:
     return Bimodule(b.base, b.v_dim, tuple(maps), b.right_maps)
 
 
+def _regular_pair(n: int) -> MatchedPair:
+    """The regular bimodule of trunc-int:right:n against the zero product."""
+    b = regular_bimodule(trunc_integration(n, "right"))
+    zero = (Matrix.zero(b.base.dim, b.base.dim),) * b.v_dim
+    return MatchedPair(
+        b.base, algebra_from_entries(b.v_dim, []), b.left_maps, b.right_maps, zero, zero
+    )
+
+
 def write_corpus(corpus: Path):
     corpus.mkdir(parents=True, exist_ok=True)
     t2 = trunc_integration(2, "right")
@@ -73,6 +82,8 @@ def write_corpus(corpus: Path):
     dump_path(corpus / "regular_t3_bimodule.json", regular_bimodule(t3))
     dump_path(corpus / "broken_bimodule.json", _broken_bimodule())
     dump_path(corpus / "zero_pair.json", zero_matched_pair(t3, t2))
+    dump_path(corpus / "pair_regular_t5.json", _regular_pair(5))
+    dump_path(corpus / "dual_reps_t3.json", dual_reps(BialgebraCandidate(t3, t3)))
     dump_path(
         corpus / "candidate_t2_zero.json",
         BialgebraCandidate(t2, algebra_from_entries(3, [])),
@@ -116,6 +127,19 @@ def write_goldens(goldens: Path, seed: int):
         ["audit", "tests/corpus/candidate_t2_zero.json",
          "--out", str(goldens / "audit_candidate_t2_zero.txt")]
     )
+
+    for pair, code in (("pair_regular_t5", 0), ("dual_reps_t3", 1)):
+        src = f"tests/corpus/{pair}.json"
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            _cli(
+                ["audit", src, "--format", fmt,
+                 "--out", str(goldens / f"audit_{pair}.{ext}")]
+            )
+        _cli(
+            ["check", src, "matched_pair",
+             "--out", str(goldens / f"check_matched_pair_{pair}.txt")],
+            expect=code,
+        )
 
     _cli(
         ["check", "trunc-int:right:3", "right_zinbiel",

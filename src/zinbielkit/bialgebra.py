@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraTable
 from .coalgebra import dualize, dualize_co
@@ -33,7 +34,7 @@ from .matched_pair import (
     format_violation,
 )
 from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
-from .tensors import Matrix, rank
+from .tensors import ZERO, Matrix, rank
 
 
 @dataclass(frozen=True)
@@ -74,32 +75,25 @@ def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:
             )
             break
 
+    # B(e_i.e_j, e_l) and B(e_i, e_j.e_l) as rows over l, built once per (i, j)
+    # from the pairing's row i and the transposed left multiplications.
+    gt = g.transpose()
+    left_t = [a.left_mult_matrix(j).transpose() for j in range(a.dim)]
     inv = Verdict("invariant", True)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            left = a.product_basis(i, j)  # B(e_i.e_j, e_l)
-            for l in range(a.dim):
-                lhs = sum((v * g.get(k, l) for k, v in left.items()), Fraction(0))
-                rhs = sum(
-                    (v * g.get(i, m) for m, v in a.product_basis(j, l).items()),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    inv = Verdict(
-                        "invariant",
-                        False,
-                        f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
-                        f"B(x,yz) = {format_scalar(rhs)}",
-                        {
-                            "tuple": [i, j, l],
-                            "lhs": format_scalar(lhs),
-                            "rhs": format_scalar(rhs),
-                        },
-                    )
-                    break
-            if not inv.holds:
-                break
-        if not inv.holds:
+    for i, j in product(range(a.dim), repeat=2):
+        lhs_row = gt.apply_raw(a.product_basis(i, j))
+        rhs_row = left_t[j].apply_raw(gt.column(i).entries)
+        if lhs_row != rhs_row:
+            differ = lhs_row.keys() | rhs_row.keys()
+            l = min(k for k in differ if lhs_row.get(k) != rhs_row.get(k))
+            lhs, rhs = lhs_row.get(l, ZERO), rhs_row.get(l, ZERO)
+            inv = Verdict(
+                "invariant",
+                False,
+                f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
+                f"B(x,yz) = {format_scalar(rhs)}",
+                {"tuple": [i, j, l], "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)},
+            )
             break
 
     r = rank(g)

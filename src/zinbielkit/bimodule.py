@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .reports import Verdict, matrix_equality_verdict
-from .tensors import DimensionMismatch, Matrix, Vector, linear_combination
+from .tensors import ZERO, DimensionMismatch, Matrix, Vector, linear_combination
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,27 @@ _AXIOMS = ("left_composition", "mixed_composition", "right_composition")
 
 def check_bimodule(b: Bimodule) -> list[BimoduleViolation]:
     """All axiom violations over basis pairs, in (axiom, i, j) order."""
-    out = []
     n = b.base.dim
+    left, right = b.left_maps, b.right_maps
+    # r_y r_x + r_y l_x = r_y (r_x + l_x): one product per pair, on sums built once
+    right_plus_left = [right[i] + left[i] for i in range(n)]
+    found: tuple[list, ...] = tuple([] for _ in _AXIOMS)
     for i in range(n):
         for j in range(n):
             prod_ij = b.base.product_basis(i, j)
-            prod_ji = b.base.product_basis(j, i)
+            both = dict(prod_ij)
+            for k, v in b.base.product_basis(j, i).items():
+                both[k] = both.get(k, ZERO) + v
             r_ij = b.right_at(prod_ij)
             residuals = (
-                b.left_maps[i] @ b.left_maps[j] - b.left_at(prod_ij) - b.left_at(prod_ji),
-                b.left_maps[i] @ b.right_maps[j] - r_ij,
-                r_ij - b.right_maps[j] @ b.right_maps[i] - b.right_maps[j] @ b.left_maps[i],
+                left[i] @ left[j] - b.left_at(both),
+                left[i] @ right[j] - r_ij,
+                r_ij - right[j] @ right_plus_left[i],
             )
-            for axiom, residual in zip(_AXIOMS, residuals):
+            for axiom, residual, bucket in zip(_AXIOMS, residuals, found):
                 if not residual.is_zero:
-                    out.append(BimoduleViolation(axiom, (i, j), residual))
-    return sorted(out, key=lambda v: (_AXIOMS.index(v.axiom), v.pair))
+                    bucket.append(BimoduleViolation(axiom, (i, j), residual))
+    return [v for bucket in found for v in bucket]
 
 
 @dataclass(frozen=True)

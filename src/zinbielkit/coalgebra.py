@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .reports import Verdict, VerdictBundle, format_scalar
-from .tensors import Tensor3
+from .tensors import ZERO, Tensor3
 
 Pairs = dict[tuple[int, int], Fraction]
 Triples = dict[tuple[int, int, int], Fraction]
@@ -33,12 +34,19 @@ class CoalgebraTable:
         if (self.d.d0, self.d.d1, self.d.d2) != (self.dim,) * 3:
             raise ValueError("coproduct tensor shape must be dim x dim x dim")
 
+    @cached_property
+    def _by_basis(self) -> tuple[dict[int, Pairs], dict[int, Pairs]]:
+        """(plain, swapped): k -> Delta(e_k), and k -> tau o Delta(e_k), as
+        {(i, j): coefficient} over the nonzero entries."""
+        plain: dict[int, Pairs] = {}
+        swapped: dict[int, Pairs] = {}
+        for (k, i, j), v in self.d.entries.items():
+            plain.setdefault(k, {})[(i, j)] = v
+            swapped.setdefault(k, {})[(j, i)] = v
+        return plain, swapped
+
     def coproduct_basis(self, k: int) -> Pairs:
-        out: Pairs = {}
-        for (kk, i, j), v in self.d.entries.items():
-            if kk == k:
-                out[(i, j)] = v
-        return out
+        return dict(_delta(self, k))
 
     @property
     def is_zero(self) -> bool:
@@ -72,7 +80,7 @@ def _combine(c: CoalgebraTable, sign: Fraction) -> CoalgebraTable:
     acc: Triples = dict(c.d.entries)
     for (k, i, j), v in c.d.entries.items():
         key = (k, j, i)
-        s = acc.get(key, Fraction(0)) + sign * v
+        s = acc.get(key, ZERO) + sign * v
         if s:
             acc[key] = s
         elif key in acc:
@@ -99,11 +107,9 @@ def dualize_co(c: CoalgebraTable) -> AlgebraTable:
 
 
 def _delta(c: CoalgebraTable, k: int, *, swap: bool = False) -> Pairs:
-    out: Pairs = {}
-    for (kk, i, j), v in c.d.entries.items():
-        if kk == k:
-            out[(j, i) if swap else (i, j)] = v
-    return out
+    """Delta(e_k) (tau o Delta(e_k) with ``swap``) from the table's basis
+    index; the dict is the index's own, so callers must not change it."""
+    return c._by_basis[swap].get(k, {})
 
 
 def _expand0(two: Pairs, c: CoalgebraTable, *, swap: bool = False) -> Triples:
@@ -112,7 +118,7 @@ def _expand0(two: Pairs, c: CoalgebraTable, *, swap: bool = False) -> Triples:
     for (m, j), v in two.items():
         for (i, i2), w in _delta(c, m, swap=swap).items():
             key = (i, i2, j)
-            s = out.get(key, Fraction(0)) + v * w
+            s = out.get(key, ZERO) + v * w
             if s:
                 out[key] = s
             elif key in out:
@@ -126,7 +132,7 @@ def _expand1(two: Pairs, c: CoalgebraTable, *, swap: bool = False) -> Triples:
     for (i, m), v in two.items():
         for (j, l), w in _delta(c, m, swap=swap).items():
             key = (i, j, l)
-            s = out.get(key, Fraction(0)) + v * w
+            s = out.get(key, ZERO) + v * w
             if s:
                 out[key] = s
             elif key in out:
@@ -146,7 +152,7 @@ def _sub3(lhs: Triples, *others: Triples) -> Triples:
     out = dict(lhs)
     for other in others:
         for key, v in other.items():
-            s = out.get(key, Fraction(0)) - v
+            s = out.get(key, ZERO) - v
             if s:
                 out[key] = s
             elif key in out:
@@ -158,7 +164,7 @@ def _add3(*parts: Triples) -> Triples:
     out: Triples = {}
     for part in parts:
         for key, v in part.items():
-            s = out.get(key, Fraction(0)) + v
+            s = out.get(key, ZERO) + v
             if s:
                 out[key] = s
             elif key in out:
@@ -236,7 +242,7 @@ def check_cocomm_coassoc(c: CoalgebraTable) -> VerdictBundle:
             swapped = _delta(c, k, swap=True)
             diff = dict(two)
             for key, v in swapped.items():
-                s = diff.get(key, Fraction(0)) - v
+                s = diff.get(key, ZERO) - v
                 if s:
                     diff[key] = s
                 elif key in diff:
@@ -265,7 +271,7 @@ def check_lie_coalgebra(c: CoalgebraTable) -> VerdictBundle:
         for k in range(c.dim):
             acc = dict(_delta(c, k))
             for key, v in _delta(c, k, swap=True).items():
-                s = acc.get(key, Fraction(0)) + v
+                s = acc.get(key, ZERO) + v
                 if s:
                     acc[key] = s
                 elif key in acc:
@@ -289,75 +295,91 @@ def check_lie_coalgebra(c: CoalgebraTable) -> VerdictBundle:
     )
 
 
+class _Composites:
+    """The composites of Delta and tau at one basis vector e_k.  Each is built
+    on first use and shared by every identity that reads it."""
+
+    def __init__(self, c: CoalgebraTable, k: int):
+        self.c, self.d, self.dt = c, _delta(c, k), _delta(c, k, swap=True)
+
+    @cached_property
+    def id_delta(self) -> Triples:  # (id (x) Delta) o Delta
+        return _expand1(self.d, self.c)
+
+    @cached_property
+    def delta_id(self) -> Triples:  # (Delta (x) id) o Delta
+        return _expand0(self.d, self.c)
+
+    @cached_property
+    def id_tdelta(self) -> Triples:  # (id (x) (tau o Delta)) o Delta
+        return _expand1(self.d, self.c, swap=True)
+
+    @cached_property
+    def id_delta_t(self) -> Triples:  # (id (x) Delta) o (tau o Delta)
+        return _expand1(self.dt, self.c)
+
+    @cached_property
+    def delta_id_t(self) -> Triples:  # (Delta (x) id) o (tau o Delta)
+        return _expand0(self.dt, self.c)
+
+    @cached_property
+    def id_tdelta_t(self) -> Triples:  # (id (x) (tau o Delta)) o (tau o Delta)
+        return _expand1(self.dt, self.c, swap=True)
+
+    @cached_property
+    def tdelta_id_t(self) -> Triples:  # ((tau o Delta) (x) id) o (tau o Delta)
+        return _expand0(self.dt, self.c, swap=True)
+
+    @cached_property
+    def derived_rhs(self) -> Triples:
+        # (id (x) tau) o (Delta (x) id) o Delta
+        #   + (tau (x) id) o (id (x) (tau o Delta)) o (tau o Delta)
+        return _add3(_swap12(self.delta_id), _swap01(self.id_tdelta_t))
+
+
+# name -> residual at one basis vector, from its composites
+_AUX_IDENTITIES = (
+    # consequences of the right orientation
+    # (id (x) Delta) o Delta = (tau (x) id) o (id (x) Delta) o Delta
+    ("co_right_relation_a", lambda x: _sub3(x.id_delta, _swap01(x.id_delta))),
+    # (id (x) Delta) o Delta = (tau (x) id) o (Delta (x) id) o (tau o Delta)
+    ("co_right_relation_b", lambda x: _sub3(x.id_delta, _swap01(x.delta_id_t))),
+    # consequences of the left orientation
+    # (Delta (x) id) o Delta = (id (x) tau) o (Delta (x) id) o Delta
+    ("co_left_relation_a", lambda x: _sub3(x.delta_id, _swap12(x.delta_id))),
+    # (Delta (x) id) o Delta = (id (x) tau) o (id (x) Delta) o (tau o Delta)
+    ("co_left_relation_b", lambda x: _sub3(x.delta_id, _swap12(x.id_delta_t))),
+    # two-sided identities for the right orientation
+    # (id (x) (tau o Delta)) o Delta = derived_rhs
+    ("co_derived_1", lambda x: _sub3(x.id_tdelta, x.derived_rhs)),
+    # (Delta (x) id) o (tau o Delta) = the same right-hand side
+    ("co_derived_2", lambda x: _sub3(x.delta_id_t, x.derived_rhs)),
+    # ((tau o Delta) (x) id) o (tau o Delta)
+    #   = (id (x) Delta) o (tau o Delta) + (id (x) (tau o Delta)) o (tau o Delta)
+    ("co_derived_3", lambda x: _sub3(x.tdelta_id_t, _add3(x.id_delta_t, x.id_tdelta_t))),
+)
+
+
 def check_aux_coalgebra_identities(c: CoalgebraTable) -> VerdictBundle:
     """The consequence identities of each coalgebra orientation, plus the three
     two-sided product identities stated for the right orientation.  All are
-    evaluated unconditionally; which ones hold is part of the report."""
+    evaluated unconditionally; which ones hold is part of the report.
 
-    def d(k):
-        return _delta(c, k)
-
-    def dt(k):
-        return _delta(c, k, swap=True)
-
-    def pairs(lhs_fn, rhs_fn):
-        for k in range(c.dim):
-            yield k, _sub3(lhs_fn(k), rhs_fn(k))
-
-    # consequences of the right orientation
-    # (id (x) Delta) o Delta = (tau (x) id) o (id (x) Delta) o Delta
-    co_right_a = pairs(
-        lambda k: _expand1(d(k), c),
-        lambda k: _swap01(_expand1(d(k), c)),
-    )
-    # (id (x) Delta) o Delta = (tau (x) id) o (Delta (x) id) o (tau o Delta)
-    co_right_b = pairs(
-        lambda k: _expand1(d(k), c),
-        lambda k: _swap01(_expand0(dt(k), c)),
-    )
-    # consequences of the left orientation
-    # (Delta (x) id) o Delta = (id (x) tau) o (Delta (x) id) o Delta
-    co_left_a = pairs(
-        lambda k: _expand0(d(k), c),
-        lambda k: _swap12(_expand0(d(k), c)),
-    )
-    # (Delta (x) id) o Delta = (id (x) tau) o (id (x) Delta) o (tau o Delta)
-    co_left_b = pairs(
-        lambda k: _expand0(d(k), c),
-        lambda k: _swap12(_expand1(dt(k), c)),
-    )
-    # two-sided identities for the right orientation
-    # (id (x) (tau o Delta)) o Delta
-    #   = (id (x) tau) o (Delta (x) id) o Delta
-    #   + (tau (x) id) o (id (x) (tau o Delta)) o (tau o Delta)
-    def shared_rhs(k):
-        return _add3(
-            _swap12(_expand0(d(k), c)),
-            _swap01(_expand1(dt(k), c, swap=True)),
-        )
-
-    co_derived_1 = pairs(lambda k: _expand1(d(k), c, swap=True), shared_rhs)
-    # (Delta (x) id) o (tau o Delta) = the same right-hand side
-    co_derived_2 = pairs(lambda k: _expand0(dt(k), c), shared_rhs)
-    # ((tau o Delta) (x) id) o (tau o Delta)
-    #   = (id (x) Delta) o (tau o Delta) + (id (x) (tau o Delta)) o (tau o Delta)
-    co_derived_3 = pairs(
-        lambda k: _expand0(dt(k), c, swap=True),
-        lambda k: _add3(_expand1(dt(k), c), _expand1(dt(k), c, swap=True)),
-    )
-
-    return VerdictBundle(
-        "aux_coalgebra_identities",
-        (
-            _family_verdict("co_right_relation_a", co_right_a),
-            _family_verdict("co_right_relation_b", co_right_b),
-            _family_verdict("co_left_relation_a", co_left_a),
-            _family_verdict("co_left_relation_b", co_left_b),
-            _family_verdict("co_derived_1", co_derived_1),
-            _family_verdict("co_derived_2", co_derived_2),
-            _family_verdict("co_derived_3", co_derived_3),
-        ),
-    )
+    Basis vectors are visited once, in order, for all identities together;
+    an identity is no longer evaluated after its first violation."""
+    first: dict[str, tuple[int, Triples]] = {}
+    for k in range(c.dim):
+        x = _Composites(c, k)
+        for name, residual in _AUX_IDENTITIES:
+            if name not in first:
+                r = residual(x)
+                if r:
+                    first[name] = (k, r)
+        if len(first) == len(_AUX_IDENTITIES):
+            break
+    verdicts = (_family_verdict(name, [first[name]] if name in first else [])
+                for name, _ in _AUX_IDENTITIES)
+    return VerdictBundle("aux_coalgebra_identities", tuple(verdicts))
 
 
 def gap_counterexample() -> CoalgebraTable:

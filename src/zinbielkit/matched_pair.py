@@ -19,6 +19,8 @@ both summands are Zinbiel for the equivalence to be exact.
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +35,9 @@ from .reports import (
     matrix_equality_verdict,
     vector_equality_verdict,
 )
-from .tensors import DimensionMismatch, Matrix, linear_combination
+from .tensors import ONE, ZERO, DimensionMismatch, Matrix, linear_combination
+
+_log = logging.getLogger("zinbielkit.matched_pair")
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,17 @@ def zero_matched_pair(a: AlgebraTable, b: AlgebraTable) -> MatchedPair:
     return MatchedPair(a, b, (zp,) * a.dim, (zp,) * a.dim, (zn,) * b.dim, (zn,) * b.dim)
 
 
-def _apply_family(family, coeffs: dict, vec: dict) -> dict:
-    """sum_k coeffs[k] * (family[k] applied to vec), as a raw dict."""
+def _columns(family) -> list[list[dict]]:
+    """[k][j] -> column j of family[k] as a raw dict: what family[k] does to e_j."""
+    return [[m.column(j).entries for j in range(m.cols)] for m in family]
+
+
+def _combine(columns, coeffs: dict, j: int) -> dict:
+    """sum_k coeffs[k] * (family[k] applied to e_j), from the family's columns."""
     out: dict[int, Fraction] = {}
     for k, s in coeffs.items():
-        for m, v in family[k].apply_raw(vec).items():
-            acc = out.get(m, 0) + s * v
+        for m, v in columns[k][j].items():
+            acc = out.get(m, ZERO) + s * v
             if acc:
                 out[m] = acc
             elif m in out:
@@ -78,11 +87,18 @@ def _apply_family(family, coeffs: dict, vec: dict) -> dict:
     return out
 
 
+def _add(lhs: dict, rhs: dict) -> dict:
+    out = dict(lhs)
+    for k, v in rhs.items():
+        out[k] = out.get(k, ZERO) + v
+    return out
+
+
 def _sub(lhs: dict, *others: dict) -> dict:
     out = dict(lhs)
     for other in others:
         for k, v in other.items():
-            acc = out.get(k, 0) - v
+            acc = out.get(k, ZERO) - v
             if acc:
                 out[k] = acc
             elif k in out:
@@ -117,22 +133,22 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
 
     A, B = mp.a, mp.b
     n, p = A.dim, B.dim
-    one = Fraction(1)
-
-    def e(i):
-        return {i: one}
+    e = [{i: ONE} for i in range(max(n, p))]
+    # Loop invariants: every action column the equalities read, including
+    # those of the summed actions (lb+rb)(a) and (la+ra)(x).
+    la, ra, lb, rb = (_columns(f) for f in (mp.la, mp.ra, mp.lb, mp.rb))
+    lrb = _columns([mp.lb[a] + mp.rb[a] for a in range(p)])
+    lra = _columns([mp.la[x] + mp.ra[x] for x in range(n)])
 
     # compat_rb: rb(a)(x.y + y.x) = x.(rb(a)y) + rb(la(y)a)x     over (x, y, a)
     for x in range(n):
         for y in range(n):
-            sym = dict(A.product_basis(x, y))
-            for k, v in A.product_basis(y, x).items():
-                sym[k] = sym.get(k, Fraction(0)) + v
+            sym = _add(A.product_basis(x, y), A.product_basis(y, x))
             for a in range(p):
                 r = _sub(
                     mp.rb[a].apply_raw(sym),
-                    A.multiply_raw(e(x), mp.rb[a].apply_raw(e(y))),
-                    _apply_family(mp.rb, mp.la[y].apply_raw(e(a)), e(x)),
+                    A.multiply_raw(e[x], rb[a][y]),
+                    _combine(rb, la[y][a], x),
                 )
                 if r:
                     out.append(MatchedPairViolation("compat_rb", (x, y, a), r))
@@ -140,14 +156,12 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     # compat_ra: ra(x)(a o b + b o a) = a o (ra(x)b) + ra(lb(b)x)a   over (a, b, x)
     for a in range(p):
         for b in range(p):
-            sym = dict(B.product_basis(a, b))
-            for k, v in B.product_basis(b, a).items():
-                sym[k] = sym.get(k, Fraction(0)) + v
+            sym = _add(B.product_basis(a, b), B.product_basis(b, a))
             for x in range(n):
                 r = _sub(
                     mp.ra[x].apply_raw(sym),
-                    B.multiply_raw(e(a), mp.ra[x].apply_raw(e(b))),
-                    _apply_family(mp.ra, mp.lb[b].apply_raw(e(x)), e(a)),
+                    B.multiply_raw(e[a], ra[x][b]),
+                    _combine(ra, lb[b][x], a),
                 )
                 if r:
                     out.append(MatchedPairViolation("compat_ra", (a, b, x), r))
@@ -159,18 +173,10 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
             prod = A.product_basis(x, y)
             for a in range(p):
                 lhs = mp.lb[a].apply_raw(prod)
-                r1 = _sub(
-                    lhs,
-                    A.multiply_raw((mp.lb[a] + mp.rb[a]).apply_raw(e(x)), e(y)),
-                    _apply_family(mp.lb, (mp.la[x] + mp.ra[x]).apply_raw(e(a)), e(y)),
-                )
+                r1 = _sub(lhs, A.multiply_raw(lrb[a][x], e[y]), _combine(lb, lra[x][a], y))
                 if r1:
                     out.append(MatchedPairViolation("compat_lb_1", (x, y, a), r1))
-                r2 = _sub(
-                    lhs,
-                    A.multiply_raw(e(x), mp.lb[a].apply_raw(e(y))),
-                    _apply_family(mp.rb, mp.ra[y].apply_raw(e(a)), e(x)),
-                )
+                r2 = _sub(lhs, A.multiply_raw(e[x], lb[a][y]), _combine(rb, ra[y][a], x))
                 if r2:
                     out.append(MatchedPairViolation("compat_lb_2", (x, y, a), r2))
 
@@ -181,21 +187,17 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
             prod = B.product_basis(a, b)
             for x in range(n):
                 lhs = mp.la[x].apply_raw(prod)
-                r1 = _sub(
-                    lhs,
-                    _apply_family(mp.la, (mp.lb[a] + mp.rb[a]).apply_raw(e(x)), e(b)),
-                    B.multiply_raw((mp.la[x] + mp.ra[x]).apply_raw(e(a)), e(b)),
-                )
+                r1 = _sub(lhs, _combine(la, lrb[a][x], b), B.multiply_raw(lra[x][a], e[b]))
                 if r1:
                     out.append(MatchedPairViolation("compat_la_1", (a, b, x), r1))
-                r2 = _sub(
-                    lhs,
-                    B.multiply_raw(e(a), mp.la[x].apply_raw(e(b))),
-                    _apply_family(mp.ra, mp.rb[b].apply_raw(e(x)), e(a)),
-                )
+                r2 = _sub(lhs, B.multiply_raw(e[a], la[x][b]), _combine(ra, rb[b][x], a))
                 if r2:
                     out.append(MatchedPairViolation("compat_la_2", (a, b, x), r2))
 
+    _log.debug(
+        "matched pair: dim A = %d, dim B = %d, %d violations %s",
+        n, p, len(out), dict(Counter(v.condition for v in out)),
+    )
     return out
 
 
@@ -251,10 +253,8 @@ def check_commassoc_matched_pair(
     verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("x", "y", "v")))
     verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("a", "b", "v")))
 
-    one = Fraction(1)
-
-    def e(i):
-        return {i: one}
+    e = [{i: ONE} for i in range(max(g.dim, h.dim))]
+    mu_at, rho_at = _columns(mu), _columns(rho)
 
     # mu(x)(a o b) = (mu(x)a) o b + mu(rho(a)x)b       over (x, a, b)
     def compat_mu():
@@ -262,9 +262,9 @@ def check_commassoc_matched_pair(
             for a in range(h.dim):
                 for b in range(h.dim):
                     lhs = mu[x].apply_raw(h.product_basis(a, b))
-                    rhs = h.multiply_raw(mu[x].apply_raw(e(a)), e(b))
-                    for k, v in _apply_family(mu, rho[a].apply_raw(e(x)), e(b)).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + v
+                    rhs = h.multiply_raw(mu_at[x][a], e[b])
+                    for k, v in _combine(mu_at, rho_at[a][x], b).items():
+                        rhs[k] = rhs.get(k, ZERO) + v
                     yield (x, a, b), lhs, {k: v for k, v in rhs.items() if v}
 
     # rho(a)(x.y) = (rho(a)x).y + rho(mu(x)a)y          over (a, x, y)
@@ -273,9 +273,9 @@ def check_commassoc_matched_pair(
             for x in range(g.dim):
                 for y in range(g.dim):
                     lhs = rho[a].apply_raw(g.product_basis(x, y))
-                    rhs = g.multiply_raw(rho[a].apply_raw(e(x)), e(y))
-                    for k, v in _apply_family(rho, mu[x].apply_raw(e(a)), e(y)).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + v
+                    rhs = g.multiply_raw(rho_at[a][x], e[y])
+                    for k, v in _combine(rho_at, mu_at[x][a], y).items():
+                        rhs[k] = rhs.get(k, ZERO) + v
                     yield (a, x, y), lhs, {k: v for k, v in rhs.items() if v}
 
     verdicts.append(vector_equality_verdict("compat_mu", compat_mu(), ("x", "a", "b")))
@@ -312,10 +312,8 @@ def check_lie_matched_pair(
     verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("x", "y", "v")))
     verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("a", "b", "v")))
 
-    one = Fraction(1)
-
-    def e(i):
-        return {i: one}
+    e = [{i: ONE} for i in range(max(g.dim, h.dim))]
+    rho_at, mu_at = _columns(rho), _columns(mu)
 
     # rho(x)[a,b] - [rho(x)a, b] - [a, rho(x)b] + rho(mu(a)x)b - rho(mu(b)x)a = 0
     def compat_h():
@@ -323,13 +321,13 @@ def check_lie_matched_pair(
             for a in range(h.dim):
                 for b in range(h.dim):
                     lhs = rho[x].apply_raw(h.product_basis(a, b))
-                    rhs = h.multiply_raw(rho[x].apply_raw(e(a)), e(b))
-                    for k, v in h.multiply_raw(e(a), rho[x].apply_raw(e(b))).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + v
-                    for k, v in _apply_family(rho, mu[a].apply_raw(e(x)), e(b)).items():
-                        lhs[k] = lhs.get(k, Fraction(0)) + v
-                    for k, v in _apply_family(rho, mu[b].apply_raw(e(x)), e(a)).items():
-                        lhs[k] = lhs.get(k, Fraction(0)) - v
+                    rhs = h.multiply_raw(rho_at[x][a], e[b])
+                    for k, v in h.multiply_raw(e[a], rho_at[x][b]).items():
+                        rhs[k] = rhs.get(k, ZERO) + v
+                    for k, v in _combine(rho_at, mu_at[a][x], b).items():
+                        lhs[k] = lhs.get(k, ZERO) + v
+                    for k, v in _combine(rho_at, mu_at[b][x], a).items():
+                        lhs[k] = lhs.get(k, ZERO) - v
                     yield (
                         (x, a, b),
                         {k: v for k, v in lhs.items() if v},
@@ -342,13 +340,13 @@ def check_lie_matched_pair(
             for x in range(g.dim):
                 for y in range(g.dim):
                     lhs = mu[a].apply_raw(g.product_basis(x, y))
-                    rhs = g.multiply_raw(mu[a].apply_raw(e(x)), e(y))
-                    for k, v in g.multiply_raw(e(x), mu[a].apply_raw(e(y))).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + v
-                    for k, v in _apply_family(mu, rho[x].apply_raw(e(a)), e(y)).items():
-                        lhs[k] = lhs.get(k, Fraction(0)) + v
-                    for k, v in _apply_family(mu, rho[y].apply_raw(e(a)), e(x)).items():
-                        lhs[k] = lhs.get(k, Fraction(0)) - v
+                    rhs = g.multiply_raw(mu_at[a][x], e[y])
+                    for k, v in g.multiply_raw(e[x], mu_at[a][y]).items():
+                        rhs[k] = rhs.get(k, ZERO) + v
+                    for k, v in _combine(mu_at, rho_at[x][a], y).items():
+                        lhs[k] = lhs.get(k, ZERO) + v
+                    for k, v in _combine(mu_at, rho_at[y][a], x).items():
+                        lhs[k] = lhs.get(k, ZERO) - v
                     yield (
                         (a, x, y),
                         {k: v for k, v in lhs.items() if v},

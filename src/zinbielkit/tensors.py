@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 Scalar = Fraction
@@ -146,7 +147,12 @@ class Matrix:
         return Matrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix shapes differ")
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, ZERO) - v
+        return Matrix(self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
@@ -154,12 +160,20 @@ class Matrix:
     def scale(self, s: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: s * v for k, v in self.entries.items()})
 
+    @cached_property
+    def _columns(self) -> dict:
+        """col -> tuple of (row, coefficient) over the col's entries, rows ascending."""
+        return _index(((c, r), v) for (r, c), v in self.entries.items())
+
+    @cached_property
+    def _rows(self) -> dict:
+        """row -> tuple of (col, coefficient) over the row's entries, cols ascending."""
+        return _index(self.entries.items())
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, c), v in other.entries.items():
-            by_row.setdefault(k, []).append((c, v))
+        by_row = other._rows
         out: dict[tuple[int, int], Fraction] = {}
         for (r, k), v1 in self.entries.items():
             for c, v2 in by_row.get(k, ()):
@@ -173,15 +187,24 @@ class Matrix:
         return Vector(self.rows, self.apply_raw(v.entries))
 
     def apply_raw(self, coeffs: Mapping[int, Fraction]) -> dict:
+        """The matrix times a raw coefficient dict; reads only the columns it touches."""
+        columns = self._columns
         out: dict[int, Fraction] = {}
-        for (r, c), v in self.entries.items():
-            x = coeffs.get(c)
-            if x is not None:
+        for c, x in coeffs.items():
+            for r, v in columns.get(c, ()):
                 out[r] = out.get(r, ZERO) + v * x
         return {k: v for k, v in out.items() if v != 0}
 
     def column(self, c: int) -> Vector:
-        return Vector(self.rows, {r: v for (r, cc), v in self.entries.items() if cc == c})
+        return Vector(self.rows, dict(self._columns.get(c, ())))
+
+
+def _index(entries) -> dict:
+    """((outer, inner), value) pairs -> {outer: ((inner, value), ...)}, inner ascending."""
+    out: dict[int, list] = {}
+    for (outer, inner), v in entries:
+        out.setdefault(outer, []).append((inner, v))
+    return {key: tuple(sorted(val)) for key, val in out.items()}
 
 
 def linear_combination(family: Iterable[Matrix], coeffs: Mapping[int, Fraction]) -> Matrix:

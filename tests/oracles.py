@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a different route than the library:
 monomial products by literal symbolic integration, shuffle products by a
 path-counting recursion over candidate words, identity defects by direct
 dictionary arithmetic on the raw structure-constant entries, identity sums
-by the per-tuple scan the library's sparse join replaced.  Agreement is
-always exact; there are no tolerances anywhere.
+by the per-tuple scan the library's sparse join replaced, and the
+structural checks by the full-table scans their indexed kernels replaced.
+Agreement is always exact; there are no tolerances anywhere.
 """
 
 from fractions import Fraction
@@ -13,6 +14,11 @@ from functools import lru_cache
 from itertools import permutations, product
 
 import sympy
+
+from zinbielkit.bimodule import _AXIOMS, Bimodule
+from zinbielkit.matched_pair import MatchedPairViolation
+from zinbielkit.reports import Verdict, VerdictBundle, format_scalar
+from zinbielkit.tensors import Matrix, rank
 
 X, T = sympy.symbols("X t")
 
@@ -220,3 +226,250 @@ def reference_evaluate(algebra, identity, first_only=False) -> list:
             if first_only:
                 break
     return out
+
+
+# -- reference structural kernels ------------------------------------------------
+#
+# The full-table scans the structural checkers used before they read matrices
+# by column, coproducts by basis index and the pairing by row.
+
+
+def reference_apply(matrix, coeffs) -> dict:
+    """Matrix times a raw coefficient dict, by a scan over every entry."""
+    out: dict[int, Fraction] = {}
+    for (r, c), v in matrix.entries.items():
+        x = coeffs.get(c)
+        if x is not None:
+            out[r] = out.get(r, Fraction(0)) + v * x
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def reference_matmul(left, right) -> dict:
+    """Entries of ``left @ right``, by a scan over every pair of entries."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (r, k), v1 in left.entries.items():
+        for (kk, c), v2 in right.entries.items():
+            if k == kk:
+                out[(r, c)] = out.get((r, c), Fraction(0)) + v1 * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def reference_delta(coalgebra, k: int, *, swap: bool = False) -> dict:
+    """Delta(e_k) (tau o Delta(e_k) with ``swap``), by a scan over every entry."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (kk, i, j), v in coalgebra.d.entries.items():
+        if kk == k:
+            out[(j, i) if swap else (i, j)] = v
+    return out
+
+
+def _mat_sum(terms, rows, cols):
+    """sum of sign * matrix entries over ``terms`` = [(sign, entries dict)]."""
+    out: dict = {}
+    for sign, entries in terms:
+        for key, v in entries.items():
+            out[key] = out.get(key, Fraction(0)) + sign * v
+    return Matrix(rows, cols, out)
+
+
+def _family_at(family, coeffs):
+    """Coefficient-weighted sum of a matrix family, as an entries dict."""
+    out: dict = {}
+    for i, s in coeffs.items():
+        for key, v in family[i].entries.items():
+            out[key] = out.get(key, Fraction(0)) + s * v
+    return {key: v for key, v in out.items() if v}
+
+
+def reference_check_bimodule(b) -> list:
+    """(axiom, (i, j), residual Matrix) for every violated axiom, in
+    (axiom, i, j) order, each residual recomputed from full scans."""
+    n, m = b.base.dim, b.v_dim
+    left, right = b.left_maps, b.right_maps
+    found = {axiom: [] for axiom in _AXIOMS}
+    for i in range(n):
+        for j in range(n):
+            prod_ij = b.base.product_basis(i, j)
+            prod_ji = b.base.product_basis(j, i)
+            r_ij = _family_at(right, prod_ij)
+            residuals = (
+                _mat_sum(
+                    [(1, reference_matmul(left[i], left[j])),
+                     (-1, _family_at(left, prod_ij)),
+                     (-1, _family_at(left, prod_ji))],
+                    m, m,
+                ),
+                _mat_sum([(1, reference_matmul(left[i], right[j])), (-1, r_ij)], m, m),
+                _mat_sum(
+                    [(1, r_ij),
+                     (-1, reference_matmul(right[j], right[i])),
+                     (-1, reference_matmul(right[j], left[i]))],
+                    m, m,
+                ),
+            )
+            for axiom, residual in zip(_AXIOMS, residuals):
+                if not residual.is_zero:
+                    found[axiom].append(((i, j), residual))
+    return [(axiom, pair, res) for axiom in _AXIOMS for pair, res in found[axiom]]
+
+
+def _apply_family(family, coeffs: dict, vec: dict) -> dict:
+    """sum_k coeffs[k] * (family[k] applied to vec), by full scans."""
+    out: dict[int, Fraction] = {}
+    for k, s in coeffs.items():
+        for m, v in reference_apply(family[k], vec).items():
+            acc = out.get(m, 0) + s * v
+            if acc:
+                out[m] = acc
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _sub_all(lhs: dict, *others: dict) -> dict:
+    out = dict(lhs)
+    for other in others:
+        out = _sub(out, other)
+    return out
+
+
+def reference_check_matched_pair(mp) -> list:
+    """The matched-pair violations, in the library's order, from full scans:
+    [MatchedPairViolation] with the same condition, where and residual."""
+    out = []
+    for name, table in (("base_a", mp.a), ("base_b", mp.b)):
+        for i, j, k in product(range(table.dim), repeat=3):
+            r = right_zinbiel_defect(table, i, j, k)
+            if r:
+                out.append(MatchedPairViolation(f"{name}_right_zinbiel", (i, j, k), r))
+    for side, bm in (
+        ("action_on_b", Bimodule(mp.a, mp.b.dim, mp.la, mp.ra)),
+        ("action_on_a", Bimodule(mp.b, mp.a.dim, mp.lb, mp.rb)),
+    ):
+        for axiom, pair, residual in reference_check_bimodule(bm):
+            out.append(MatchedPairViolation(f"{side}:{axiom}", pair, residual))
+
+    A, B = mp.a, mp.b
+    n, p = A.dim, B.dim
+    e = _basis
+
+    def plus(f, g, k):
+        return _mat_sum([(1, f[k].entries), (1, g[k].entries)], f[k].rows, f[k].cols)
+
+    # compat_rb: rb(a)(x.y + y.x) = x.(rb(a)y) + rb(la(y)a)x     over (x, y, a)
+    for x in range(n):
+        for y in range(n):
+            sym = _add(table_product(A, e(x), e(y)), table_product(A, e(y), e(x)))
+            for a in range(p):
+                r = _sub_all(
+                    reference_apply(mp.rb[a], sym),
+                    table_product(A, e(x), reference_apply(mp.rb[a], e(y))),
+                    _apply_family(mp.rb, reference_apply(mp.la[y], e(a)), e(x)),
+                )
+                if r:
+                    out.append(MatchedPairViolation("compat_rb", (x, y, a), r))
+
+    # compat_ra: ra(x)(a o b + b o a) = a o (ra(x)b) + ra(lb(b)x)a   over (a, b, x)
+    for a in range(p):
+        for b in range(p):
+            sym = _add(table_product(B, e(a), e(b)), table_product(B, e(b), e(a)))
+            for x in range(n):
+                r = _sub_all(
+                    reference_apply(mp.ra[x], sym),
+                    table_product(B, e(a), reference_apply(mp.ra[x], e(b))),
+                    _apply_family(mp.ra, reference_apply(mp.lb[b], e(x)), e(a)),
+                )
+                if r:
+                    out.append(MatchedPairViolation("compat_ra", (a, b, x), r))
+
+    # compat_lb_1: lb(a)(x.y) = ((lb+rb)(a)x).y + lb((la+ra)(x)a)y  over (x, y, a)
+    # compat_lb_2: lb(a)(x.y) = x.(lb(a)y) + rb(ra(y)a)x
+    for x in range(n):
+        for y in range(n):
+            prod = table_product(A, e(x), e(y))
+            for a in range(p):
+                lhs = reference_apply(mp.lb[a], prod)
+                r1 = _sub_all(
+                    lhs,
+                    table_product(A, reference_apply(plus(mp.lb, mp.rb, a), e(x)), e(y)),
+                    _apply_family(mp.lb, reference_apply(plus(mp.la, mp.ra, x), e(a)), e(y)),
+                )
+                if r1:
+                    out.append(MatchedPairViolation("compat_lb_1", (x, y, a), r1))
+                r2 = _sub_all(
+                    lhs,
+                    table_product(A, e(x), reference_apply(mp.lb[a], e(y))),
+                    _apply_family(mp.rb, reference_apply(mp.ra[y], e(a)), e(x)),
+                )
+                if r2:
+                    out.append(MatchedPairViolation("compat_lb_2", (x, y, a), r2))
+
+    # compat_la_1: la(x)(a o b) = la((lb+rb)(a)x)b + ((la+ra)(x)a) o b  over (a, b, x)
+    # compat_la_2: la(x)(a o b) = a o (la(x)b) + ra(rb(b)x)a
+    for a in range(p):
+        for b in range(p):
+            prod = table_product(B, e(a), e(b))
+            for x in range(n):
+                lhs = reference_apply(mp.la[x], prod)
+                r1 = _sub_all(
+                    lhs,
+                    _apply_family(mp.la, reference_apply(plus(mp.lb, mp.rb, a), e(x)), e(b)),
+                    table_product(B, reference_apply(plus(mp.la, mp.ra, x), e(a)), e(b)),
+                )
+                if r1:
+                    out.append(MatchedPairViolation("compat_la_1", (a, b, x), r1))
+                r2 = _sub_all(
+                    lhs,
+                    table_product(B, e(a), reference_apply(mp.la[x], e(b))),
+                    _apply_family(mp.ra, reference_apply(mp.rb[b], e(x)), e(a)),
+                )
+                if r2:
+                    out.append(MatchedPairViolation("compat_la_2", (a, b, x), r2))
+
+    return out
+
+
+def reference_check_form(a, form):
+    """The bilinear-form verdicts as ``bialgebra.check_form`` gave them when
+    the invariance check summed ``g.get`` over all dim^3 tuples."""
+    g = form.g
+    sym = Verdict("symmetric", True)
+    for (i, j), v in sorted(g.entries.items()):
+        if g.get(j, i) != v:
+            sym = Verdict(
+                "symmetric",
+                False,
+                f"at (e{i},e{j}): {format_scalar(v)} vs {format_scalar(g.get(j, i))}",
+                {"tuple": [i, j], "lhs": format_scalar(v), "rhs": format_scalar(g.get(j, i))},
+            )
+            break
+
+    inv = Verdict("invariant", True)
+    for i, j, l in product(range(a.dim), repeat=3):
+        lhs = sum(
+            (v * g.get(k, l) for k, v in table_product(a, _basis(i), _basis(j)).items()),
+            Fraction(0),
+        )
+        rhs = sum(
+            (v * g.get(i, m) for m, v in table_product(a, _basis(j), _basis(l)).items()),
+            Fraction(0),
+        )
+        if lhs != rhs:
+            inv = Verdict(
+                "invariant",
+                False,
+                f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
+                f"B(x,yz) = {format_scalar(rhs)}",
+                {"tuple": [i, j, l], "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)},
+            )
+            break
+
+    r = rank(g)
+    nondeg = (
+        Verdict("nondegenerate", True)
+        if r == form.dim
+        else Verdict(
+            "nondegenerate", False, f"rank {r} < dim {form.dim}", {"rank": r, "dim": form.dim}
+        )
+    )
+    return VerdictBundle("bilinear_form", (sym, inv, nondeg))

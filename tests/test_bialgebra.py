@@ -1,9 +1,11 @@
 """Pairings, dual representations, Manin-triple and four-way equivalence audits."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from zinbielkit import fuzz
 from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.bialgebra import (
@@ -157,3 +159,20 @@ def test_candidate_requires_equal_dimensions(t3, t2):
         BialgebraCandidate(t3, t2)
     with pytest.raises(ValueError):
         BilinearFormTable(3, Matrix(2, 2, {}))
+
+
+def test_check_form_matches_reference_scan(candidates):
+    rng = random.Random(20183)
+    cases = []
+    for _, bc in candidates:
+        d = drinfeld_double(bc)
+        cases.append((d, standard_pairing(bc.a.dim)))
+        cases.append((d, BilinearFormTable(d.dim, Matrix.zero(d.dim, d.dim))))
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        a = fuzz.random_algebra(rng, n, rng.choice((0.1, 0.3)))
+        # non-symmetric, and degenerate whenever a row stays empty
+        g = fuzz.random_maps(rng, 1, n, rng.choice((0.2, 0.5)))[0]
+        cases.append((a, BilinearFormTable(n, g)))
+    for a, form in cases:
+        assert check_form(a, form) == oracles.reference_check_form(a, form)

@@ -117,6 +117,28 @@ GOLDEN_CASES = [
     ),
     (["audit", "tests/corpus/dual_t3.json"], "audit_coalgebra_dual_t3.txt", 0),
     (["audit", "tests/corpus/candidate_t2_zero.json"], "audit_candidate_t2_zero.txt", 0),
+    (["audit", "tests/corpus/pair_regular_t5.json"], "audit_pair_regular_t5.txt", 0),
+    (
+        ["audit", "tests/corpus/pair_regular_t5.json", "--format", "json"],
+        "audit_pair_regular_t5.json",
+        0,
+    ),
+    (
+        ["check", "tests/corpus/pair_regular_t5.json", "matched_pair"],
+        "check_matched_pair_pair_regular_t5.txt",
+        0,
+    ),
+    (["audit", "tests/corpus/dual_reps_t3.json"], "audit_dual_reps_t3.txt", 0),
+    (
+        ["audit", "tests/corpus/dual_reps_t3.json", "--format", "json"],
+        "audit_dual_reps_t3.json",
+        0,
+    ),
+    (
+        ["check", "tests/corpus/dual_reps_t3.json", "matched_pair"],
+        "check_matched_pair_dual_reps_t3.txt",
+        1,
+    ),
     (["check", "trunc-int:right:3", "right_zinbiel"], "check_right_zinbiel_t3.txt", 0),
     (["check", "trunc-int:left:3", "right_zinbiel"], "check_right_zinbiel_l3.txt", 1),
     (
@@ -239,6 +261,9 @@ def test_check_with_vanishing_products_ends_at_once(request):
     assert run.stdout.endswith(": HOLDS (trunc-int:right:1)\n")
 
 
+_PAIR_INPUTS = ("tests/corpus/pair_regular_t5.json", "tests/corpus/dual_reps_t3.json")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -246,6 +271,8 @@ def test_check_with_vanishing_products_ends_at_once(request):
         ["check", "trunc-int:right:3", "lie_admissible", "--format", "json"],
         ["audit", "--model", "trunc-int:left:3"],
         ["audit", "--model", "free:2:2", "--format", "json"],
+        ["audit", _PAIR_INPUTS[0]],
+        ["check", _PAIR_INPUTS[1], "matched_pair", "--format", "json"],
     ],
 )
 def test_debug_logging_leaves_stdout_unchanged(argv, capsys, caplog):
@@ -254,4 +281,6 @@ def test_debug_logging_leaves_stdout_unchanged(argv, capsys, caplog):
     with caplog.at_level(logging.DEBUG, logger="zinbielkit"):
         assert main(argv) == code
     assert capsys.readouterr().out == quiet
-    assert any(r.name == "zinbielkit.identities" for r in caplog.records)
+    loggers = {r.name for r in caplog.records}
+    assert "zinbielkit.identities" in loggers
+    assert ("zinbielkit.matched_pair" in loggers) == (argv[1] in _PAIR_INPUTS)

@@ -6,10 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbielkit import fuzz
+import oracles
+from zinbielkit import fuzz, trunc_integration
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.coalgebra import (
+    _AUX_IDENTITIES,
     CoalgebraTable,
+    _Composites,
+    _delta,
+    _family_verdict,
     antisym_coproduct,
     check_aux_coalgebra_identities,
     check_co_left,
@@ -179,3 +184,30 @@ def test_format_triples_rendering():
         format_triples({(0, 0, 0): Fraction(1), (1, 0, 2): Fraction(-2)})
         == "e0*e0*e0 - (2)e1*e0*e2"
     )
+
+
+def test_indexed_coproducts_match_full_scan():
+    rng = random.Random(20182)
+    tables = [coalgebra_from_entries(0, []), coalgebra_from_entries(3, []), gap_counterexample()]
+    for _ in range(60):
+        tables.append(fuzz.random_coalgebra(rng, rng.randint(1, 5), rng.choice((0.1, 0.4))))
+    for c in tables:
+        for k in range(c.dim):
+            assert c.coproduct_basis(k) == oracles.reference_delta(c, k)
+            for swap in (False, True):
+                assert _delta(c, k, swap=swap) == oracles.reference_delta(c, k, swap=swap)
+
+
+def test_aux_joint_scan_matches_one_scan_per_identity():
+    rng = random.Random(20184)
+    tables = [gap_counterexample(), dualize(trunc_integration(4, "right"))]
+    for _ in range(80):
+        tables.append(fuzz.random_coalgebra(rng, rng.randint(0, 5), rng.choice((0.1, 0.3))))
+    tables += [opposite_coproduct(c) for c in tables]
+    for c in tables:
+        got = check_aux_coalgebra_identities(c).verdicts
+        want = tuple(
+            _family_verdict(name, ((k, residual(_Composites(c, k))) for k in range(c.dim)))
+            for name, residual in _AUX_IDENTITIES
+        )
+        assert got == want

@@ -1,13 +1,17 @@
 """Matched pairs: compatibility checks, the double, induced pair structures."""
 
+import logging
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from zinbielkit import fuzz
 from zinbielkit.algebra import algebra_from_entries, direct_sum
+from zinbielkit.bialgebra import BialgebraCandidate, dual_reps
 from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import regular_bimodule, semidirect_sum
 from zinbielkit.matched_pair import (
@@ -155,3 +159,36 @@ def test_constructor_rejects_bad_shapes(t3, t2):
         MatchedPair(t3, t2, (zn,) * t3.dim, (zp,) * t3.dim, (zn,) * t2.dim, (zn,) * t2.dim)
     with pytest.raises(DimensionMismatch):
         MatchedPair(t3, t2, (zp,) * t3.dim, (zp,) * t3.dim, (zp,) * t2.dim, (zn,) * t2.dim)
+
+
+def _violation_rows(violations):
+    return [(v.condition, v.where, format_violation(v), v.residual) for v in violations]
+
+
+def test_check_matches_reference_scan(t3, matched_pair_family):
+    t3_pair = dual_reps(BialgebraCandidate(t3, t3))
+    rows = _violation_rows(check_matched_pair(t3_pair))
+    assert rows == _violation_rows(oracles.reference_check_matched_pair(t3_pair))
+    assert len(rows) == 220
+    conditions = {row[0] for row in rows}
+    assert {"compat_rb", "compat_ra", "compat_lb_1", "compat_lb_2"} <= conditions
+    assert {"compat_la_1", "compat_la_2"} <= conditions
+
+    pairs = [dual_reps(bc) for _, bc in fuzz.seeded_candidates(fuzz.DEFAULT_SEED)]
+    pairs += [mp for _, mp in matched_pair_family]
+    for mp in pairs:
+        got = _violation_rows(check_matched_pair(mp))
+        assert got == _violation_rows(oracles.reference_check_matched_pair(mp))
+
+
+def test_debug_record_per_check(caplog):
+    mp = fuzz.random_matched_pair(random.Random(5), 3, 2)
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.matched_pair"):
+        violations = check_matched_pair(mp)
+    records = [r for r in caplog.records if r.name == "zinbielkit.matched_pair"]
+    assert len(records) == 1
+    counts = dict(Counter(v.condition for v in violations))
+    assert len(counts) > 3
+    assert records[0].getMessage() == (
+        f"matched pair: dim A = 3, dim B = 2, {len(violations)} violations {counts}"
+    )
