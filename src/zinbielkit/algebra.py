@@ -41,23 +41,29 @@ class AlgebraTable:
         return {key: tuple(sorted(val)) for key, val in table.items()}
 
     @cached_property
-    def _factor_rows(self) -> tuple[int, dict, dict]:
-        """The sparse product table over the integers, indexed by one factor.
+    def _factor_rows(self) -> tuple[int, dict, dict, dict]:
+        """The sparse product table over the integers, indexed by one factor
+        and by the output.
 
-        Returns ``(d, by_left, by_right)``: ``d`` is the least common
-        denominator of the structure constants, ``by_left`` maps ``i`` to
-        ``[(j, ((k, d * c[i, j, k]), ...)), ...]`` over the nonzero pairs and
-        ``by_right`` maps ``j`` to ``[(i, ...), ...]``, so a join finds the
-        partners of an index without probing all ``dim`` of them.
+        Returns ``(d, by_left, by_right, by_output)``: ``d`` is the least
+        common denominator of the structure constants, ``by_left`` maps ``i``
+        to ``[(j, ((k, d * c[i, j, k]), ...)), ...]`` over the nonzero pairs
+        and ``by_right`` maps ``j`` to ``[(i, ...), ...]``, so a join finds
+        the partners of an index without probing all ``dim`` of them.
+        ``by_output`` maps each ``k`` that some product reaches, in ascending
+        order, to ``[(i, j, d * c[i, j, k]), ...]``.
         """
         d = math.lcm(*(v.denominator for v in self.c.entries.values()))
         by_left: dict[int, list] = {}
         by_right: dict[int, list] = {}
+        by_output: dict[int, list] = {}
         for (i, j), terms in self._pair_products.items():
             scaled = tuple((k, v.numerator * (d // v.denominator)) for k, v in terms)
             by_left.setdefault(i, []).append((j, scaled))
             by_right.setdefault(j, []).append((i, scaled))
-        return d, by_left, by_right
+            for k, v in scaled:
+                by_output.setdefault(k, []).append((i, j, v))
+        return d, by_left, by_right, dict(sorted(by_output.items()))
 
     def product_basis(self, i: int, j: int) -> dict:
         """Raw coefficient dict of e_i * e_j."""

@@ -123,15 +123,13 @@ def audit_claims(
     *,
     claims: list[str] | None = None,
     subject: str = "algebra",
-    workers: int = 1,
 ) -> AuditReport:
     """Run the claim catalog against one table.
 
     ``orientation`` selects which Zinbiel check gates the vacuous flag; the
     gate is evaluated even when a claim filter leaves it out of the report.
     Claims run one after another on the same sparse join as ``check``
-    (``identities.evaluate_sides``); ``workers`` is accepted for
-    compatibility and ignored.
+    (``identities.evaluate_sides``).
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")

@@ -58,6 +58,30 @@ def standard_pairing(n: int) -> BilinearFormTable:
     return BilinearFormTable(2 * n, Matrix(2 * n, 2 * n, entries))
 
 
+def _invariance(a: AlgebraTable, g: Matrix, name: str) -> Verdict:
+    """B(x.y, z) = B(x, y.z) on basis triples, witnessed at the least
+    failing (i, j, l)."""
+    # B(e_i.e_j, e_l) and B(e_i, e_j.e_l) as rows over l, built once per (i, j)
+    # from the pairing's row i and the transposed left multiplications.
+    gt = g.transpose()
+    left_t = [a.left_mult_matrix(j).transpose() for j in range(a.dim)]
+    for i, j in product(range(a.dim), repeat=2):
+        lhs_row = gt.apply_raw(a.product_basis(i, j))
+        rhs_row = left_t[j].apply_raw(gt.column(i).entries)
+        if lhs_row != rhs_row:
+            differ = lhs_row.keys() | rhs_row.keys()
+            l = min(k for k in differ if lhs_row.get(k) != rhs_row.get(k))
+            lhs, rhs = lhs_row.get(l, ZERO), rhs_row.get(l, ZERO)
+            return Verdict(
+                name,
+                False,
+                f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
+                f"B(x,yz) = {format_scalar(rhs)}",
+                {"tuple": [i, j, l], "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)},
+            )
+    return Verdict(name, True)
+
+
 def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:
     """symmetric, invariant (B(x.y, z) = B(x, y.z)), nondegenerate."""
     if a.dim != form.dim:
@@ -75,26 +99,7 @@ def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:
             )
             break
 
-    # B(e_i.e_j, e_l) and B(e_i, e_j.e_l) as rows over l, built once per (i, j)
-    # from the pairing's row i and the transposed left multiplications.
-    gt = g.transpose()
-    left_t = [a.left_mult_matrix(j).transpose() for j in range(a.dim)]
-    inv = Verdict("invariant", True)
-    for i, j in product(range(a.dim), repeat=2):
-        lhs_row = gt.apply_raw(a.product_basis(i, j))
-        rhs_row = left_t[j].apply_raw(gt.column(i).entries)
-        if lhs_row != rhs_row:
-            differ = lhs_row.keys() | rhs_row.keys()
-            l = min(k for k in differ if lhs_row.get(k) != rhs_row.get(k))
-            lhs, rhs = lhs_row.get(l, ZERO), rhs_row.get(l, ZERO)
-            inv = Verdict(
-                "invariant",
-                False,
-                f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
-                f"B(x,yz) = {format_scalar(rhs)}",
-                {"tuple": [i, j, l], "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)},
-            )
-            break
+    inv = _invariance(a, g, "invariant")
 
     r = rank(g)
     nondeg = (
@@ -138,19 +143,12 @@ def check_manin_triple(bc: BialgebraCandidate) -> VerdictBundle:
 
     blocks = Verdict("blocks_are_subalgebras", True)
     for (i, j, k), v in sorted(d.c.entries.items()):
-        if i < n and j < n and k >= n:
+        block = "A" if i < n and j < n and k >= n else "dual" if i >= n and j >= n and k < n else ""
+        if block:
             blocks = Verdict(
                 "blocks_are_subalgebras",
                 False,
-                f"A-block product leaks: entry ({i},{j},{k}) = {format_scalar(v)}",
-                {"entry": [i, j, k, format_scalar(v)]},
-            )
-            break
-        if i >= n and j >= n and k < n:
-            blocks = Verdict(
-                "blocks_are_subalgebras",
-                False,
-                f"dual-block product leaks: entry ({i},{j},{k}) = {format_scalar(v)}",
+                f"{block}-block product leaks: entry ({i},{j},{k}) = {format_scalar(v)}",
                 {"entry": [i, j, k, format_scalar(v)]},
             )
             break
@@ -177,8 +175,7 @@ def check_manin_triple(bc: BialgebraCandidate) -> VerdictBundle:
             {"tuple": [x, y, z], "residual": vector_jsonable(res)},
         )
 
-    inv = check_form(d, form).verdict_for("invariant")
-    inv = Verdict("pairing_invariant", inv.holds, inv.witness_text, inv.witness_data)
+    inv = _invariance(d, form.g, "pairing_invariant")
 
     return VerdictBundle("manin_triple", (blocks, iso, zin, inv))
 

@@ -101,8 +101,12 @@ def check_bimodule(b: Bimodule) -> list[BimoduleViolation]:
 
 @dataclass(frozen=True)
 class DerivedRelationsReport:
-    vacuous: bool
+    axioms: list[BimoduleViolation]  # check_bimodule of the same bimodule
     relations: tuple[Verdict, ...]
+
+    @property
+    def vacuous(self) -> bool:
+        return bool(self.axioms)
 
 
 def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
@@ -113,10 +117,11 @@ def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
     (matrix r_y @ l_x), ``r_then_l`` applies r first (matrix l_x @ r_y).
     The second is commutation of the right maps, r_x r_y = r_y r_x.
     Neither needs to hold on bimodules that pass the axioms; the verdicts are
-    findings, and the report is vacuous when the axioms themselves fail.
+    findings, and the report is vacuous when the axioms themselves fail; it
+    keeps the axiom violations it computed for that.
     """
     n = b.base.dim
-    vacuous = bool(check_bimodule(b))
+    axioms = check_bimodule(b)
 
     def pairs(rhs_of):
         for i in range(n):
@@ -137,7 +142,7 @@ def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
         ),
         matrix_equality_verdict("right_maps_commute", commute_pairs()),
     )
-    return DerivedRelationsReport(vacuous, relations)
+    return DerivedRelationsReport(axioms, relations)
 
 
 def semidirect_sum(b: Bimodule) -> AlgebraTable:

@@ -2,9 +2,11 @@
 
 Exit codes: 0 = checks pass (or an audit completed), 1 = a violation was
 found, 2 = input error.  All reports are deterministic.  ``check`` and
-``audit`` share one engine, the sparse join of ``identities.evaluate_sides``,
-which runs sequentially; --parallel N is accepted for compatibility and
-ignored.
+``audit`` share one engine, the sparse join of ``identities``: identities and
+claims on an algebra read it by basis assignment (``evaluate_sides``), and
+the coalgebra checks read it by output index on the dual product table
+(``evaluate_by_output``).  It runs sequentially; --parallel N is accepted for
+compatibility and ignored.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
@@ -281,12 +283,12 @@ def _pick_orientation(a: AlgebraTable, requested: str) -> str:
 def _audit_sections(obj) -> list:
     """(title, bundle-or-report) sections for non-algebra audits."""
     if isinstance(obj, Bimodule):
-        sections = []
-        axioms = check_bimodule(obj)
-        sections.append(("axioms", axioms))
-        sections.append(("derived_relations", check_derived_relations(obj)))
-        sections.append(("subadjacent", induced_subadjacent_map(obj)))
-        return sections
+        derived = check_derived_relations(obj)
+        return [
+            ("axioms", derived.axioms),
+            ("derived_relations", derived),
+            ("subadjacent", induced_subadjacent_map(obj)),
+        ]
     if isinstance(obj, MatchedPair):
         return [
             ("compatibility", check_matched_pair(obj)),

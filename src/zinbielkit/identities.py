@@ -259,6 +259,78 @@ def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable
     return itemgetter(*positions)
 
 
+class _Joiner:
+    """Integer tensors of product trees over one table, built bottom-up by
+    joining only index pairs whose product is nonzero.  Trees without a
+    sliced variable are built once, in ``fixed``; ``joined`` counts the
+    nonzero entries built, for the DEBUG record of ``log``."""
+
+    def __init__(self, algebra: AlgebraTable):
+        self.dim = algebra.dim
+        self.d, self.by_left, self.by_right, self.by_output = algebra._factor_rows
+        self.fixed: dict[Tree, Tensor] = {}
+        self.joined = 0
+
+    def join(self, left: Tensor, right: Tensor) -> Tensor:
+        if len(left) <= len(right):
+            matches = [(kl, kr, t) for kl in left
+                       for kr, t in self.by_left.get(kl, ()) if kr in right]
+        else:
+            matches = [(kl, kr, t) for kr in right
+                       for kl, t in self.by_right.get(kr, ()) if kl in left]
+        out: Tensor = {}
+        for kl, kr, products in matches:
+            right_rows = right[kr].items()
+            pairs = [(a + b, u * w) for a, u in left[kl].items() for b, w in right_rows]
+            for k, c in products:
+                row = out.setdefault(k, {})
+                for a, u in pairs:
+                    row[a] = row.get(a, 0) + u * c
+        for k in list(out):
+            row = {a: u for a, u in out[k].items() if u}
+            if row:
+                out[k] = row
+                self.joined += len(row)
+            else:
+                del out[k]
+        return out
+
+    def tensor(self, tree: Tree, sliced: dict) -> Tensor:
+        """The tree's tensor; ``sliced`` holds the tensors of fixed-index
+        leaves and of the subtrees built over them."""
+        for memo in (sliced, self.fixed):
+            if tree in memo:
+                return memo[tree]
+        if isinstance(tree, str):
+            self.fixed[tree] = {i: {(i,): 1} for i in range(self.dim)}
+            return self.fixed[tree]
+        left, right = self.tensor(tree[0], sliced), self.tensor(tree[1], sliced)
+        memo = sliced if tree[0] in sliced or tree[1] in sliced else self.fixed
+        memo[tree] = self.join(left, right)
+        return memo[tree]
+
+    def log(self, what: str, nvars: int, visited: int, unit: str, residuals: int):
+        _log.debug(
+            "%s: %d^%d = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
+            what, self.dim, nvars, self.dim ** nvars, visited, self.dim, unit,
+            self.joined, residuals,
+        )
+
+
+def _compile(variables: tuple[str, ...], sides) -> tuple[int, list]:
+    """(coefficient denominator, [(side, scaled coefficient, tree, reorder)])."""
+    for terms in sides:
+        _validate_arity(variables, terms)
+    coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
+    compiled = [
+        (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
+        for side, terms in enumerate(sides)
+        for coeff, tree in terms
+        if coeff
+    ]
+    return coeff_den, compiled
+
+
 def evaluate_sides(
     algebra: AlgebraTable,
     variables: tuple[str, ...],
@@ -275,12 +347,11 @@ def evaluate_sides(
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
-    is a sparse tensor, basis index -> {assignment of its leaves:
-    coefficient}, built bottom-up by joining only index pairs whose product
-    is nonzero.  Assignments are taken one slice of the first variable at a
-    time, in index order: subtrees without that variable are joined once
-    and reused by every slice, and ``first_only`` stops at the first
-    residual of the first slice that has one.
+    is a sparse tensor built by ``_Joiner``.  Assignments are taken one
+    slice of the first variable at a time, in index order: subtrees without
+    that variable are joined once and reused by every slice, and
+    ``first_only`` stops at the first residual of the first slice that has
+    one.
 
     Every tree has ``len(variables) - 1`` products, so with the structure
     constants scaled by their common denominator ``d`` and the term
@@ -288,56 +359,11 @@ def evaluate_sides(
     the same multiple of the exact one; only returned values are divided
     back into ``Fraction``s.
     """
-    for terms in sides:
-        _validate_arity(variables, terms)
-    coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
-    compiled = [
-        (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
-        for side, terms in enumerate(sides)
-        for coeff, tree in terms
-        if coeff
-    ]
+    coeff_den, compiled = _compile(variables, sides)
+    joiner = _Joiner(algebra)
     dim = algebra.dim
-    d, by_left, by_right = algebra._factor_rows
-    scale = d ** max(len(variables) - 1, 0) * coeff_den
+    scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
     first = variables[0] if variables else None
-    fixed: dict[Tree, Tensor] = {}  # subtrees without the first variable
-    joined = 0
-
-    def join(left: Tensor, right: Tensor) -> Tensor:
-        nonlocal joined
-        if len(left) <= len(right):
-            matches = [(kl, kr, t) for kl in left for kr, t in by_left.get(kl, ()) if kr in right]
-        else:
-            matches = [(kl, kr, t) for kr in right for kl, t in by_right.get(kr, ()) if kl in left]
-        out: Tensor = {}
-        for kl, kr, products in matches:
-            right_rows = right[kr].items()
-            pairs = [(a + b, u * w) for a, u in left[kl].items() for b, w in right_rows]
-            for k, c in products:
-                row = out.setdefault(k, {})
-                for a, u in pairs:
-                    row[a] = row.get(a, 0) + u * c
-        for k in list(out):
-            row = {a: u for a, u in out[k].items() if u}
-            if row:
-                out[k] = row
-                joined += len(row)
-            else:
-                del out[k]
-        return out
-
-    def tensor(tree: Tree, sliced: dict) -> Tensor:
-        for memo in (sliced, fixed):
-            if tree in memo:
-                return memo[tree]
-        if isinstance(tree, str):
-            fixed[tree] = {i: {(i,): 1} for i in range(dim)}
-            return fixed[tree]
-        left, right = tensor(tree[0], sliced), tensor(tree[1], sliced)
-        memo = sliced if tree[0] in sliced or tree[1] in sliced else fixed
-        memo[tree] = join(left, right)
-        return memo[tree]
 
     def exact(value: dict) -> dict:
         return {k: Fraction(v, scale) for k, v in value.items()}
@@ -349,7 +375,7 @@ def evaluate_sides(
         sliced = {first: {s: {(s,): 1}}}
         acc: dict[tuple[int, ...], list[dict]] = {}
         for side, coeff, tree, reorder in compiled:
-            for k, rows in tensor(tree, sliced).items():
+            for k, rows in joiner.tensor(tree, sliced).items():
                 for a, u in rows.items():
                     full = reorder(a)
                     values = acc.get(full)
@@ -370,11 +396,56 @@ def evaluate_sides(
                     break
         if first_only and hits:
             break
-    _log.debug(
-        "sparse join: %d^%d = %d basis tuples, %d of %d slices, "
-        "%d joined entries, %d residuals",
-        dim, len(variables), dim ** len(variables), slices, dim, joined, len(hits),
-    )
+    joiner.log("sparse join", len(variables), slices, "slices", len(hits))
+    return hits
+
+
+def evaluate_by_output(
+    algebra: AlgebraTable,
+    variables: tuple[str, ...],
+    terms,
+    *,
+    first_only: bool = False,
+) -> list[tuple[int, dict]]:
+    """The term sum read out by output: ``[(k, {assignment: e_k coefficient})]``
+    over the ``k`` where some assignment fails, ascending, each with all of
+    its failing assignments; ``first_only`` stops after the least such ``k``.
+    This is the shape of a coalgebra check on the transposed table.
+
+    The children of each term's root are built once; the root is joined one
+    output at a time through the table's by-output index, so an early stop
+    skips the later outputs.  Every term must be a product.
+    """
+    if len(variables) < 2:
+        raise ValueError("an output read-out needs at least two variables")
+    coeff_den, compiled = _compile(variables, (terms,))
+    joiner = _Joiner(algebra)
+    roots = [
+        (coeff, joiner.tensor(tree[0], {}), joiner.tensor(tree[1], {}), reorder)
+        for _, coeff, tree, reorder in compiled
+    ]
+    scale = joiner.d ** (len(variables) - 1) * coeff_den
+    hits: list = []
+    outputs = 0
+    for k, products in joiner.by_output.items():
+        outputs += 1
+        acc: dict[tuple[int, ...], int] = {}
+        for coeff, left, right, reorder in roots:
+            for kl, kr, c in products:
+                if kl in left and kr in right:
+                    scaled, right_rows = coeff * c, right[kr].items()
+                    for a, u in left[kl].items():
+                        u *= scaled
+                        for b, w in right_rows:
+                            full = reorder(a + b)
+                            acc[full] = acc.get(full, 0) + u * w
+        joiner.joined += len(acc)
+        residual = {a: Fraction(u, scale) for a, u in acc.items() if u}
+        if residual:
+            hits.append((k, residual))
+            if first_only:
+                break
+    joiner.log("output join", len(variables), outputs, "outputs", len(hits))
     return hits
 
 
@@ -383,7 +454,6 @@ def evaluate(
     identity: Identity,
     *,
     first_only: bool = False,
-    workers: int = 1,
 ) -> list[Residual]:
     """All residuals of the identity on basis tuples, in lexicographic order.
 
@@ -391,8 +461,6 @@ def evaluate(
     some product tree is nonzero, never the whole ``dim^vars`` tuple space;
     ``check``, the claim audit and the Zinbiel scans all run on it.
     ``first_only`` stops at the first violation (the deterministic witness).
-    Evaluation is sequential; ``workers`` is accepted for compatibility and
-    ignored.
     """
     hits = evaluate_sides(algebra, identity.variables, (identity.terms,), first_only=first_only)
     return [Residual(a, Vector(algebra.dim, residual)) for a, residual, _ in hits]

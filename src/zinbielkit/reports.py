@@ -65,25 +65,26 @@ class VerdictBundle:
         }
 
 
-def format_coeff(value: Fraction) -> str:
-    """Coefficient as it appears in front of a basis symbol."""
-    return f"({format_scalar(value)})"
-
-
-def format_vector(v: Vector | Mapping[int, Fraction], symbol: str = "e") -> str:
-    """Render a sparse vector as e.g. ``e1 + (1/2)e3 - (1/30)e5``."""
-    entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
+def format_sum(entries, name) -> str:
+    """Render sorted (key, coefficient) pairs as a signed sum of ``name(key)``,
+    e.g. ``e1 + (1/2)e3 - (1/30)e5``."""
     if not entries:
         return "0"
     parts = []
     for idx, (k, val) in enumerate(entries):
         mag = abs(val)
-        body = f"{symbol}{k}" if mag == 1 else f"({format_scalar(mag)}){symbol}{k}"
+        body = name(k) if mag == 1 else f"({format_scalar(mag)}){name(k)}"
         if idx == 0:
             parts.append(body if val > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if val > 0 else '-'} {body}")
     return " ".join(parts)
+
+
+def format_vector(v: Vector | Mapping[int, Fraction], symbol: str = "e") -> str:
+    """Render a sparse vector as e.g. ``e1 + (1/2)e3 - (1/30)e5``."""
+    entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
+    return format_sum(entries, lambda k: f"{symbol}{k}")
 
 
 def format_assignment(assignment: tuple[int, ...], symbol: str = "e") -> str:
@@ -93,10 +94,6 @@ def format_assignment(assignment: tuple[int, ...], symbol: str = "e") -> str:
 def vector_jsonable(v: Vector | Mapping[int, Fraction]) -> list:
     entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
     return [[k, format_scalar(val)] for k, val in entries]
-
-
-def matrix_jsonable(m: Matrix) -> list:
-    return [[r, c, format_scalar(val)] for (r, c), val in m.items()]
 
 
 def format_matrix(m: Matrix) -> str:

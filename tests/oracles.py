@@ -4,18 +4,21 @@ Each oracle recomputes a quantity by a different route than the library:
 monomial products by literal symbolic integration, shuffle products by a
 path-counting recursion over candidate words, identity defects by direct
 dictionary arithmetic on the raw structure-constant entries, identity sums
-by the per-tuple scan the library's sparse join replaced, and the
-structural checks by the full-table scans their indexed kernels replaced.
+by the per-tuple scan the library's sparse join replaced, the
+structural checks by the full-table scans their indexed kernels replaced,
+and the coalgebra checks by the composition calculus of coproducts that
+their transposed identities replaced.
 Agreement is always exact; there are no tolerances anywhere.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 
 import sympy
 
 from zinbielkit.bimodule import _AXIOMS, Bimodule
+from zinbielkit.coalgebra import CoalgebraViolation, format_triples, triples_jsonable
 from zinbielkit.matched_pair import MatchedPairViolation
 from zinbielkit.reports import Verdict, VerdictBundle, format_scalar
 from zinbielkit.tensors import Matrix, rank
@@ -473,3 +476,171 @@ def reference_check_form(a, form):
         )
     )
     return VerdictBundle("bilinear_form", (sym, inv, nondeg))
+
+
+# -- reference composition calculus ---------------------------------------------
+#
+# The coalgebra checks as the library computed them before they ran on the
+# identity engine: a composite like (tau (x) id) o (Delta (x) id) o
+# (tau o Delta) is evaluated per basis vector, starting from the 2-leg tensor
+# of the inner coproduct, expanding one leg with a coproduct, then permuting
+# legs.  All tensors are sparse dicts; nothing here reads the dual table.
+
+
+def _expand0(two: dict, c, *, swap: bool = False) -> dict:
+    """Apply Delta (or tau o Delta) to the first leg: (F (x) id)."""
+    out: dict = {}
+    for (m, j), v in two.items():
+        for (i, i2), w in reference_delta(c, m, swap=swap).items():
+            key = (i, i2, j)
+            out[key] = out.get(key, Fraction(0)) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def _expand1(two: dict, c, *, swap: bool = False) -> dict:
+    """Apply Delta (or tau o Delta) to the second leg: (id (x) F)."""
+    out: dict = {}
+    for (i, m), v in two.items():
+        for (j, l), w in reference_delta(c, m, swap=swap).items():
+            key = (i, j, l)
+            out[key] = out.get(key, Fraction(0)) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def _swap01(t: dict) -> dict:
+    return {(j, i, l): v for (i, j, l), v in t.items()}
+
+
+def _swap12(t: dict) -> dict:
+    return {(i, l, j): v for (i, j, l), v in t.items()}
+
+
+class _Composites:
+    """The composites of Delta and tau at one basis vector e_k, each built
+    on first use and shared by every identity that reads it."""
+
+    def __init__(self, c, k: int):
+        self.c = c
+        self.d, self.dt = reference_delta(c, k), reference_delta(c, k, swap=True)
+
+    @cached_property
+    def id_delta(self) -> dict:  # (id (x) Delta) o Delta
+        return _expand1(self.d, self.c)
+
+    @cached_property
+    def delta_id(self) -> dict:  # (Delta (x) id) o Delta
+        return _expand0(self.d, self.c)
+
+    @cached_property
+    def tdelta_id(self) -> dict:  # ((tau o Delta) (x) id) o Delta
+        return _expand0(self.d, self.c, swap=True)
+
+    @cached_property
+    def id_tdelta(self) -> dict:  # (id (x) (tau o Delta)) o Delta
+        return _expand1(self.d, self.c, swap=True)
+
+    @cached_property
+    def id_delta_t(self) -> dict:  # (id (x) Delta) o (tau o Delta)
+        return _expand1(self.dt, self.c)
+
+    @cached_property
+    def delta_id_t(self) -> dict:  # (Delta (x) id) o (tau o Delta)
+        return _expand0(self.dt, self.c)
+
+    @cached_property
+    def id_tdelta_t(self) -> dict:  # (id (x) (tau o Delta)) o (tau o Delta)
+        return _expand1(self.dt, self.c, swap=True)
+
+    @cached_property
+    def tdelta_id_t(self) -> dict:  # ((tau o Delta) (x) id) o (tau o Delta)
+        return _expand0(self.dt, self.c, swap=True)
+
+    @cached_property
+    def derived_rhs(self) -> dict:
+        # (id (x) tau) o (Delta (x) id) o Delta
+        #   + (tau (x) id) o (id (x) (tau o Delta)) o (tau o Delta)
+        return _add(_swap12(self.delta_id), _swap01(self.id_tdelta_t))
+
+    def two_leg(self, sign: int) -> dict:
+        """Delta + sign * (tau o Delta), keyed (i, j, 0) like a 3-leg residual."""
+        out = _add(self.d, {key: sign * v for key, v in self.dt.items()})
+        return {(i, j, 0): v for (i, j), v in out.items()}
+
+
+# check -> residual at one basis vector, from its composites
+REFERENCE_CO_CHECKS = {
+    "co_right": lambda x: _sub(_sub(x.id_delta, x.delta_id), x.tdelta_id),
+    "co_left": lambda x: _sub(_sub(x.delta_id, x.id_delta), x.id_tdelta),
+    "cocommutative": lambda x: x.two_leg(-1),
+    "coassociative": lambda x: _sub(x.delta_id, x.id_delta),
+    "antisymmetric": lambda x: x.two_leg(1),
+    # (id (x) Delta) o Delta + (id (x) tau) o (Delta (x) id) o Delta
+    #   - (Delta (x) id) o Delta
+    "co_jacobi": lambda x: _sub(_add(x.id_delta, _swap12(x.delta_id)), x.delta_id),
+    "co_right_relation_a": lambda x: _sub(x.id_delta, _swap01(x.id_delta)),
+    "co_right_relation_b": lambda x: _sub(x.id_delta, _swap01(x.delta_id_t)),
+    "co_left_relation_a": lambda x: _sub(x.delta_id, _swap12(x.delta_id)),
+    "co_left_relation_b": lambda x: _sub(x.delta_id, _swap12(x.id_delta_t)),
+    "co_derived_1": lambda x: _sub(x.id_tdelta, x.derived_rhs),
+    "co_derived_2": lambda x: _sub(x.delta_id_t, x.derived_rhs),
+    "co_derived_3": lambda x: _sub(x.tdelta_id_t, _add(x.id_delta_t, x.id_tdelta_t)),
+}
+
+REFERENCE_AUX = (
+    "co_right_relation_a", "co_right_relation_b", "co_left_relation_a",
+    "co_left_relation_b", "co_derived_1", "co_derived_2", "co_derived_3",
+)
+
+
+def reference_co_residuals(c, name: str, first_only: bool = False) -> list:
+    """[(k, residual)] of one check, one basis vector at a time."""
+    out = []
+    for k in range(c.dim):
+        r = REFERENCE_CO_CHECKS[name](_Composites(c, k))
+        if r:
+            out.append((k, r))
+            if first_only:
+                break
+    return out
+
+
+def reference_check_co(c, name: str, first_only: bool = False) -> list:
+    """check_co_right / check_co_left for ``name`` "co_right" / "co_left"."""
+    return [CoalgebraViolation(k, r) for k, r in reference_co_residuals(c, name, first_only)]
+
+
+def _co_verdict(name: str, first) -> Verdict:
+    if first is None:
+        return Verdict(name, True)
+    k, r = first
+    return Verdict(name, False, f"at e{k}: residual = {format_triples(r)}",
+                   {"basis_index": k, "residual": triples_jsonable(r)})
+
+
+def reference_co_bundle(c, title: str, names) -> VerdictBundle:
+    """A co-check bundle with one scan per check."""
+    verdicts = []
+    for name in names:
+        hits = reference_co_residuals(c, name, first_only=True)
+        verdicts.append(_co_verdict(name, hits[0] if hits else None))
+    return VerdictBundle(title, tuple(verdicts))
+
+
+def reference_aux_joint_scan(c) -> VerdictBundle:
+    """The aux bundle by one pass over the basis for all seven identities,
+    which share the composites at each basis vector; an identity is no
+    longer evaluated after its first violation."""
+    first: dict = {}
+    for k in range(c.dim):
+        x = _Composites(c, k)
+        for name in REFERENCE_AUX:
+            if name not in first:
+                r = REFERENCE_CO_CHECKS[name](x)
+                if r:
+                    first[name] = (k, r)
+        if len(first) == len(REFERENCE_AUX):
+            break
+    return VerdictBundle(
+        "aux_coalgebra_identities",
+        tuple(_co_verdict(name, first.get(name)) for name in REFERENCE_AUX),
+    )

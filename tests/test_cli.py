@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from zinbielkit import check_bimodule, regular_bimodule, trunc_integration
 from zinbielkit.cli import main
 
 
@@ -284,3 +285,12 @@ def test_debug_logging_leaves_stdout_unchanged(argv, capsys, caplog):
     loggers = {r.name for r in caplog.records}
     assert "zinbielkit.identities" in loggers
     assert ("zinbielkit.matched_pair" in loggers) == (argv[1] in _PAIR_INPUTS)
+
+
+def test_bimodule_audit_reports_every_axiom_violation(capsys):
+    want = len(check_bimodule(regular_bimodule(trunc_integration(3, "left"))))
+    assert want > 1
+    assert main(["audit", "regular-bimodule:trunc-int:left:3", "--format", "json"]) == 0
+    sections = json.loads(capsys.readouterr().out)["sections"]
+    assert sections[0] == {"title": "axioms", "holds": False, "violations": want}
+    assert sections[1] == {"title": "derived_relations", "vacuous": True}

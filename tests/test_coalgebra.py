@@ -1,5 +1,6 @@
 """Coproduct tables: orientation checks, the transpose bridge, induced structures."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -10,11 +11,7 @@ import oracles
 from zinbielkit import fuzz, trunc_integration
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.coalgebra import (
-    _AUX_IDENTITIES,
     CoalgebraTable,
-    _Composites,
-    _delta,
-    _family_verdict,
     antisym_coproduct,
     check_aux_coalgebra_identities,
     check_co_left,
@@ -192,10 +189,10 @@ def test_indexed_coproducts_match_full_scan():
     for _ in range(60):
         tables.append(fuzz.random_coalgebra(rng, rng.randint(1, 5), rng.choice((0.1, 0.4))))
     for c in tables:
+        op = opposite_coproduct(c)
         for k in range(c.dim):
             assert c.coproduct_basis(k) == oracles.reference_delta(c, k)
-            for swap in (False, True):
-                assert _delta(c, k, swap=swap) == oracles.reference_delta(c, k, swap=swap)
+            assert op.coproduct_basis(k) == oracles.reference_delta(c, k, swap=True)
 
 
 def test_aux_joint_scan_matches_one_scan_per_identity():
@@ -205,9 +202,51 @@ def test_aux_joint_scan_matches_one_scan_per_identity():
         tables.append(fuzz.random_coalgebra(rng, rng.randint(0, 5), rng.choice((0.1, 0.3))))
     tables += [opposite_coproduct(c) for c in tables]
     for c in tables:
-        got = check_aux_coalgebra_identities(c).verdicts
-        want = tuple(
-            _family_verdict(name, ((k, residual(_Composites(c, k))) for k in range(c.dim)))
-            for name, residual in _AUX_IDENTITIES
-        )
-        assert got == want
+        got = check_aux_coalgebra_identities(c)
+        assert got == oracles.reference_aux_joint_scan(c)
+        assert got == oracles.reference_co_bundle(c, got.kind, oracles.REFERENCE_AUX)
+
+
+def _equivalence_tables(seed) -> list:
+    """The zero, gap and dual T24 tables for seed None, else seeded random
+    tables of dims 0-5; each with its opposite."""
+    if seed is None:
+        tables = [coalgebra_from_entries(0, []), gap_counterexample(),
+                  dualize(trunc_integration(24, "right"))]
+    else:
+        rng = random.Random(seed)
+        tables = [fuzz.random_coalgebra(rng, dim, density)
+                  for dim in range(6) for density in (0.1, 0.3, 0.6) for _ in range(4)]
+    return tables + [opposite_coproduct(c) for c in tables]
+
+
+@pytest.mark.parametrize("seed", [None, 20186, 20187])
+def test_co_checks_match_composition_calculus(seed):
+    for c in _equivalence_tables(seed):
+        for name, check in (("co_right", check_co_right), ("co_left", check_co_left)):
+            assert check(c) == oracles.reference_check_co(c, name)
+            assert check(c, first_only=True) == oracles.reference_check_co(c, name, True)
+        for check, names in (
+            (check_cocomm_coassoc, ("cocommutative", "coassociative")),
+            (check_lie_coalgebra, ("antisymmetric", "co_jacobi")),
+            (check_aux_coalgebra_identities, oracles.REFERENCE_AUX),
+        ):
+            got = check(c)
+            assert got == oracles.reference_co_bundle(c, got.kind, names)
+
+
+def test_debug_record_per_output_read_out(caplog, t3):
+    c = dualize(t3)
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        check_co_left(c)
+        check_co_left(c, first_only=True)
+        check_co_right(c)
+    records = [r.getMessage() for r in caplog.records if r.name == "zinbielkit.identities"]
+    assert len(records) == 3
+    assert all(m.startswith("output join: 4^3 = 64 basis tuples, ") for m in records)
+    # products of t3 reach e1, e2, e3; the left check fails at e2 and e3
+    assert ", 3 of 4 outputs, " in records[0] and records[0].endswith(" 2 residuals")
+    assert ", 2 of 4 outputs, " in records[1] and records[1].endswith(" 1 residuals")
+    assert ", 3 of 4 outputs, " in records[2] and records[2].endswith(" 0 residuals")
+    joined = [int(m.split(", ")[-2].split()[0]) for m in records]
+    assert 0 < joined[1] < joined[0]  # the early stop skips the root of e3

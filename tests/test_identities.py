@@ -103,11 +103,8 @@ def test_first_only_is_prefix_of_full_scan(l3):
     assert first[0].assignment == (0, 0, 1)
 
 
-def test_worker_count_does_not_change_results(t5):
-    ident = catalog()["lie_admissible"]
-    base = evaluate(t5, ident)
-    assert evaluate(t5, ident, workers=2) == base
-    assert evaluate(t5, ident, workers=8) == base
+def test_lie_admissible_failures_on_t5(t5):
+    base = evaluate(t5, catalog()["lie_admissible"])
     assert [r.assignment for r in base] == [
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
     ]
