@@ -17,16 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from zinbielkit import fuzz
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 
 
-@dataclass(frozen=True)
-class AuditRunConfig:
+class AuditRunConfig(NamedTuple):
     max_n: int = 8
     orientation: str = "auto"
     claims: tuple[str, ...] | None = None

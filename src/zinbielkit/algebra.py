@@ -12,21 +12,20 @@ checking, bimodules, doubles, dualization -- reads ``c`` through this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .tensors import ZERO, DimensionMismatch, Matrix, Tensor3, Vector
+from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, Tensor3, Vector
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(Frozen):
     dim: int
     basis_labels: tuple[str, ...]
     c: Tensor3
 
-    def __post_init__(self):
+    def __init__(self, dim: int, basis_labels: tuple[str, ...], c: Tensor3):
+        self.__dict__.update(dim=dim, basis_labels=basis_labels, c=c)
         if len(self.basis_labels) != self.dim:
             raise DimensionMismatch("basis label count != dim")
         if (self.c.d0, self.c.d1, self.c.d2) != (self.dim, self.dim, self.dim):

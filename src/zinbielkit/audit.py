@@ -16,16 +16,15 @@ contested, and the audit reports rather than decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraTable
-from .identities import CLAIM_SIDES, difference, evaluate_sides, parse_term_sum
+from .identities import CLAIM_SIDES, catalog, difference, evaluate_sides, holds, parse_term_sum
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 from .tensors import Vector
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(NamedTuple):
     name: str
     lhs: str
     rhs: str
@@ -54,8 +53,7 @@ CLAIMS: tuple[ClaimSpec, ...] = tuple(
 _ORIENTATION_CLAIM = {"right": "right_zinbiel", "left": "left_zinbiel"}
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     subject: str
     orientation: str
     vacuous: bool
@@ -126,8 +124,9 @@ def audit_claims(
 ) -> AuditReport:
     """Run the claim catalog against one table.
 
-    ``orientation`` selects which Zinbiel check gates the vacuous flag; the
-    gate is evaluated even when a claim filter leaves it out of the report.
+    ``orientation`` selects which Zinbiel check gates the vacuous flag; when
+    a claim filter leaves the gate out of the report, a scan of the catalog
+    identity of that name decides it, stopping at its first residual.
     Claims run one after another on the same sparse join as ``check``
     (``identities.evaluate_sides``).
     """
@@ -148,9 +147,8 @@ def audit_claims(
 
     gate = _ORIENTATION_CLAIM[orientation]
     verdict = next((v for v in results if v.name == gate), None)
-    if verdict is None:
-        verdict = run(next(c for c in CLAIMS if c.name == gate))
-    return AuditReport(subject, orientation, not verdict.holds, tuple(results))
+    vacuous = not (verdict.holds if verdict is not None else holds(algebra, catalog()[gate]))
+    return AuditReport(subject, orientation, vacuous, tuple(results))
 
 
 def audit_report_text(report: AuditReport) -> str:

@@ -19,9 +19,9 @@ finding, never patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import AlgebraTable
 from .coalgebra import dualize, dualize_co
@@ -34,15 +34,15 @@ from .matched_pair import (
     format_violation,
 )
 from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
-from .tensors import ZERO, Matrix, rank
+from .tensors import ZERO, Frozen, Matrix, rank
 
 
-@dataclass(frozen=True)
-class BilinearFormTable:
+class BilinearFormTable(Frozen):
     dim: int
     g: Matrix
 
-    def __post_init__(self):
+    def __init__(self, dim: int, g: Matrix):
+        self.__dict__.update(dim=dim, g=g)
         if (self.g.rows, self.g.cols) != (self.dim, self.dim):
             raise ValueError("form matrix must be dim x dim")
 
@@ -112,12 +112,12 @@ def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:
     return VerdictBundle("bilinear_form", (sym, inv, nondeg))
 
 
-@dataclass(frozen=True)
-class BialgebraCandidate:
+class BialgebraCandidate(Frozen):
     a: AlgebraTable
     astar: AlgebraTable
 
-    def __post_init__(self):
+    def __init__(self, a: AlgebraTable, astar: AlgebraTable):
+        self.__dict__.update(a=a, astar=astar)
         if self.a.dim != self.astar.dim:
             raise ValueError("candidate tables must have equal dimensions")
 
@@ -190,8 +190,7 @@ def _bundle_verdict(name: str, bundle: VerdictBundle) -> Verdict:
     return Verdict(name, False, text, {"failing": first.name, "witness": first.witness_data})
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     conditions: tuple[Verdict, Verdict, Verdict, Verdict]
     findings: tuple[str, ...]
 

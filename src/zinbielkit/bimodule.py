@@ -16,22 +16,22 @@ identity from the base (the V*V block is zero by construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .reports import Verdict, matrix_equality_verdict
-from .tensors import ZERO, DimensionMismatch, Matrix, Vector, linear_combination
+from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, Vector, linear_combination
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Frozen):
     base: AlgebraTable
     v_dim: int
     left_maps: tuple[Matrix, ...]
     right_maps: tuple[Matrix, ...]
 
-    def __post_init__(self):
+    def __init__(self, base: AlgebraTable, v_dim: int, left_maps: tuple, right_maps: tuple):
+        self.__dict__.update(base=base, v_dim=v_dim, left_maps=left_maps, right_maps=right_maps)
         if len(self.left_maps) != self.base.dim or len(self.right_maps) != self.base.dim:
             raise DimensionMismatch("need one l and one r matrix per base basis vector")
         for m in (*self.left_maps, *self.right_maps):
@@ -64,8 +64,7 @@ def zero_bimodule(a: AlgebraTable, v_dim: int) -> Bimodule:
     return Bimodule(a, v_dim, (z,) * a.dim, (z,) * a.dim)
 
 
-@dataclass(frozen=True)
-class BimoduleViolation:
+class BimoduleViolation(NamedTuple):
     axiom: str
     pair: tuple[int, int]
     residual: Matrix
@@ -99,8 +98,7 @@ def check_bimodule(b: Bimodule) -> list[BimoduleViolation]:
     return [v for bucket in found for v in bucket]
 
 
-@dataclass(frozen=True)
-class DerivedRelationsReport:
+class DerivedRelationsReport(NamedTuple):
     axioms: list[BimoduleViolation]  # check_bimodule of the same bimodule
     relations: tuple[Verdict, ...]
 
@@ -158,8 +156,7 @@ def semidirect_sum(b: Bimodule) -> AlgebraTable:
     return algebra_from_entries(n + m, entries, labels)
 
 
-@dataclass(frozen=True)
-class SubadjacentReport:
+class SubadjacentReport(NamedTuple):
     maps: tuple[Matrix, ...]
     representation: Verdict
 

@@ -1,12 +1,12 @@
 """Batch command line: check, audit, construct, model.
 
 Exit codes: 0 = checks pass (or an audit completed), 1 = a violation was
-found, 2 = input error.  All reports are deterministic.  ``check`` and
-``audit`` share one engine, the sparse join of ``identities``: identities and
-claims on an algebra read it by basis assignment (``evaluate_sides``), and
-the coalgebra checks read it by output index on the dual product table
-(``evaluate_by_output``).  It runs sequentially; --parallel N is accepted for
-compatibility and ignored.
+found, 2 = input error, or an ``--out`` that cannot be written.  All reports
+are deterministic.  ``check`` and ``audit`` share one engine, the sparse join
+of ``identities``: identities and claims on an algebra read it by basis
+assignment (``evaluate_sides``), and the coalgebra checks read it by output
+index on the dual product table (``evaluate_by_output``).  It runs
+sequentially; --parallel N is accepted for compatibility and ignored.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
@@ -108,8 +108,11 @@ def _resolve_input(text: str):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -27,25 +27,25 @@ least failing basis vector instead of computing every residual first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .identities import CLAIM_SIDES, difference, evaluate_by_output, parse_term_sum
 from .reports import Verdict, VerdictBundle, format_scalar, format_sum
-from .tensors import Tensor3
+from .tensors import Frozen, Tensor3
 
 Pairs = dict[tuple[int, int], Fraction]
 Triples = dict[tuple[int, int, int], Fraction]
 
 
-@dataclass(frozen=True)
-class CoalgebraTable:
+class CoalgebraTable(Frozen):
     dim: int
     d: Tensor3  # d[k][i][j]: coefficient of e_i (x) e_j in Delta(e_k)
 
-    def __post_init__(self):
+    def __init__(self, dim: int, d: Tensor3):
+        self.__dict__.update(dim=dim, d=d)
         if (self.d.d0, self.d.d1, self.d.d2) != (self.dim,) * 3:
             raise ValueError("coproduct tensor shape must be dim x dim x dim")
 
@@ -99,8 +99,7 @@ def dualize_co(c: CoalgebraTable) -> AlgebraTable:
     )
 
 
-@dataclass(frozen=True)
-class CoalgebraViolation:
+class CoalgebraViolation(NamedTuple):
     basis_index: int
     residual: Triples
 

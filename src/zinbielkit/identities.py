@@ -24,20 +24,30 @@ slices visited, the joined tensor entries and the residual count.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .algebra import AlgebraTable
 from .tensors import Vector
 
 Tree = Union[str, tuple]
 
-_log = logging.getLogger("zinbielkit.identities")
+
+def log_debug(logger: str, msg: str, *args) -> None:
+    """A DEBUG record on ``logger``, through ``logging`` if it is loaded.
+
+    The package does not import ``logging``, which would cost every command
+    its start-up.  A program that never imported it cannot have a handler,
+    so skipping the record then loses nothing.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args)
+
 
 # Deepest product nesting the parser accepts.  Parsing, the variable walk and
 # the join's tensor builder each recurse once per level, and this keeps them
@@ -57,16 +67,14 @@ class ArityError(ValueError):
     """A term violates the one-use-per-variable rule."""
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Ordered variables plus a signed sum of coefficiented product trees."""
 
     variables: tuple[str, ...]
     terms: tuple[tuple[Fraction, Tree], ...]
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """A basis assignment where the identity fails, with its exact value."""
 
     assignment: tuple[int, ...]
@@ -310,7 +318,8 @@ class _Joiner:
         return memo[tree]
 
     def log(self, what: str, nvars: int, visited: int, unit: str, residuals: int):
-        _log.debug(
+        log_debug(
+            "zinbielkit.identities",
             "%s: %d^%d = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
             what, self.dim, nvars, self.dim ** nvars, visited, self.dim, unit,
             self.joined, residuals,

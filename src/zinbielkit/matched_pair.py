@@ -19,15 +19,14 @@ both summands are Zinbiel for the equivalence to be exact.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
 from .bimodule import Bimodule, check_bimodule
-from .identities import CLAIM_SIDES, right_zinbiel_residuals
+from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
 from .reports import (
     VerdictBundle,
     format_matrix,
@@ -35,13 +34,10 @@ from .reports import (
     matrix_equality_verdict,
     vector_equality_verdict,
 )
-from .tensors import ONE, ZERO, DimensionMismatch, Matrix, linear_combination
-
-_log = logging.getLogger("zinbielkit.matched_pair")
+from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix, linear_combination
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(Frozen):
     a: AlgebraTable
     b: AlgebraTable
     la: tuple[Matrix, ...]  # A-indexed, act on B
@@ -49,7 +45,8 @@ class MatchedPair:
     lb: tuple[Matrix, ...]  # B-indexed, act on A
     rb: tuple[Matrix, ...]
 
-    def __post_init__(self):
+    def __init__(self, a: AlgebraTable, b: AlgebraTable, la: tuple, ra: tuple, lb: tuple, rb: tuple):
+        self.__dict__.update(a=a, b=b, la=la, ra=ra, lb=lb, rb=rb)
         n, p = self.a.dim, self.b.dim
         if len(self.la) != n or len(self.ra) != n:
             raise DimensionMismatch("need one la/ra matrix per basis vector of A")
@@ -106,8 +103,7 @@ def _sub(lhs: dict, *others: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MatchedPairViolation:
+class MatchedPairViolation(NamedTuple):
     condition: str
     where: tuple[int, ...]
     residual: object  # raw dict for vector conditions, Matrix for bimodule axioms
@@ -194,7 +190,8 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
                 if r2:
                     out.append(MatchedPairViolation("compat_la_2", (a, b, x), r2))
 
-    _log.debug(
+    log_debug(
+        "zinbielkit.matched_pair",
         "matched pair: dim A = %d, dim B = %d, %d violations %s",
         n, p, len(out), dict(Counter(v.condition for v in out)),
     )

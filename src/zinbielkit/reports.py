@@ -6,15 +6,13 @@ how the underlying computation was scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .tensors import Matrix, Vector, format_scalar
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One named yes/no finding, with an optional preformatted witness."""
 
     name: str
@@ -37,8 +35,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class VerdictBundle:
+class VerdictBundle(NamedTuple):
     """A named group of verdicts; holds iff every member does."""
 
     kind: str

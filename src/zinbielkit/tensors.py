@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -49,15 +48,47 @@ def _clean(entries: Mapping) -> dict:
     return {k: v for k, v in entries.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class Vector:
+class Frozen:
+    """Base of the validated value classes: immutable, compared by value.
+
+    A subclass annotates its fields in its own body, in order, and sets them
+    in ``__init__`` through ``self.__dict__``.  Instances of one class are
+    equal when their fields are, ``repr`` lists the fields, and setting or
+    deleting an attribute raises ``AttributeError``.  ``cached_property``
+    still caches, as it writes the instance ``__dict__`` directly.  (A frozen
+    ``dataclass`` gives the same, but costs every command its import and a
+    millisecond per decorated class at start-up.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Vector(Frozen):
     """Sparse vector over the rationals; ``entries`` maps index -> coefficient."""
 
     dim: int
     entries: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _clean(self.entries))
+    def __init__(self, dim: int, entries: dict):
+        self.__dict__.update(dim=dim, entries=_clean(entries))
         for i in self.entries:
             if not 0 <= i < self.dim:
                 raise DimensionMismatch(f"index {i} out of range for dim {self.dim}")
@@ -101,16 +132,15 @@ class Vector:
         return Vector(self.dim, {i: s * v for i, v in self.entries.items()})
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Sparse matrix; ``entries`` maps (row, col) -> coefficient."""
 
     rows: int
     cols: int
     entries: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _clean(self.entries))
+    def __init__(self, rows: int, cols: int, entries: dict):
+        self.__dict__.update(rows=rows, cols=cols, entries=_clean(entries))
         for r, c in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise DimensionMismatch(
@@ -254,8 +284,7 @@ def rank(m: Matrix) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(Frozen):
     """Sparse 3-index tensor; ``entries`` maps (i, j, k) -> coefficient."""
 
     d0: int
@@ -263,8 +292,8 @@ class Tensor3:
     d2: int
     entries: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _clean(self.entries))
+    def __init__(self, d0: int, d1: int, d2: int, entries: dict):
+        self.__dict__.update(d0=d0, d1=d1, d2=d2, entries=_clean(entries))
         for i, j, k in self.entries:
             if not (0 <= i < self.d0 and 0 <= j < self.d1 and 0 <= k < self.d2):
                 raise DimensionMismatch(

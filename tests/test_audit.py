@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from zinbielkit import audit
 from zinbielkit.audit import CLAIMS, audit_claims, audit_report_text
 
 import oracles
@@ -95,6 +96,26 @@ def test_vacuous_gate_matches_orientation(l3, t3):
     assert audit_claims(l3, "right").vacuous
     assert not audit_claims(t3, "right").vacuous
     assert audit_claims(t3, "left").vacuous
+
+
+@pytest.mark.parametrize("orientation", ["right", "left"])
+def test_filtered_out_gate_is_decided_without_a_claim_run(orientation, l3, t3, monkeypatch):
+    selected = ["lie_admissible", "center_symmetric"]
+    run = []
+    evaluate_claim = audit.evaluate_claim
+
+    def counting(table, spec, target):
+        run.append(spec.name)
+        return evaluate_claim(table, spec, target)
+
+    monkeypatch.setattr(audit, "evaluate_claim", counting)
+    for table in (l3, t3):
+        full = audit_claims(table, orientation)
+        run.clear()
+        report = audit_claims(table, orientation, claims=selected)
+        assert run == selected
+        assert report.vacuous == full.vacuous
+        assert report.claims == tuple(v for v in full.claims if v.name in selected)
 
 
 def test_symmetrized_targets_use_symmetrized_table(l3):

@@ -77,6 +77,8 @@ EXIT_CASES = [
     (["model", "trunc-int:right:3"], 0),
     (["model", "trunc-int:sideways:3"], 2),
     (["model", "free:2"], 2),
+    (["model", "trunc-int:right:3", "--out", "tests"], 2),
+    (["model", "trunc-int:right:3", "--out", "tests/no_such_dir/model.json"], 2),
     (["construct", "dual", "trunc-int:right:3"], 0),
     (["construct", "semidirect", "tests/corpus/model_t3.json"], 2),
     (["construct", "double", "tests/corpus/zero_pair.json"], 0),
@@ -245,21 +247,62 @@ def test_console_entry_points():
     assert "FAILS" in run.stdout
 
 
+def _python(request, *args):
+    """A fresh interpreter run from the repository root with ``src`` on the path."""
+    paths = [str(request.config.rootpath / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=request.config.rootpath,
+        timeout=20,
+    )
+
+
 def test_check_with_vanishing_products_ends_at_once(request):
     # 31 variables: a scan of all 2^31 basis tuples would not end, but every
     # product of three elements of trunc-int:right:1 is zero.
     expr = f"{_left_nested_product(30)} - {_nested_product(30)}"
-    paths = [str(request.config.rootpath / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    run = subprocess.run(
-        [sys.executable, "-m", "zinbielkit", "check", "trunc-int:right:1", expr],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=20,
-    )
+    run = _python(request, "-m", "zinbielkit", "check", "trunc-int:right:1", expr)
     assert run.returncode == 0, run.stderr
     assert run.stdout.endswith(": HOLDS (trunc-int:right:1)\n")
+
+
+CLI_MODULES = {
+    f"zinbielkit.{name}"
+    for name in ("algebra", "audit", "bialgebra", "bimodule", "cli", "coalgebra", "identities",
+                 "matched_pair", "models", "reports", "serialization", "tensors")
+} | {"zinbielkit"}
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_logging(request):
+    # Each command is a fresh interpreter, so these imports would be paid by
+    # every one of them; the package loads as a whole all the same.
+    def loaded(code):
+        run = _python(request, "-c", f"import sys; {code}; print(*sorted(sys.modules))")
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.split())
+
+    bare = loaded("pass")
+    cli = loaded("import zinbielkit.cli")
+    script = loaded("sys.path.insert(0, 'scripts'); import run_claim_audit")
+    for modules in (cli, script):
+        assert not {"dataclasses", "inspect", "logging"} & (modules - bare)
+    assert CLI_MODULES <= cli
+
+
+def test_logging_configured_after_import_gets_the_debug_record(request):
+    code = (
+        "import zinbielkit.cli, logging; "
+        "logging.basicConfig(level=logging.DEBUG, format='%(name)s: %(message)s'); "
+        "zinbielkit.cli.main(['check', 'trunc-int:right:3', 'right_zinbiel'])"
+    )
+    run = _python(request, "-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "right_zinbiel: HOLDS (trunc-int:right:3)\n"
+    assert "zinbielkit.identities: sparse join: 4^3 = 64 basis tuples" in run.stderr
 
 
 _PAIR_INPUTS = ("tests/corpus/pair_regular_t5.json", "tests/corpus/dual_reps_t3.json")
