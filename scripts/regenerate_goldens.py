@@ -127,6 +127,27 @@ def write_goldens(goldens: Path, seed: int):
         ["audit", "tests/corpus/candidate_t2_zero.json",
          "--out", str(goldens / "audit_candidate_t2_zero.txt")]
     )
+    for src, name in (
+        ("regular-bimodule:trunc-int:right:5", "bimodule_regular_t5"),
+        ("tests/corpus/broken_bimodule.json", "bimodule_broken"),
+        ("tests/corpus/dual_t3.json", "coalgebra_dual_t3"),
+        ("tests/corpus/candidate_t2_zero.json", "candidate_t2_zero"),
+    ):
+        _cli(["audit", src, "--format", "json", "--out", str(goldens / f"audit_{name}.json")])
+
+    # structural checks that fail: each pins its first witness
+    for src, check, name in (
+        ("regular-bimodule:trunc-int:right:5", "subadjacent", "subadjacent_regular_t5"),
+        ("tests/corpus/broken_bimodule.json", "derived_relations", "derived_relations_broken"),
+        ("tests/corpus/dual_t3.json", "aux", "aux_dual_t3"),
+        ("tests/corpus/candidate_t2_zero.json", "manin_triple", "manin_triple_t2_zero"),
+    ):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            _cli(
+                ["check", src, check, "--format", fmt,
+                 "--out", str(goldens / f"check_{name}.{ext}")],
+                expect=1,
+            )
 
     for pair, code in (("pair_regular_t5", 0), ("dual_reps_t3", 1)):
         src = f"tests/corpus/{pair}.json"

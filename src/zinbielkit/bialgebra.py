@@ -217,39 +217,32 @@ class EquivalenceReport(NamedTuple):
         return out
 
 
-def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
-    n = bc.a.dim
+def _matched_pair_verdict(name: str, violations: list) -> Verdict:
+    """The verdict of a matched-pair check, witnessed by its first violation."""
+    if not violations:
+        return Verdict(name, True)
+    v = violations[0]
+    witness = {"condition": v.condition, "where": list(v.where)}
+    return Verdict(name, False, format_violation(v), witness)
 
+
+def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
     cond1 = _bundle_verdict("manin_triple", check_manin_triple(bc))
 
     g = bc.a.commutator()
     h = bc.astar.commutator()
-    rho = tuple(
-        (bc.a.left_mult_matrix(i) - bc.a.right_mult_matrix(i)).transpose().scale(Fraction(-1))
-        for i in range(n)
-    )
-    mu = tuple(
-        (bc.astar.left_mult_matrix(i) - bc.astar.right_mult_matrix(i))
-        .transpose()
-        .scale(Fraction(-1))
-        for i in range(n)
+    rho, mu = (
+        tuple(
+            (t.left_mult_matrix(i) - t.right_mult_matrix(i)).transpose().scale(Fraction(-1))
+            for i in range(t.dim)
+        )
+        for t in (bc.a, bc.astar)
     )
     cond2 = _bundle_verdict("lie_matched_pair", check_lie_matched_pair(g, h, rho, mu))
 
-    violations = check_matched_pair(dual_reps(bc))
-    if violations:
-        v = violations[0]
-        cond3 = Verdict(
-            "zinbiel_matched_pair",
-            False,
-            format_violation(v),
-            {"condition": v.condition, "where": list(v.where)},
-        )
-    else:
-        cond3 = Verdict("zinbiel_matched_pair", True)
+    cond3 = _matched_pair_verdict("zinbiel_matched_pair", check_matched_pair(dual_reps(bc)))
 
-    coproduct = dualize(bc.astar)
-    recovered = dualize_co(coproduct)
+    recovered = dualize_co(dualize(bc.astar))
     if recovered != bc.astar:
         cond4 = Verdict(
             "bialgebra",
@@ -259,16 +252,7 @@ def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
         )
     else:
         rebuilt = check_matched_pair(dual_reps(BialgebraCandidate(bc.a, recovered)))
-        if rebuilt:
-            v = rebuilt[0]
-            cond4 = Verdict(
-                "bialgebra",
-                False,
-                format_violation(v),
-                {"condition": v.condition, "where": list(v.where)},
-            )
-        else:
-            cond4 = Verdict("bialgebra", True)
+        cond4 = _matched_pair_verdict("bialgebra", rebuilt)
 
     conditions = (cond1, cond2, cond3, cond4)
     findings = []

@@ -16,12 +16,11 @@ identity from the base (the V*V block is zero by construction).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .reports import Verdict, matrix_equality_verdict
-from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, Vector, linear_combination
+from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, linear_combination
 
 
 class Bimodule(Frozen):
@@ -161,6 +160,23 @@ class SubadjacentReport(NamedTuple):
     representation: Verdict
 
 
+def representation_verdict(
+    name: str, table: AlgebraTable, maps, var_names=("x", "y", "v"), *, bracket: bool = False
+) -> Verdict:
+    """F_{e_i.e_j} = F_i F_j over basis pairs of ``table``, or [F_i, F_j] with
+    ``bracket``: the family ``maps`` is a representation of the table."""
+
+    def pairs():
+        for i in range(table.dim):
+            for j in range(table.dim):
+                coeffs = table.product_basis(i, j)
+                fi, fj = maps[i], maps[j]
+                lhs = linear_combination(maps, coeffs) if coeffs else Matrix.zero(fi.rows, fi.cols)
+                yield (i, j), lhs, (fi @ fj - fj @ fi) if bracket else fi @ fj
+
+    return matrix_equality_verdict(name, pairs(), var_names)
+
+
 def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     """The family x -> l_x - r_x, with its bracket-representation verdict.
 
@@ -168,19 +184,8 @@ def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     the base table.  This can fail even on axiom-passing bimodules; the
     verdict records what actually happens.
     """
-    n = b.base.dim
-    maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))
+    maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(b.base.dim))
     bracket = b.base.commutator()
-
-    def pairs():
-        for i in range(n):
-            for j in range(n):
-                coeffs = bracket.product_basis(i, j)
-                lhs = (
-                    linear_combination(maps, coeffs)
-                    if coeffs
-                    else Matrix.zero(b.v_dim, b.v_dim)
-                )
-                yield (i, j), lhs, maps[i] @ maps[j] - maps[j] @ maps[i]
-
-    return SubadjacentReport(maps, matrix_equality_verdict("bracket_representation", pairs()))
+    return SubadjacentReport(
+        maps, representation_verdict("bracket_representation", bracket, maps, bracket=True)
+    )

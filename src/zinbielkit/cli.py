@@ -43,7 +43,6 @@ from .coalgebra import (
     triples_jsonable,
 )
 from .identities import (
-    IdentitySyntaxError,
     catalog,
     evaluate,
     left_zinbiel_residuals,
@@ -124,6 +123,16 @@ def _emit_json(payload: dict, out_path: str | None):
 # -- check -------------------------------------------------------------------
 
 
+def _first_failing(verdicts):
+    """(holds, witness, count) of a verdict sequence, witnessed by its first failure."""
+    failing = [v for v in verdicts if not v.holds]
+    if not failing:
+        return True, None, 0
+    first = failing[0]
+    return False, {"failing": first.name, "witness": first.witness_data,
+                   "text": first.line()}, len(failing)
+
+
 def _check_algebra(a: AlgebraTable, name: str):
     cat = catalog()
     if name in cat:
@@ -165,13 +174,7 @@ def _check_coalgebra(c: CoalgebraTable, name: str):
     }
     if name not in bundles:
         raise InputFormatError(f"unknown coalgebra check {name!r}")
-    bundle = bundles[name](c)
-    if bundle.holds:
-        return True, None, 0
-    failing = [v for v in bundle.verdicts if not v.holds]
-    first = failing[0]
-    witness = {"failing": first.name, "witness": first.witness_data, "text": first.line()}
-    return False, witness, len(failing)
+    return _first_failing(bundles[name](c).verdicts)
 
 
 def _check_bimodule(b: Bimodule, name: str):
@@ -190,12 +193,7 @@ def _check_bimodule(b: Bimodule, name: str):
         report = check_derived_relations(b)
         if report.vacuous:
             return False, {"text": "vacuous: bimodule axioms fail"}, 1
-        failing = [v for v in report.relations if not v.holds]
-        if not failing:
-            return True, None, 0
-        first = failing[0]
-        return False, {"failing": first.name, "witness": first.witness_data,
-                       "text": first.line()}, len(failing)
+        return _first_failing(report.relations)
     if name == "subadjacent":
         report = induced_subadjacent_map(b)
         v = report.representation
@@ -223,13 +221,7 @@ def _check_matched_pair(mp: MatchedPair, name: str):
 def _check_candidate(bc: BialgebraCandidate, name: str):
     if name != "manin_triple":
         raise InputFormatError(f"unknown bialgebra-candidate check {name!r}")
-    bundle = check_manin_triple(bc)
-    if bundle.holds:
-        return True, None, 0
-    failing = [v for v in bundle.verdicts if not v.holds]
-    first = failing[0]
-    return False, {"failing": first.name, "witness": first.witness_data,
-                   "text": first.line()}, len(failing)
+    return _first_failing(check_manin_triple(bc).verdicts)
 
 
 def cmd_check(args) -> int:
@@ -332,9 +324,10 @@ def cmd_audit(args) -> int:
             lines.append(f"[{title}] {'HOLDS' if ok else f'FAILS ({len(section)} violations)'}")
             if not ok:
                 first = section[0]
-                text = format_violation(first) if hasattr(first, "condition") else str(first)
                 if hasattr(first, "axiom"):
                     text = f"{first.axiom} at {tuple(first.pair)}"
+                else:
+                    text = format_violation(first)
                 lines.append(f"  first: {text}")
             payload["sections"].append({"title": title, "holds": ok,
                                         "violations": len(section)})
@@ -377,7 +370,7 @@ def cmd_construct(args) -> int:
     if kind in ("opposite", "symmetrize", "commutator"):
         if not isinstance(obj, AlgebraTable):
             raise InputFormatError(f"{kind} needs an algebra input")
-        built = getattr(obj, kind if kind != "opposite" else "opposite")()
+        built = getattr(obj, kind)()
     elif kind == "semidirect":
         if not isinstance(obj, Bimodule):
             raise InputFormatError("semidirect needs a bimodule input")
@@ -469,10 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, IdentitySyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputFormatError and IdentitySyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,17 @@ A matched pair carries two tables A (product written x.y) and B (written
 a o b) plus four matrix families: la/ra make B an A-bimodule, lb/rb make A a
 B-bimodule.  ``check_matched_pair`` verifies, as prerequisite conditions,
 that both tables pass the right-orientation Zinbiel check and that both
-action pairs pass the bimodule axioms, then the six mixed compatibility
-equalities.  Together these are exactly equivalent to the double
+action pairs pass the bimodule axioms, then six mixed compatibility
+equalities.  For an action system of Q on P, written (lq, rq) with P's
+actions (lp, rp) on Q, three equalities hold over x, y in P and a in Q:
+
+    compat_r:    rq(a)(x.y + y.x) = x.(rq(a)y) + rq(lp(y)a)x
+    compat_l_1:  lq(a)(x.y)       = ((lq+rq)(a)x).y + lq((lp+rp)(x)a)y
+    compat_l_2:  lq(a)(x.y)       = x.(lq(a)y) + rq(rp(y)a)x
+
+The ``*b`` conditions take (P, Q) = (A, B); the ``*a`` conditions are their
+image under (A, la, ra) <-> (B, lb, rb), scanned over (a, b, x).  Together
+these are exactly equivalent to the double
 
     (x+a) * (y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
 
@@ -15,26 +24,31 @@ fuzz-tested.
 The base-table prerequisite is part of the check on purpose: with all maps
 zero the double degenerates to the direct sum, so "matched pair" must imply
 both summands are Zinbiel for the equivalence to be exact.
+
+The commutative-associative and Lie pair checks are symmetric the same way.
+With f the action of g on h and k the action of h on g, one half checks f
+as a representation (f_{x.y} = f_x f_y, or [f_x, f_y] for Lie) and one
+compatibility over x in g and a, b in h,
+
+    commutative associative:  f(x)(a o b) = (f(x)a) o b + f(k(a)x)b
+    Lie:                      f(x)[a,b] + f(k(a)x)b - f(k(b)x)a = [f(x)a, b] + [a, f(x)b]
+
+and the other half is the same check on (h, g, k, f).
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
-from .bimodule import Bimodule, check_bimodule
+from .bimodule import Bimodule, check_bimodule, representation_verdict
 from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
-from .reports import (
-    VerdictBundle,
-    format_matrix,
-    format_vector,
-    matrix_equality_verdict,
-    vector_equality_verdict,
-)
-from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix, linear_combination
+from .reports import VerdictBundle, format_matrix, format_vector, vector_equality_verdict
+from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix
 
 
 class MatchedPair(Frozen):
@@ -84,23 +98,25 @@ def _combine(columns, coeffs: dict, j: int) -> dict:
     return out
 
 
-def _add(lhs: dict, rhs: dict) -> dict:
-    out = dict(lhs)
-    for k, v in rhs.items():
-        out[k] = out.get(k, ZERO) + v
-    return out
-
-
-def _sub(lhs: dict, *others: dict) -> dict:
+def _fold(op, lhs: dict, others) -> dict:
+    """lhs op other for each of ``others`` in turn, dropping zero coefficients."""
     out = dict(lhs)
     for other in others:
         for k, v in other.items():
-            acc = out.get(k, ZERO) - v
+            acc = op(out.get(k, ZERO), v)
             if acc:
                 out[k] = acc
             elif k in out:
                 del out[k]
     return out
+
+
+def _add(lhs: dict, *others: dict) -> dict:
+    return _fold(operator.add, lhs, others)
+
+
+def _sub(lhs: dict, *others: dict) -> dict:
+    return _fold(operator.sub, lhs, others)
 
 
 class MatchedPairViolation(NamedTuple):
@@ -115,85 +131,65 @@ def format_violation(v: MatchedPairViolation) -> str:
     return f"{v.condition} at {where}: residual {body}"
 
 
+def _mixed_violations(p: AlgebraTable, q: AlgebraTable, lq, rq, q_on_p, p_on_q, side: str):
+    """The three mixed equalities for Q's actions lq, rq on P, over (x, y, a).
+
+    ``q_on_p`` holds the columns of lq, rq and lq+rq; ``p_on_q`` those of P's
+    actions lp, rp and lp+rp on Q.  Returns the compat_r violations and the
+    compat_l_1/compat_l_2 violations, each in scan order.
+    """
+    lq_at, rq_at, lrq_at = q_on_p
+    lp_at, rp_at, lrp_at = p_on_q
+    e = [{i: ONE} for i in range(p.dim)]
+    r_out: list[MatchedPairViolation] = []
+    l_out: list[MatchedPairViolation] = []
+    for x in range(p.dim):
+        for y in range(p.dim):
+            prod = p.product_basis(x, y)
+            sym = _add(prod, p.product_basis(y, x))
+            for a in range(q.dim):
+                r = _sub(
+                    rq[a].apply_raw(sym),
+                    p.multiply_raw(e[x], rq_at[a][y]),
+                    _combine(rq_at, lp_at[y][a], x),
+                )
+                if r:
+                    r_out.append(MatchedPairViolation(f"compat_r{side}", (x, y, a), r))
+                lhs = lq[a].apply_raw(prod)
+                r1 = _sub(lhs, p.multiply_raw(lrq_at[a][x], e[y]), _combine(lq_at, lrp_at[x][a], y))
+                if r1:
+                    l_out.append(MatchedPairViolation(f"compat_l{side}_1", (x, y, a), r1))
+                r2 = _sub(lhs, p.multiply_raw(e[x], lq_at[a][y]), _combine(rq_at, rp_at[y][a], x))
+                if r2:
+                    l_out.append(MatchedPairViolation(f"compat_l{side}_2", (x, y, a), r2))
+    return r_out, l_out
+
+
 def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     """Prerequisites plus the six mixed equalities; empty iff the double passes."""
     out: list[MatchedPairViolation] = []
-    for triple, residual in right_zinbiel_residuals(mp.a):
-        out.append(MatchedPairViolation("base_a_right_zinbiel", triple, residual))
-    for triple, residual in right_zinbiel_residuals(mp.b):
-        out.append(MatchedPairViolation("base_b_right_zinbiel", triple, residual))
-    for v in check_bimodule(Bimodule(mp.a, mp.b.dim, mp.la, mp.ra)):
-        out.append(MatchedPairViolation(f"action_on_b:{v.axiom}", v.pair, v.residual))
-    for v in check_bimodule(Bimodule(mp.b, mp.a.dim, mp.lb, mp.rb)):
-        out.append(MatchedPairViolation(f"action_on_a:{v.axiom}", v.pair, v.residual))
+    for side, table in (("a", mp.a), ("b", mp.b)):
+        for triple, residual in right_zinbiel_residuals(table):
+            out.append(MatchedPairViolation(f"base_{side}_right_zinbiel", triple, residual))
+    for side, bimodule in (
+        ("b", Bimodule(mp.a, mp.b.dim, mp.la, mp.ra)),
+        ("a", Bimodule(mp.b, mp.a.dim, mp.lb, mp.rb)),
+    ):
+        for v in check_bimodule(bimodule):
+            out.append(MatchedPairViolation(f"action_on_{side}:{v.axiom}", v.pair, v.residual))
 
-    A, B = mp.a, mp.b
-    n, p = A.dim, B.dim
-    e = [{i: ONE} for i in range(max(n, p))]
-    # Loop invariants: every action column the equalities read, including
-    # those of the summed actions (lb+rb)(a) and (la+ra)(x).
-    la, ra, lb, rb = (_columns(f) for f in (mp.la, mp.ra, mp.lb, mp.rb))
-    lrb = _columns([mp.lb[a] + mp.rb[a] for a in range(p)])
-    lra = _columns([mp.la[x] + mp.ra[x] for x in range(n)])
-
-    # compat_rb: rb(a)(x.y + y.x) = x.(rb(a)y) + rb(la(y)a)x     over (x, y, a)
-    for x in range(n):
-        for y in range(n):
-            sym = _add(A.product_basis(x, y), A.product_basis(y, x))
-            for a in range(p):
-                r = _sub(
-                    mp.rb[a].apply_raw(sym),
-                    A.multiply_raw(e[x], rb[a][y]),
-                    _combine(rb, la[y][a], x),
-                )
-                if r:
-                    out.append(MatchedPairViolation("compat_rb", (x, y, a), r))
-
-    # compat_ra: ra(x)(a o b + b o a) = a o (ra(x)b) + ra(lb(b)x)a   over (a, b, x)
-    for a in range(p):
-        for b in range(p):
-            sym = _add(B.product_basis(a, b), B.product_basis(b, a))
-            for x in range(n):
-                r = _sub(
-                    mp.ra[x].apply_raw(sym),
-                    B.multiply_raw(e[a], ra[x][b]),
-                    _combine(ra, lb[b][x], a),
-                )
-                if r:
-                    out.append(MatchedPairViolation("compat_ra", (a, b, x), r))
-
-    # compat_lb_1: lb(a)(x.y) = ((lb+rb)(a)x).y + lb((la+ra)(x)a)y  over (x, y, a)
-    # compat_lb_2: lb(a)(x.y) = x.(lb(a)y) + rb(ra(y)a)x
-    for x in range(n):
-        for y in range(n):
-            prod = A.product_basis(x, y)
-            for a in range(p):
-                lhs = mp.lb[a].apply_raw(prod)
-                r1 = _sub(lhs, A.multiply_raw(lrb[a][x], e[y]), _combine(lb, lra[x][a], y))
-                if r1:
-                    out.append(MatchedPairViolation("compat_lb_1", (x, y, a), r1))
-                r2 = _sub(lhs, A.multiply_raw(e[x], lb[a][y]), _combine(rb, ra[y][a], x))
-                if r2:
-                    out.append(MatchedPairViolation("compat_lb_2", (x, y, a), r2))
-
-    # compat_la_1: la(x)(a o b) = la((lb+rb)(a)x)b + ((la+ra)(x)a) o b  over (a, b, x)
-    # compat_la_2: la(x)(a o b) = a o (la(x)b) + ra(rb(b)x)a
-    for a in range(p):
-        for b in range(p):
-            prod = B.product_basis(a, b)
-            for x in range(n):
-                lhs = mp.la[x].apply_raw(prod)
-                r1 = _sub(lhs, _combine(la, lrb[a][x], b), B.multiply_raw(lra[x][a], e[b]))
-                if r1:
-                    out.append(MatchedPairViolation("compat_la_1", (a, b, x), r1))
-                r2 = _sub(lhs, B.multiply_raw(e[a], la[x][b]), _combine(ra, rb[b][x], a))
-                if r2:
-                    out.append(MatchedPairViolation("compat_la_2", (a, b, x), r2))
+    # Loop invariants shared by both action systems: every action column the
+    # equalities read, including those of the summed actions lb+rb and la+ra.
+    on_a = tuple(_columns(f) for f in (mp.lb, mp.rb, [l + r for l, r in zip(mp.lb, mp.rb)]))
+    on_b = tuple(_columns(f) for f in (mp.la, mp.ra, [l + r for l, r in zip(mp.la, mp.ra)]))
+    rb, lb = _mixed_violations(mp.a, mp.b, mp.lb, mp.rb, on_a, on_b, "b")
+    ra, la = _mixed_violations(mp.b, mp.a, mp.la, mp.ra, on_b, on_a, "a")
+    out += rb + ra + lb + la
 
     log_debug(
         "zinbielkit.matched_pair",
         "matched pair: dim A = %d, dim B = %d, %d violations %s",
-        n, p, len(out), dict(Counter(v.condition for v in out)),
+        mp.a.dim, mp.b.dim, len(out), dict(Counter(v.condition for v in out)),
     )
     return out
 
@@ -221,138 +217,71 @@ def double(mp: MatchedPair) -> AlgebraTable:
     return algebra_from_entries(n + p, entries, labels)
 
 
+def _pair_half(p, q, f, f_at, k_at, names, p_vars, q_vars, bracket: bool):
+    """Representation and compatibility verdicts of f, P acting on Q, where
+    k_at are the columns of Q acting on P (see the module docstring)."""
+    rep_name, compat_name = names
+
+    def triples():
+        for x in range(p.dim):
+            for a in range(q.dim):
+                for b in range(q.dim):
+                    ab = f[x].apply_raw(q.product_basis(a, b))
+                    fxa_b = q.multiply_raw(f_at[x][a], {b: ONE})
+                    via_a = _combine(f_at, k_at[a][x], b)
+                    if bracket:
+                        lhs = _sub(_add(ab, via_a), _combine(f_at, k_at[b][x], a))
+                        yield (x, a, b), lhs, _add(fxa_b, q.multiply_raw({a: ONE}, f_at[x][b]))
+                    else:
+                        yield (x, a, b), ab, _add(fxa_b, via_a)
+
+    return (
+        representation_verdict(rep_name, p, f, (*p_vars, "v"), bracket=bracket),
+        vector_equality_verdict(compat_name, triples(), (p_vars[0], *q_vars)),
+    )
+
+
+def _pair_bundle(kind, claims, g, h, f, k, names, bracket: bool) -> VerdictBundle:
+    """f is g acting on h, k is h acting on g; names holds each half's
+    (representation, compatibility) verdict names."""
+    verdicts = [
+        evaluate_claim(table, ClaimSpec(f"{side}_{claim}", *sides, "product"), "product")
+        for side, table in (("g", g), ("h", h))
+        for claim, sides in claims
+    ]
+    f_at, k_at = _columns(f), _columns(k)
+    halves = (
+        _pair_half(g, h, f, f_at, k_at, names[0], ("x", "y"), ("a", "b"), bracket),
+        _pair_half(h, g, k, k_at, f_at, names[1], ("a", "b"), ("x", "y"), bracket),
+    )
+    verdicts += (v for both in zip(*halves) for v in both)
+    return VerdictBundle(kind, tuple(verdicts))
+
+
 def check_commassoc_matched_pair(
     g: AlgebraTable, h: AlgebraTable, mu: tuple[Matrix, ...], rho: tuple[Matrix, ...]
 ) -> VerdictBundle:
     """Matched pair of commutative associative tables: mu acts on h, rho on g."""
-    commutative, associative = CLAIM_SIDES["commutative"], CLAIM_SIDES["associative"]
-    verdicts = [
-        evaluate_claim(g, ClaimSpec("g_commutative", *commutative, "product"), "product"),
-        evaluate_claim(g, ClaimSpec("g_associative", *associative, "product"), "product"),
-        evaluate_claim(h, ClaimSpec("h_commutative", *commutative, "product"), "product"),
-        evaluate_claim(h, ClaimSpec("h_associative", *associative, "product"), "product"),
-    ]
-
-    def mu_rep():
-        for i in range(g.dim):
-            for j in range(g.dim):
-                coeffs = g.product_basis(i, j)
-                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
-                yield (i, j), lhs, mu[i] @ mu[j]
-
-    def rho_rep():
-        for i in range(h.dim):
-            for j in range(h.dim):
-                coeffs = h.product_basis(i, j)
-                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
-                yield (i, j), lhs, rho[i] @ rho[j]
-
-    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("x", "y", "v")))
-    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("a", "b", "v")))
-
-    e = [{i: ONE} for i in range(max(g.dim, h.dim))]
-    mu_at, rho_at = _columns(mu), _columns(rho)
-
-    # mu(x)(a o b) = (mu(x)a) o b + mu(rho(a)x)b       over (x, a, b)
-    def compat_mu():
-        for x in range(g.dim):
-            for a in range(h.dim):
-                for b in range(h.dim):
-                    lhs = mu[x].apply_raw(h.product_basis(a, b))
-                    rhs = h.multiply_raw(mu_at[x][a], e[b])
-                    for k, v in _combine(mu_at, rho_at[a][x], b).items():
-                        rhs[k] = rhs.get(k, ZERO) + v
-                    yield (x, a, b), lhs, {k: v for k, v in rhs.items() if v}
-
-    # rho(a)(x.y) = (rho(a)x).y + rho(mu(x)a)y          over (a, x, y)
-    def compat_rho():
-        for a in range(h.dim):
-            for x in range(g.dim):
-                for y in range(g.dim):
-                    lhs = rho[a].apply_raw(g.product_basis(x, y))
-                    rhs = g.multiply_raw(rho_at[a][x], e[y])
-                    for k, v in _combine(rho_at, mu_at[x][a], y).items():
-                        rhs[k] = rhs.get(k, ZERO) + v
-                    yield (a, x, y), lhs, {k: v for k, v in rhs.items() if v}
-
-    verdicts.append(vector_equality_verdict("compat_mu", compat_mu(), ("x", "a", "b")))
-    verdicts.append(vector_equality_verdict("compat_rho", compat_rho(), ("a", "x", "y")))
-    return VerdictBundle("commutative_associative_pair", tuple(verdicts))
+    return _pair_bundle(
+        "commutative_associative_pair",
+        [(claim, CLAIM_SIDES[claim]) for claim in ("commutative", "associative")],
+        g, h, mu, rho,
+        (("mu_representation", "compat_mu"), ("rho_representation", "compat_rho")),
+        bracket=False,
+    )
 
 
 def check_lie_matched_pair(
     g: AlgebraTable, h: AlgebraTable, rho: tuple[Matrix, ...], mu: tuple[Matrix, ...]
 ) -> VerdictBundle:
     """Matched pair of Lie bracket tables: rho is g acting on h, mu is h on g."""
-    jacobi = CLAIM_SIDES["jacobi"]
-    verdicts = [
-        evaluate_claim(g, ClaimSpec("g_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
-        evaluate_claim(g, ClaimSpec("g_jacobi", *jacobi, "product"), "product"),
-        evaluate_claim(h, ClaimSpec("h_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
-        evaluate_claim(h, ClaimSpec("h_jacobi", *jacobi, "product"), "product"),
-    ]
-
-    def rho_rep():
-        for i in range(g.dim):
-            for j in range(g.dim):
-                coeffs = g.product_basis(i, j)
-                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
-                yield (i, j), lhs, rho[i] @ rho[j] - rho[j] @ rho[i]
-
-    def mu_rep():
-        for i in range(h.dim):
-            for j in range(h.dim):
-                coeffs = h.product_basis(i, j)
-                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
-                yield (i, j), lhs, mu[i] @ mu[j] - mu[j] @ mu[i]
-
-    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("x", "y", "v")))
-    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("a", "b", "v")))
-
-    e = [{i: ONE} for i in range(max(g.dim, h.dim))]
-    rho_at, mu_at = _columns(rho), _columns(mu)
-
-    # rho(x)[a,b] - [rho(x)a, b] - [a, rho(x)b] + rho(mu(a)x)b - rho(mu(b)x)a = 0
-    def compat_h():
-        for x in range(g.dim):
-            for a in range(h.dim):
-                for b in range(h.dim):
-                    lhs = rho[x].apply_raw(h.product_basis(a, b))
-                    rhs = h.multiply_raw(rho_at[x][a], e[b])
-                    for k, v in h.multiply_raw(e[a], rho_at[x][b]).items():
-                        rhs[k] = rhs.get(k, ZERO) + v
-                    for k, v in _combine(rho_at, mu_at[a][x], b).items():
-                        lhs[k] = lhs.get(k, ZERO) + v
-                    for k, v in _combine(rho_at, mu_at[b][x], a).items():
-                        lhs[k] = lhs.get(k, ZERO) - v
-                    yield (
-                        (x, a, b),
-                        {k: v for k, v in lhs.items() if v},
-                        {k: v for k, v in rhs.items() if v},
-                    )
-
-    # mu(a)[x,y] - [mu(a)x, y] - [x, mu(a)y] + mu(rho(x)a)y - mu(rho(y)a)x = 0
-    def compat_g():
-        for a in range(h.dim):
-            for x in range(g.dim):
-                for y in range(g.dim):
-                    lhs = mu[a].apply_raw(g.product_basis(x, y))
-                    rhs = g.multiply_raw(mu_at[a][x], e[y])
-                    for k, v in g.multiply_raw(e[x], mu_at[a][y]).items():
-                        rhs[k] = rhs.get(k, ZERO) + v
-                    for k, v in _combine(mu_at, rho_at[x][a], y).items():
-                        lhs[k] = lhs.get(k, ZERO) + v
-                    for k, v in _combine(mu_at, rho_at[y][a], x).items():
-                        lhs[k] = lhs.get(k, ZERO) - v
-                    yield (
-                        (a, x, y),
-                        {k: v for k, v in lhs.items() if v},
-                        {k: v for k, v in rhs.items() if v},
-                    )
-
-    verdicts.append(vector_equality_verdict("compat_on_h", compat_h(), ("x", "a", "b")))
-    verdicts.append(vector_equality_verdict("compat_on_g", compat_g(), ("a", "x", "y")))
-    return VerdictBundle("lie_pair", tuple(verdicts))
+    return _pair_bundle(
+        "lie_pair",
+        [("antisymmetric", ("(x y)", "- (y x)")), ("jacobi", CLAIM_SIDES["jacobi"])],
+        g, h, rho, mu,
+        (("rho_representation", "compat_on_h"), ("mu_representation", "compat_on_g")),
+        bracket=True,
+    )
 
 
 def induced_commassoc_pair(mp: MatchedPair) -> VerdictBundle:

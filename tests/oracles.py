@@ -17,11 +17,19 @@ from itertools import permutations, product
 
 import sympy
 
-from zinbielkit.bimodule import _AXIOMS, Bimodule
+from zinbielkit.audit import ClaimSpec, evaluate_claim
+from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
 from zinbielkit.coalgebra import CoalgebraViolation, format_triples, triples_jsonable
 from zinbielkit.matched_pair import MatchedPairViolation
-from zinbielkit.reports import Verdict, VerdictBundle, format_scalar
-from zinbielkit.tensors import Matrix, rank
+from zinbielkit.identities import CLAIM_SIDES
+from zinbielkit.reports import (
+    Verdict,
+    VerdictBundle,
+    format_scalar,
+    matrix_equality_verdict,
+    vector_equality_verdict,
+)
+from zinbielkit.tensors import Matrix, linear_combination, rank
 
 X, T = sympy.symbols("X t")
 
@@ -430,6 +438,190 @@ def reference_check_matched_pair(mp) -> list:
                     out.append(MatchedPairViolation("compat_la_2", (a, b, x), r2))
 
     return out
+
+
+# -- reference pair checks ------------------------------------------------------
+#
+# The commutative-associative and Lie pair checks and the sub-adjacent
+# bracket check with every law written out once per side, each side its own
+# loop.  Action columns are read by applying the matrix to a basis vector.
+
+
+def _action_columns(family) -> list[list[dict]]:
+    return [[reference_apply(m, _basis(j)) for j in range(m.cols)] for m in family]
+
+
+def _action_combine(columns, coeffs: dict, j: int) -> dict:
+    out: dict[int, Fraction] = {}
+    for k, s in coeffs.items():
+        for m, v in columns[k][j].items():
+            out = _add(out, {m: s * v})
+    return out
+
+
+def reference_commassoc_matched_pair(g, h, mu, rho) -> VerdictBundle:
+    commutative, associative = CLAIM_SIDES["commutative"], CLAIM_SIDES["associative"]
+    verdicts = [
+        evaluate_claim(g, ClaimSpec("g_commutative", *commutative, "product"), "product"),
+        evaluate_claim(g, ClaimSpec("g_associative", *associative, "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_commutative", *commutative, "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_associative", *associative, "product"), "product"),
+    ]
+
+    def mu_rep():
+        for i in range(g.dim):
+            for j in range(g.dim):
+                coeffs = g.product_basis(i, j)
+                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
+                yield (i, j), lhs, mu[i] @ mu[j]
+
+    def rho_rep():
+        for i in range(h.dim):
+            for j in range(h.dim):
+                coeffs = h.product_basis(i, j)
+                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
+                yield (i, j), lhs, rho[i] @ rho[j]
+
+    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("x", "y", "v")))
+    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("a", "b", "v")))
+
+    e = _basis
+    mu_at, rho_at = _action_columns(mu), _action_columns(rho)
+
+    # mu(x)(a o b) = (mu(x)a) o b + mu(rho(a)x)b       over (x, a, b)
+    def compat_mu():
+        for x in range(g.dim):
+            for a in range(h.dim):
+                for b in range(h.dim):
+                    lhs = reference_apply(mu[x], table_product(h, e(a), e(b)))
+                    rhs = _add(
+                        table_product(h, mu_at[x][a], e(b)),
+                        _action_combine(mu_at, rho_at[a][x], b),
+                    )
+                    yield (x, a, b), lhs, rhs
+
+    # rho(a)(x.y) = (rho(a)x).y + rho(mu(x)a)y          over (a, x, y)
+    def compat_rho():
+        for a in range(h.dim):
+            for x in range(g.dim):
+                for y in range(g.dim):
+                    lhs = reference_apply(rho[a], table_product(g, e(x), e(y)))
+                    rhs = _add(
+                        table_product(g, rho_at[a][x], e(y)),
+                        _action_combine(rho_at, mu_at[x][a], y),
+                    )
+                    yield (a, x, y), lhs, rhs
+
+    verdicts.append(vector_equality_verdict("compat_mu", compat_mu(), ("x", "a", "b")))
+    verdicts.append(vector_equality_verdict("compat_rho", compat_rho(), ("a", "x", "y")))
+    return VerdictBundle("commutative_associative_pair", tuple(verdicts))
+
+
+def reference_lie_matched_pair(g, h, rho, mu) -> VerdictBundle:
+    jacobi = CLAIM_SIDES["jacobi"]
+    verdicts = [
+        evaluate_claim(g, ClaimSpec("g_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
+        evaluate_claim(g, ClaimSpec("g_jacobi", *jacobi, "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_antisymmetric", "(x y)", "- (y x)", "product"), "product"),
+        evaluate_claim(h, ClaimSpec("h_jacobi", *jacobi, "product"), "product"),
+    ]
+
+    def rho_rep():
+        for i in range(g.dim):
+            for j in range(g.dim):
+                coeffs = g.product_basis(i, j)
+                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
+                yield (i, j), lhs, rho[i] @ rho[j] - rho[j] @ rho[i]
+
+    def mu_rep():
+        for i in range(h.dim):
+            for j in range(h.dim):
+                coeffs = h.product_basis(i, j)
+                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
+                yield (i, j), lhs, mu[i] @ mu[j] - mu[j] @ mu[i]
+
+    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("x", "y", "v")))
+    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("a", "b", "v")))
+
+    e = _basis
+    rho_at, mu_at = _action_columns(rho), _action_columns(mu)
+
+    # rho(x)[a,b] + rho(mu(a)x)b - rho(mu(b)x)a = [rho(x)a, b] + [a, rho(x)b]
+    def compat_h():
+        for x in range(g.dim):
+            for a in range(h.dim):
+                for b in range(h.dim):
+                    lhs = _sub(
+                        _add(
+                            reference_apply(rho[x], table_product(h, e(a), e(b))),
+                            _action_combine(rho_at, mu_at[a][x], b),
+                        ),
+                        _action_combine(rho_at, mu_at[b][x], a),
+                    )
+                    rhs = _add(
+                        table_product(h, rho_at[x][a], e(b)),
+                        table_product(h, e(a), rho_at[x][b]),
+                    )
+                    yield (x, a, b), lhs, rhs
+
+    # mu(a)[x,y] + mu(rho(x)a)y - mu(rho(y)a)x = [mu(a)x, y] + [x, mu(a)y]
+    def compat_g():
+        for a in range(h.dim):
+            for x in range(g.dim):
+                for y in range(g.dim):
+                    lhs = _sub(
+                        _add(
+                            reference_apply(mu[a], table_product(g, e(x), e(y))),
+                            _action_combine(mu_at, rho_at[x][a], y),
+                        ),
+                        _action_combine(mu_at, rho_at[y][a], x),
+                    )
+                    rhs = _add(
+                        table_product(g, mu_at[a][x], e(y)),
+                        table_product(g, e(x), mu_at[a][y]),
+                    )
+                    yield (a, x, y), lhs, rhs
+
+    verdicts.append(vector_equality_verdict("compat_on_h", compat_h(), ("x", "a", "b")))
+    verdicts.append(vector_equality_verdict("compat_on_g", compat_g(), ("a", "x", "y")))
+    return VerdictBundle("lie_pair", tuple(verdicts))
+
+
+def reference_induced_commassoc_pair(mp) -> VerdictBundle:
+    return reference_commassoc_matched_pair(
+        mp.a.symmetrize(),
+        mp.b.symmetrize(),
+        tuple(mp.la[i] + mp.ra[i] for i in range(mp.a.dim)),
+        tuple(mp.lb[i] + mp.rb[i] for i in range(mp.b.dim)),
+    )
+
+
+def reference_induced_lie_pair(mp) -> VerdictBundle:
+    return reference_lie_matched_pair(
+        mp.a.commutator(),
+        mp.b.commutator(),
+        tuple(mp.la[i] - mp.ra[i] for i in range(mp.a.dim)),
+        tuple(mp.lb[i] - mp.rb[i] for i in range(mp.b.dim)),
+    )
+
+
+def reference_induced_subadjacent_map(b) -> SubadjacentReport:
+    n = b.base.dim
+    maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))
+    bracket = b.base.commutator()
+
+    def pairs():
+        for i in range(n):
+            for j in range(n):
+                coeffs = bracket.product_basis(i, j)
+                lhs = (
+                    linear_combination(maps, coeffs)
+                    if coeffs
+                    else Matrix.zero(b.v_dim, b.v_dim)
+                )
+                yield (i, j), lhs, maps[i] @ maps[j] - maps[j] @ maps[i]
+
+    return SubadjacentReport(maps, matrix_equality_verdict("bracket_representation", pairs()))
 
 
 def reference_check_form(a, form):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from zinbielkit import fuzz
 from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import (
@@ -120,6 +121,11 @@ def test_subadjacent_representation_fails_on_regular_model(t5):
     assert v.witness_data["tuple"] == [0, 1, 2]
     assert v.witness_data["lhs"] == []
     assert v.witness_data["rhs"] == [[5, "-1/30"]]
+
+
+def test_subadjacent_map_matches_reference(bimodule_family):
+    for _, b in bimodule_family:
+        assert induced_subadjacent_map(b) == oracles.reference_induced_subadjacent_map(b)
 
 
 def test_subadjacent_representation_holds_on_zero_bimodule(t3):

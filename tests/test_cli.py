@@ -151,6 +151,23 @@ GOLDEN_CASES = [
     ),
 ]
 
+for _src, _name in (
+    ("regular-bimodule:trunc-int:right:5", "bimodule_regular_t5"),
+    ("tests/corpus/broken_bimodule.json", "bimodule_broken"),
+    ("tests/corpus/dual_t3.json", "coalgebra_dual_t3"),
+    ("tests/corpus/candidate_t2_zero.json", "candidate_t2_zero"),
+):
+    GOLDEN_CASES.append((["audit", _src, "--format", "json"], f"audit_{_name}.json", 0))
+
+for _src, _check, _name in (
+    ("regular-bimodule:trunc-int:right:5", "subadjacent", "subadjacent_regular_t5"),
+    ("tests/corpus/broken_bimodule.json", "derived_relations", "derived_relations_broken"),
+    ("tests/corpus/dual_t3.json", "aux", "aux_dual_t3"),
+    ("tests/corpus/candidate_t2_zero.json", "manin_triple", "manin_triple_t2_zero"),
+):
+    GOLDEN_CASES.append((["check", _src, _check], f"check_{_name}.txt", 1))
+    GOLDEN_CASES.append((["check", _src, _check, "--format", "json"], f"check_{_name}.json", 1))
+
 
 @pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=[g for _, g, _ in GOLDEN_CASES])
 def test_golden_bytes(argv, golden, code, goldens_dir, tmp_path):

@@ -16,6 +16,8 @@ from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import regular_bimodule, semidirect_sum
 from zinbielkit.matched_pair import (
     MatchedPair,
+    check_commassoc_matched_pair,
+    check_lie_matched_pair,
     check_matched_pair,
     double,
     format_violation,
@@ -179,6 +181,29 @@ def test_check_matches_reference_scan(t3, matched_pair_family):
     for mp in pairs:
         got = _violation_rows(check_matched_pair(mp))
         assert got == _violation_rows(oracles.reference_check_matched_pair(mp))
+
+
+def _bundle_pairs(t3, t5, matched_pair_family):
+    pairs = [mp for _, mp in matched_pair_family]
+    candidates = [bc for _, bc in fuzz.seeded_candidates(fuzz.DEFAULT_SEED)]
+    candidates += [BialgebraCandidate(t3, t3), BialgebraCandidate(t5, t5)]
+    pairs += [dual_reps(bc) for bc in candidates]
+    rng = random.Random(fuzz.DEFAULT_SEED)
+    for _ in range(60):
+        pairs.append(fuzz.random_matched_pair(rng, rng.randint(0, 3), rng.randint(0, 3)))
+    return pairs
+
+
+def test_pair_bundles_match_reference(t3, t5, matched_pair_family):
+    for mp in _bundle_pairs(t3, t5, matched_pair_family):
+        assert induced_commassoc_pair(mp) == oracles.reference_induced_commassoc_pair(mp)
+        assert induced_lie_pair(mp) == oracles.reference_induced_lie_pair(mp)
+        # non-induced actions, on both orders of the summands
+        for args in ((mp.a, mp.b, mp.la, mp.lb), (mp.b, mp.a, mp.rb, mp.ra)):
+            assert check_commassoc_matched_pair(*args) == (
+                oracles.reference_commassoc_matched_pair(*args)
+            )
+            assert check_lie_matched_pair(*args) == oracles.reference_lie_matched_pair(*args)
 
 
 def test_debug_record_per_check(caplog):
