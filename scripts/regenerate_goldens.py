@@ -40,6 +40,18 @@ REQUIRED_WITNESSES = {
     ),
 }
 
+# (input, check, golden stem, exit code, formats): one check per witness
+# shape, so every verdict shape ``check`` prints is pinned
+WITNESS_SHAPE_CHECKS = (
+    ("tests/corpus/broken_bimodule.json", "axioms", "axioms_broken", 1, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "co_right", "co_right_dual_t3", 0, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "co_left", "co_left_dual_t3", 1, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "cocomm_coassoc", "cocomm_coassoc_dual_t3", 1, ("json",)),
+    ("tests/corpus/dual_t3.json", "lie_coalgebra", "lie_coalgebra_dual_t3", 1, ("json",)),
+    ("tests/corpus/dual_reps_t3.json", "matched_pair", "matched_pair_dual_reps_t3", 1, ("json",)),
+    ("trunc-int:left:3", "right_zinbiel", "right_zinbiel_l3", 1, ("json",)),
+)
+
 
 @dataclass(frozen=True)
 class GoldenConfig:
@@ -127,6 +139,10 @@ def write_goldens(goldens: Path, seed: int):
         ["audit", "tests/corpus/candidate_t2_zero.json",
          "--out", str(goldens / "audit_candidate_t2_zero.txt")]
     )
+    _cli(
+        ["audit", "tests/corpus/broken_bimodule.json",
+         "--out", str(goldens / "audit_bimodule_broken.txt")]
+    )
     for src, name in (
         ("regular-bimodule:trunc-int:right:5", "bimodule_regular_t5"),
         ("tests/corpus/broken_bimodule.json", "bimodule_broken"),
@@ -147,6 +163,15 @@ def write_goldens(goldens: Path, seed: int):
                 ["check", src, check, "--format", fmt,
                  "--out", str(goldens / f"check_{name}.{ext}")],
                 expect=1,
+            )
+
+    for src, check, name, code, formats in WITNESS_SHAPE_CHECKS:
+        for fmt in formats:
+            ext = "txt" if fmt == "text" else "json"
+            _cli(
+                ["check", src, check, "--format", fmt,
+                 "--out", str(goldens / f"check_{name}.{ext}")],
+                expect=code,
             )
 
     for pair, code in (("pair_regular_t5", 0), ("dual_reps_t3", 1)):

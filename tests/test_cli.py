@@ -62,6 +62,9 @@ EXIT_CASES = [
     (["check", "tests/corpus/broken_bimodule.json", "derived_relations"], 1),
     (["check", "tests/corpus/zero_pair.json", "matched_pair"], 0),
     (["check", "tests/corpus/candidate_t2_zero.json", "manin_triple"], 1),
+    (["check", "tests/corpus/regular_t3_bimodule.json", "no_such_check"], 2),
+    (["check", "tests/corpus/zero_pair.json", "axioms"], 2),
+    (["check", "tests/corpus/candidate_t2_zero.json", "matched_pair"], 2),
     (["check", "trunc-int:right:4", "right_zinbiel"], 0),
     (["check", "regular-bimodule:trunc-int:right:3", "axioms"], 0),
     (["check", "regular-bimodule:tests/corpus/model_t3.json", "axioms"], 0),
@@ -90,6 +93,24 @@ EXIT_CASES = [
 def test_exit_codes(argv, code, capsys):
     assert main(argv) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "src,name,message",
+    [
+        ("tests/corpus/dual_t3.json", "no_such_check", "unknown coalgebra check 'no_such_check'"),
+        ("tests/corpus/regular_t3_bimodule.json", "no_such_check",
+         "unknown bimodule check 'no_such_check'"),
+        ("tests/corpus/zero_pair.json", "axioms", "unknown matched-pair check 'axioms'"),
+        ("tests/corpus/candidate_t2_zero.json", "matched_pair",
+         "unknown bialgebra-candidate check 'matched_pair'"),
+    ],
+)
+def test_unknown_check_names_the_input_kind(src, name, message, capsys):
+    assert main(["check", src, name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 GOLDEN_CASES = [
@@ -167,6 +188,27 @@ for _src, _check, _name in (
 ):
     GOLDEN_CASES.append((["check", _src, _check], f"check_{_name}.txt", 1))
     GOLDEN_CASES.append((["check", _src, _check, "--format", "json"], f"check_{_name}.json", 1))
+
+
+GOLDEN_CASES.append(
+    (["audit", "tests/corpus/broken_bimodule.json"], "audit_bimodule_broken.txt", 0)
+)
+
+# one check per witness shape, as scripts/regenerate_goldens.py writes them
+for _src, _check, _name, _code, _formats in (
+    ("tests/corpus/broken_bimodule.json", "axioms", "axioms_broken", 1, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "co_right", "co_right_dual_t3", 0, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "co_left", "co_left_dual_t3", 1, ("text", "json")),
+    ("tests/corpus/dual_t3.json", "cocomm_coassoc", "cocomm_coassoc_dual_t3", 1, ("json",)),
+    ("tests/corpus/dual_t3.json", "lie_coalgebra", "lie_coalgebra_dual_t3", 1, ("json",)),
+    ("tests/corpus/dual_reps_t3.json", "matched_pair", "matched_pair_dual_reps_t3", 1, ("json",)),
+    ("trunc-int:left:3", "right_zinbiel", "right_zinbiel_l3", 1, ("json",)),
+):
+    for _fmt in _formats:
+        _ext = "txt" if _fmt == "text" else "json"
+        GOLDEN_CASES.append(
+            (["check", _src, _check, "--format", _fmt], f"check_{_name}.{_ext}", _code)
+        )
 
 
 @pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=[g for _, g, _ in GOLDEN_CASES])
