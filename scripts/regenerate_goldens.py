@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,12 +50,6 @@ WITNESS_SHAPE_CHECKS = (
     ("tests/corpus/dual_reps_t3.json", "matched_pair", "matched_pair_dual_reps_t3", 1, ("json",)),
     ("trunc-int:left:3", "right_zinbiel", "right_zinbiel_l3", 1, ("json",)),
 )
-
-
-@dataclass(frozen=True)
-class GoldenConfig:
-    root: Path
-    seed: int = DEFAULT_SEED
 
 
 def _cli(argv: list[str], expect: int = 0):
@@ -227,14 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         "--root", type=Path, default=Path(__file__).resolve().parents[1],
         help="repository root (default: the checkout containing this script)",
     )
-    args = p.parse_args(argv)
-    config = GoldenConfig(root=args.root)
+    root = p.parse_args(argv).root
 
-    os.chdir(config.root)
-    write_corpus(config.root / "tests" / "corpus")
-    write_goldens(config.root / "tests" / "goldens", config.seed)
-    verify_witnesses(config.root / "tests" / "goldens")
-    print(f"corpus and goldens rebuilt under {config.root / 'tests'}")
+    os.chdir(root)
+    write_corpus(root / "tests" / "corpus")
+    write_goldens(root / "tests" / "goldens", DEFAULT_SEED)
+    verify_witnesses(root / "tests" / "goldens")
+    print(f"corpus and goldens rebuilt under {root / 'tests'}")
     return 0
 
 

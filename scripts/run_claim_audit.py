@@ -18,19 +18,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from zinbielkit import fuzz
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
-
-
-class AuditRunConfig(NamedTuple):
-    max_n: int = 8
-    orientation: str = "auto"
-    claims: tuple[str, ...] | None = None
-    format: str = "text"
-    out: Path | None = None
 
 
 def pick_orientation(table, requested: str) -> str:
@@ -43,19 +34,17 @@ def pick_orientation(table, requested: str) -> str:
     return "right"
 
 
-def run(config: AuditRunConfig) -> str:
+def run(args: argparse.Namespace) -> str:
+    claims = args.claims.split(",") if args.claims else None
     chunks: list[str] = []
     payloads: list[dict] = []
-    for name, table in fuzz.standard_models(config.max_n):
+    for name, table in fuzz.standard_models(args.max_n):
         report = audit_claims(
-            table,
-            pick_orientation(table, config.orientation),
-            claims=list(config.claims) if config.claims else None,
-            subject=name,
+            table, pick_orientation(table, args.orientation), claims=claims, subject=name
         )
         chunks.append(audit_report_text(report))
         payloads.append(audit_report_jsonable(report))
-    if config.format == "json":
+    if args.format == "json":
         collection = {"kind": "claim_audit_collection", "reports": payloads}
         return json.dumps(collection, indent=2, sort_keys=True) + "\n"
     return "\n".join(chunks)
@@ -73,16 +62,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", type=Path, default=None, metavar="FILE")
     args = p.parse_args(argv)
 
-    config = AuditRunConfig(
-        max_n=args.max_n,
-        orientation=args.orientation,
-        claims=tuple(args.claims.split(",")) if args.claims else None,
-        format=args.format,
-        out=args.out,
-    )
-    text = run(config)
-    if config.out:
-        config.out.write_text(text, encoding="utf-8")
+    text = run(args)
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -31,7 +31,7 @@ from .matched_pair import (
     check_lie_matched_pair,
     check_matched_pair,
     double,
-    format_violation,
+    matched_pair_verdict,
 )
 from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
 from .tensors import ZERO, Frozen, Matrix, rank
@@ -217,15 +217,6 @@ class EquivalenceReport(NamedTuple):
         return out
 
 
-def _matched_pair_verdict(name: str, violations: list) -> Verdict:
-    """The verdict of a matched-pair check, witnessed by its first violation."""
-    if not violations:
-        return Verdict(name, True)
-    v = violations[0]
-    witness = {"condition": v.condition, "where": list(v.where)}
-    return Verdict(name, False, format_violation(v), witness)
-
-
 def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
     cond1 = _bundle_verdict("manin_triple", check_manin_triple(bc))
 
@@ -240,7 +231,7 @@ def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
     )
     cond2 = _bundle_verdict("lie_matched_pair", check_lie_matched_pair(g, h, rho, mu))
 
-    cond3 = _matched_pair_verdict("zinbiel_matched_pair", check_matched_pair(dual_reps(bc)))
+    cond3 = matched_pair_verdict("zinbiel_matched_pair", check_matched_pair(dual_reps(bc)))
 
     recovered = dualize_co(dualize(bc.astar))
     if recovered != bc.astar:
@@ -252,7 +243,7 @@ def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
         )
     else:
         rebuilt = check_matched_pair(dual_reps(BialgebraCandidate(bc.a, recovered)))
-        cond4 = _matched_pair_verdict("bialgebra", rebuilt)
+        cond4 = matched_pair_verdict("bialgebra", rebuilt)
 
     conditions = (cond1, cond2, cond3, cond4)
     findings = []

@@ -8,6 +8,13 @@ assignment (``evaluate_sides``), and the coalgebra checks read it by output
 index on the dual product table (``evaluate_by_output``).  It runs
 sequentially; --parallel N is accepted for compatibility and ignored.
 
+Every check gives one ``reports.Verdict`` and a violation count: ``check``
+prints the verdict's witness text as its detail line, and in JSON its
+witness data plus that text.  An algebra takes a catalog identity or an
+expression; the other input kinds take the names in ``_CHECKS``.  ``audit``
+renders each section of a non-algebra input from a violation list (its size
+and first entry) or from a verdict sequence (one line per verdict).
+
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
 """
@@ -36,11 +43,10 @@ from .coalgebra import (
     check_co_right,
     check_cocomm_coassoc,
     check_lie_coalgebra,
+    coalgebra_verdict,
     dualize,
     dualize_co,
-    format_triples,
     opposite_coproduct,
-    triples_jsonable,
 )
 from .identities import (
     catalog,
@@ -56,9 +62,10 @@ from .matched_pair import (
     format_violation,
     induced_commassoc_pair,
     induced_lie_pair,
+    matched_pair_verdict,
 )
 from .models import free_halfshuffle, trunc_integration
-from .reports import format_assignment, format_vector, vector_jsonable
+from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 from .serialization import InputFormatError, dumps, load_path
 
 
@@ -123,14 +130,42 @@ def _emit_json(payload: dict, out_path: str | None):
 # -- check -------------------------------------------------------------------
 
 
-def _first_failing(verdicts):
-    """(holds, witness, count) of a verdict sequence, witnessed by its first failure."""
+def _counted(verdict_of, name: str, violations: list):
+    """(Verdict, count) of a violation list, witnessed by its first entry."""
+    return verdict_of(name, violations), len(violations)
+
+
+def _first_failing(name: str, verdicts):
+    """(Verdict, count) of a verdict sequence, witnessed by its first failure."""
     failing = [v for v in verdicts if not v.holds]
     if not failing:
-        return True, None, 0
+        return Verdict(name, True), 0
     first = failing[0]
-    return False, {"failing": first.name, "witness": first.witness_data,
-                   "text": first.line()}, len(failing)
+    witness = {"failing": first.name, "witness": first.witness_data}
+    return Verdict(name, False, first.line(), witness), len(failing)
+
+
+def _axioms_verdict(name: str, violations: list) -> Verdict:
+    if not violations:
+        return Verdict(name, True)
+    first = violations[0]
+    i, j = first.pair
+    return Verdict(name, False, f"{first.axiom} fails at (e{i},e{j})",
+                   {"axiom": first.axiom, "pair": [i, j]})
+
+
+def _derived_relations(b: Bimodule, name: str):
+    report = check_derived_relations(b)
+    if report.vacuous:
+        return Verdict(name, False, "vacuous: bimodule axioms fail", {}), 1
+    return _first_failing(name, report.relations)
+
+
+def _subadjacent(b: Bimodule, name: str):
+    v = induced_subadjacent_map(b).representation
+    if v.holds:
+        return Verdict(name, True), 0
+    return Verdict(name, False, v.line(), {"witness": v.witness_data}), 1
 
 
 def _check_algebra(a: AlgebraTable, name: str):
@@ -143,100 +178,53 @@ def _check_algebra(a: AlgebraTable, name: str):
         raise InputFormatError(f"unknown identity {name!r} (and not an expression)")
     residuals = evaluate(a, ident)
     if not residuals:
-        return True, None, 0
+        return Verdict(name, True), 0
     first = residuals[0]
     witness = {
         "tuple": list(first.assignment),
         "variables": list(ident.variables),
         "residual": vector_jsonable(first.value),
-        "text": f"at {format_assignment(first.assignment)}: "
-        f"residual = {format_vector(first.value)}",
     }
-    return False, witness, len(residuals)
+    text = f"at {format_assignment(first.assignment)}: residual = {format_vector(first.value)}"
+    return Verdict(name, False, text, witness), len(residuals)
 
 
-def _check_coalgebra(c: CoalgebraTable, name: str):
-    if name in ("co_right", "co_left"):
-        hits = check_co_right(c) if name == "co_right" else check_co_left(c)
-        if not hits:
-            return True, None, 0
-        first = hits[0]
-        witness = {
-            "basis_index": first.basis_index,
-            "residual": triples_jsonable(first.residual),
-            "text": f"at e{first.basis_index}: residual = {format_triples(first.residual)}",
-        }
-        return False, witness, len(hits)
-    bundles = {
-        "cocomm_coassoc": check_cocomm_coassoc,
-        "lie_coalgebra": check_lie_coalgebra,
-        "aux": check_aux_coalgebra_identities,
-    }
-    if name not in bundles:
-        raise InputFormatError(f"unknown coalgebra check {name!r}")
-    return _first_failing(bundles[name](c).verdicts)
-
-
-def _check_bimodule(b: Bimodule, name: str):
-    if name == "axioms":
-        hits = check_bimodule(b)
-        if not hits:
-            return True, None, 0
-        first = hits[0]
-        witness = {
-            "axiom": first.axiom,
-            "pair": list(first.pair),
-            "text": f"{first.axiom} fails at (e{first.pair[0]},e{first.pair[1]})",
-        }
-        return False, witness, len(hits)
-    if name == "derived_relations":
-        report = check_derived_relations(b)
-        if report.vacuous:
-            return False, {"text": "vacuous: bimodule axioms fail"}, 1
-        return _first_failing(report.relations)
-    if name == "subadjacent":
-        report = induced_subadjacent_map(b)
-        v = report.representation
-        if v.holds:
-            return True, None, 0
-        return False, {"witness": v.witness_data, "text": v.line()}, 1
-    raise InputFormatError(f"unknown bimodule check {name!r}")
-
-
-def _check_matched_pair(mp: MatchedPair, name: str):
-    if name not in ("matched_pair", "compatibility"):
-        raise InputFormatError(f"unknown matched-pair check {name!r}")
-    hits = check_matched_pair(mp)
-    if not hits:
-        return True, None, 0
-    first = hits[0]
-    witness = {
-        "condition": first.condition,
-        "where": list(first.where),
-        "text": format_violation(first),
-    }
-    return False, witness, len(hits)
-
-
-def _check_candidate(bc: BialgebraCandidate, name: str):
-    if name != "manin_triple":
-        raise InputFormatError(f"unknown bialgebra-candidate check {name!r}")
-    return _first_failing(check_manin_triple(bc).verdicts)
+# input type -> (kind, {check name: check(obj, name) -> (Verdict, count)}).
+# Each entry looks its library function up in this module when it is called,
+# so a wrapper bound over that name here (a profiler's, say) is what runs.
+_CHECKS = {
+    CoalgebraTable: ("coalgebra", {
+        "co_right": lambda c, name: _counted(coalgebra_verdict, name, check_co_right(c)),
+        "co_left": lambda c, name: _counted(coalgebra_verdict, name, check_co_left(c)),
+        "cocomm_coassoc": lambda c, name: _first_failing(name, check_cocomm_coassoc(c).verdicts),
+        "lie_coalgebra": lambda c, name: _first_failing(name, check_lie_coalgebra(c).verdicts),
+        "aux": lambda c, name: _first_failing(name, check_aux_coalgebra_identities(c).verdicts),
+    }),
+    Bimodule: ("bimodule", {
+        "axioms": lambda b, name: _counted(_axioms_verdict, name, check_bimodule(b)),
+        "derived_relations": _derived_relations,
+        "subadjacent": _subadjacent,
+    }),
+    MatchedPair: ("matched-pair", dict.fromkeys(
+        ("matched_pair", "compatibility"),
+        lambda mp, name: _counted(matched_pair_verdict, name, check_matched_pair(mp)),
+    )),
+    BialgebraCandidate: ("bialgebra-candidate", {
+        "manin_triple": lambda bc, name: _first_failing(name, check_manin_triple(bc).verdicts),
+    }),
+}
 
 
 def cmd_check(args) -> int:
     obj = _resolve_input(args.input)
     name = args.name
     if isinstance(obj, AlgebraTable):
-        holds, witness, count = _check_algebra(obj, name)
-    elif isinstance(obj, CoalgebraTable):
-        holds, witness, count = _check_coalgebra(obj, name)
-    elif isinstance(obj, Bimodule):
-        holds, witness, count = _check_bimodule(obj, name)
-    elif isinstance(obj, MatchedPair):
-        holds, witness, count = _check_matched_pair(obj, name)
+        verdict, count = _check_algebra(obj, name)
     else:
-        holds, witness, count = _check_candidate(obj, name)
+        kind, checks = _CHECKS[type(obj)]
+        if name not in checks:
+            raise InputFormatError(f"unknown {kind} check {name!r}")
+        verdict, count = checks[name](obj, name)
 
     if args.format == "json":
         _emit_json(
@@ -244,22 +232,21 @@ def cmd_check(args) -> int:
                 "kind": "check_report",
                 "input": args.input,
                 "check": name,
-                "holds": holds,
+                "holds": verdict.holds,
                 "violations": count,
-                "witness": witness,
+                "witness": None if verdict.holds
+                else {**verdict.witness_data, "text": verdict.witness_text},
             },
             args.out,
         )
+    elif verdict.holds:
+        _emit(f"{name}: HOLDS ({args.input})\n", args.out)
     else:
-        if holds:
-            _emit(f"{name}: HOLDS ({args.input})\n", args.out)
-        else:
-            detail = witness.get("text", "") if witness else ""
-            _emit(
-                f"{name}: FAILS ({args.input}) violations={count}\n  {detail}\n",
-                args.out,
-            )
-    return 0 if holds else 1
+        _emit(
+            f"{name}: FAILS ({args.input}) violations={count}\n  {verdict.witness_text}\n",
+            args.out,
+        )
+    return 0 if verdict.holds else 1
 
 
 # -- audit -------------------------------------------------------------------
@@ -275,29 +262,62 @@ def _pick_orientation(a: AlgebraTable, requested: str) -> str:
     return "right"
 
 
+def _violations_section(title: str, violations: list, describe):
+    """(text lines, JSON section) of a violation list: its size, and its first
+    entry as ``describe`` words it."""
+    ok = not violations
+    lines = [f"[{title}] {'HOLDS' if ok else f'FAILS ({len(violations)} violations)'}"]
+    if not ok:
+        lines.append(f"  first: {describe(violations[0])}")
+    return lines, {"title": title, "holds": ok, "violations": len(violations)}
+
+
+def _verdicts_section(title: str, verdicts, fields: dict, notes=()):
+    """(text lines, JSON section) of a verdict sequence: a line per verdict,
+    then one per note; ``fields`` is the JSON section after its title."""
+    lines = [f"[{title}] {line}" for line in (*(v.line() for v in verdicts), *notes)]
+    return lines, {"title": title, **fields}
+
+
 def _audit_sections(obj) -> list:
-    """(title, bundle-or-report) sections for non-algebra audits."""
+    """Rendered (text lines, JSON section) pairs of a non-algebra audit."""
+
+    def bundle(title, b):
+        return _verdicts_section(title, b.verdicts, b.jsonable())
+
     if isinstance(obj, Bimodule):
         derived = check_derived_relations(obj)
+        if derived.vacuous:
+            relations = _verdicts_section(
+                "derived_relations", (), {"vacuous": True}, ["vacuous (axioms fail)"]
+            )
+        else:
+            relations = _verdicts_section(
+                "derived_relations", derived.relations,
+                {"vacuous": False, "verdicts": [v.jsonable() for v in derived.relations]},
+            )
+        rep = induced_subadjacent_map(obj).representation
         return [
-            ("axioms", derived.axioms),
-            ("derived_relations", derived),
-            ("subadjacent", induced_subadjacent_map(obj)),
+            _violations_section("axioms", derived.axioms, lambda v: f"{v.axiom} at {v.pair}"),
+            relations,
+            _verdicts_section("subadjacent", (rep,), rep.jsonable()),
         ]
     if isinstance(obj, MatchedPair):
         return [
-            ("compatibility", check_matched_pair(obj)),
-            ("induced_commassoc_pair", induced_commassoc_pair(obj)),
-            ("induced_lie_pair", induced_lie_pair(obj)),
+            _violations_section("compatibility", check_matched_pair(obj), format_violation),
+            bundle("induced_commassoc_pair", induced_commassoc_pair(obj)),
+            bundle("induced_lie_pair", induced_lie_pair(obj)),
         ]
     if isinstance(obj, CoalgebraTable):
         return [
-            ("as_given:aux", check_aux_coalgebra_identities(obj)),
-            ("as_given:cocomm_coassoc", check_cocomm_coassoc(obj)),
-            ("as_given:lie_coalgebra", check_lie_coalgebra(obj)),
-            ("opposite:aux", check_aux_coalgebra_identities(opposite_coproduct(obj))),
+            bundle("as_given:aux", check_aux_coalgebra_identities(obj)),
+            bundle("as_given:cocomm_coassoc", check_cocomm_coassoc(obj)),
+            bundle("as_given:lie_coalgebra", check_lie_coalgebra(obj)),
+            bundle("opposite:aux", check_aux_coalgebra_identities(opposite_coproduct(obj))),
         ]
-    return [("equivalence", equivalence_audit(obj))]
+    report = equivalence_audit(obj)
+    findings = [f"finding: {f}" for f in report.findings]
+    return [_verdicts_section("equivalence", report.conditions, report.jsonable(), findings)]
 
 
 def cmd_audit(args) -> int:
@@ -316,47 +336,13 @@ def cmd_audit(args) -> int:
             _emit(audit_report_text(report), args.out)
         return 0
 
-    lines = [f"audit: {subject}"]
-    payload = {"kind": "audit_report", "subject": subject, "sections": []}
-    for title, section in _audit_sections(obj):
-        if isinstance(section, list):  # raw violation list
-            ok = not section
-            lines.append(f"[{title}] {'HOLDS' if ok else f'FAILS ({len(section)} violations)'}")
-            if not ok:
-                first = section[0]
-                if hasattr(first, "axiom"):
-                    text = f"{first.axiom} at {tuple(first.pair)}"
-                else:
-                    text = format_violation(first)
-                lines.append(f"  first: {text}")
-            payload["sections"].append({"title": title, "holds": ok,
-                                        "violations": len(section)})
-        elif hasattr(section, "verdicts"):
-            lines.extend(f"[{title}] {v.line()}" for v in section.verdicts)
-            payload["sections"].append({"title": title, **section.jsonable()})
-        elif hasattr(section, "conditions"):  # equivalence report
-            lines.extend(section.lines())
-            payload["sections"].append({"title": title, **section.jsonable()})
-        elif hasattr(section, "relations"):  # derived-relations report
-            if section.vacuous:
-                lines.append(f"[{title}] vacuous (axioms fail)")
-                payload["sections"].append({"title": title, "vacuous": True})
-            else:
-                lines.extend(f"[{title}] {v.line()}" for v in section.relations)
-                payload["sections"].append(
-                    {
-                        "title": title,
-                        "vacuous": False,
-                        "verdicts": [v.jsonable() for v in section.relations],
-                    }
-                )
-        else:  # subadjacent report
-            v = section.representation
-            lines.append(f"[{title}] {v.line()}")
-            payload["sections"].append({"title": title, **v.jsonable()})
+    sections = _audit_sections(obj)
     if args.format == "json":
+        payload = {"kind": "audit_report", "subject": subject,
+                   "sections": [section for _, section in sections]}
         _emit_json(payload, args.out)
     else:
+        lines = [f"audit: {subject}", *(line for text, _ in sections for line in text)]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -170,18 +170,20 @@ def check_co_left(c: CoalgebraTable, *, first_only: bool = False) -> list[Coalge
     return [CoalgebraViolation(k, r) for k, r in _residuals(c, "co_left", first_only)]
 
 
-def _verdict(c: CoalgebraTable, name: str) -> Verdict:
-    """The check's verdict, witnessed at its least failing basis vector."""
-    hits = _residuals(c, name, first_only=True)
-    if not hits:
+def coalgebra_verdict(name: str, violations) -> Verdict:
+    """The verdict of a co-check, witnessed at its least failing basis vector;
+    ``violations`` are (k, residual at e_k) pairs in ascending k."""
+    if not violations:
         return Verdict(name, True)
-    k, r = hits[0]
+    k, r = violations[0]
     return Verdict(name, False, f"at e{k}: residual = {format_triples(r)}",
                    {"basis_index": k, "residual": triples_jsonable(r)})
 
 
 def _bundle(c: CoalgebraTable, kind: str, names: tuple[str, ...]) -> VerdictBundle:
-    return VerdictBundle(kind, tuple(_verdict(c, name) for name in names))
+    return VerdictBundle(
+        kind, tuple(coalgebra_verdict(n, _residuals(c, n, first_only=True)) for n in names)
+    )
 
 
 def check_cocomm_coassoc(c: CoalgebraTable) -> VerdictBundle:

@@ -47,7 +47,7 @@ from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
 from .bimodule import Bimodule, check_bimodule, representation_verdict
 from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
-from .reports import VerdictBundle, format_matrix, format_vector, vector_equality_verdict
+from .reports import Verdict, VerdictBundle, format_matrix, format_vector, vector_equality_verdict
 from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix
 
 
@@ -129,6 +129,15 @@ def format_violation(v: MatchedPairViolation) -> str:
     body = format_matrix(v.residual) if isinstance(v.residual, Matrix) else format_vector(v.residual)
     where = "(" + ",".join(str(i) for i in v.where) + ")"
     return f"{v.condition} at {where}: residual {body}"
+
+
+def matched_pair_verdict(name: str, violations: list[MatchedPairViolation]) -> Verdict:
+    """The verdict of a matched-pair check, witnessed by its first violation."""
+    if not violations:
+        return Verdict(name, True)
+    v = violations[0]
+    witness = {"condition": v.condition, "where": list(v.where)}
+    return Verdict(name, False, format_violation(v), witness)
 
 
 def _mixed_violations(p: AlgebraTable, q: AlgebraTable, lq, rq, q_on_p, p_on_q, side: str):

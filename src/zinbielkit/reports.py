@@ -51,9 +51,6 @@ class VerdictBundle(NamedTuple):
                 return v
         raise KeyError(name)
 
-    def lines(self) -> list[str]:
-        return [f"[{self.kind}] {v.line()}" for v in self.verdicts]
-
     def jsonable(self) -> dict:
         return {
             "kind": self.kind,

@@ -92,7 +92,9 @@ EXIT_CASES = [
 @pytest.mark.parametrize("argv,code", EXIT_CASES, ids=_case_id)
 def test_exit_codes(argv, code, capsys):
     assert main(argv) == code
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if code == 2:  # an input error is one line on stderr, never a traceback
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
