@@ -272,11 +272,10 @@ def _violations_section(title: str, violations: list, describe):
     return lines, {"title": title, "holds": ok, "violations": len(violations)}
 
 
-def _verdicts_section(title: str, verdicts, fields: dict, notes=()):
-    """(text lines, JSON section) of a verdict sequence: a line per verdict,
-    then one per note; ``fields`` is the JSON section after its title."""
-    lines = [f"[{title}] {line}" for line in (*(v.line() for v in verdicts), *notes)]
-    return lines, {"title": title, **fields}
+def _verdicts_section(title: str, verdicts, fields: dict):
+    """(text lines, JSON section) of a verdict sequence: a line per verdict;
+    ``fields`` is the JSON section after its title."""
+    return [f"[{title}] {v.line()}" for v in verdicts], {"title": title, **fields}
 
 
 def _audit_sections(obj) -> list:
@@ -288,8 +287,9 @@ def _audit_sections(obj) -> list:
     if isinstance(obj, Bimodule):
         derived = check_derived_relations(obj)
         if derived.vacuous:
-            relations = _verdicts_section(
-                "derived_relations", (), {"vacuous": True}, ["vacuous (axioms fail)"]
+            relations = (
+                ["[derived_relations] vacuous (axioms fail)"],
+                {"title": "derived_relations", "vacuous": True},
             )
         else:
             relations = _verdicts_section(
@@ -316,8 +316,7 @@ def _audit_sections(obj) -> list:
             bundle("opposite:aux", check_aux_coalgebra_identities(opposite_coproduct(obj))),
         ]
     report = equivalence_audit(obj)
-    findings = [f"finding: {f}" for f in report.findings]
-    return [_verdicts_section("equivalence", report.conditions, report.jsonable(), findings)]
+    return [(report.lines(), {"title": "equivalence", **report.jsonable()})]
 
 
 def cmd_audit(args) -> int:

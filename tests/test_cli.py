@@ -13,6 +13,8 @@ import pytest
 from zinbielkit import check_bimodule, regular_bimodule, trunc_integration
 from zinbielkit.cli import main
 
+from test_goldens import load_generator
+
 
 @pytest.fixture(autouse=True)
 def _run_from_repo_root(request, monkeypatch):
@@ -89,30 +91,26 @@ EXIT_CASES = [
 ]
 
 
+# the input kind the error of each unknown-check case above names
+UNKNOWN_CHECK_KINDS = {
+    "tests/corpus/dual_t3.json": "coalgebra",
+    "tests/corpus/regular_t3_bimodule.json": "bimodule",
+    "tests/corpus/zero_pair.json": "matched-pair",
+    "tests/corpus/candidate_t2_zero.json": "bialgebra-candidate",
+}
+
+
 @pytest.mark.parametrize("argv,code", EXIT_CASES, ids=_case_id)
 def test_exit_codes(argv, code, capsys):
     assert main(argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     if code == 2:  # an input error is one line on stderr, never a traceback
         assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
-@pytest.mark.parametrize(
-    "src,name,message",
-    [
-        ("tests/corpus/dual_t3.json", "no_such_check", "unknown coalgebra check 'no_such_check'"),
-        ("tests/corpus/regular_t3_bimodule.json", "no_such_check",
-         "unknown bimodule check 'no_such_check'"),
-        ("tests/corpus/zero_pair.json", "axioms", "unknown matched-pair check 'axioms'"),
-        ("tests/corpus/candidate_t2_zero.json", "matched_pair",
-         "unknown bialgebra-candidate check 'matched_pair'"),
-    ],
-)
-def test_unknown_check_names_the_input_kind(src, name, message, capsys):
-    assert main(["check", src, name]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+        kind = UNKNOWN_CHECK_KINDS.get(argv[1]) if argv[0] == "check" else None
+        if kind is not None:
+            assert captured.out == ""
+            assert err == f"error: unknown {kind} check {argv[2]!r}\n"
 
 
 GOLDEN_CASES = [
@@ -197,15 +195,7 @@ GOLDEN_CASES.append(
 )
 
 # one check per witness shape, as scripts/regenerate_goldens.py writes them
-for _src, _check, _name, _code, _formats in (
-    ("tests/corpus/broken_bimodule.json", "axioms", "axioms_broken", 1, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "co_right", "co_right_dual_t3", 0, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "co_left", "co_left_dual_t3", 1, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "cocomm_coassoc", "cocomm_coassoc_dual_t3", 1, ("json",)),
-    ("tests/corpus/dual_t3.json", "lie_coalgebra", "lie_coalgebra_dual_t3", 1, ("json",)),
-    ("tests/corpus/dual_reps_t3.json", "matched_pair", "matched_pair_dual_reps_t3", 1, ("json",)),
-    ("trunc-int:left:3", "right_zinbiel", "right_zinbiel_l3", 1, ("json",)),
-):
+for _src, _check, _name, _code, _formats in load_generator().WITNESS_SHAPE_CHECKS:
     for _fmt in _formats:
         _ext = "txt" if _fmt == "text" else "json"
         GOLDEN_CASES.append(

@@ -6,13 +6,15 @@ produces, such as ``equivalence_quadruples.txt`` and ``claim_audit.json``.
 """
 
 import importlib.util
+from pathlib import Path
 
 from zinbielkit.fuzz import DEFAULT_SEED
 
 
-def _load_generator(root):
+def load_generator():
+    """scripts/regenerate_goldens.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
-        "regenerate_goldens", root / "scripts" / "regenerate_goldens.py"
+        "regenerate_goldens", Path(__file__).parents[1] / "scripts" / "regenerate_goldens.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -21,7 +23,7 @@ def _load_generator(root):
 
 def test_regenerated_goldens_match_bytes(request, goldens_dir, tmp_path, monkeypatch):
     root = request.config.rootpath
-    generator = _load_generator(root)
+    generator = load_generator()
     monkeypatch.chdir(root)  # corpus paths inside goldens are repo-root relative
     out = tmp_path / "goldens"
     generator.write_goldens(out, DEFAULT_SEED)
