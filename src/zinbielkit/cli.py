@@ -13,7 +13,8 @@ prints the verdict's witness text as its detail line, and in JSON its
 witness data plus that text.  An algebra takes a catalog identity or an
 expression; the other input kinds take the names in ``_CHECKS``.  ``audit``
 renders each section of a non-algebra input from a violation list (its size
-and first entry) or from a verdict sequence (one line per verdict).
+and first entry) or from a verdict sequence (one line per verdict); the
+equivalence section of a bialgebra candidate is its report's own lines.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
