@@ -36,18 +36,15 @@ def pick_orientation(table, requested: str) -> str:
 
 def run(args: argparse.Namespace) -> str:
     claims = args.claims.split(",") if args.claims else None
-    chunks: list[str] = []
-    payloads: list[dict] = []
-    for name, table in fuzz.standard_models(args.max_n):
-        report = audit_claims(
-            table, pick_orientation(table, args.orientation), claims=claims, subject=name
-        )
-        chunks.append(audit_report_text(report))
-        payloads.append(audit_report_jsonable(report))
+    reports = [
+        audit_claims(table, pick_orientation(table, args.orientation), claims=claims, subject=name)
+        for name, table in fuzz.standard_models(args.max_n)
+    ]
     if args.format == "json":
+        payloads = [audit_report_jsonable(report) for report in reports]
         collection = {"kind": "claim_audit_collection", "reports": payloads}
         return json.dumps(collection, indent=2, sort_keys=True) + "\n"
-    return "\n".join(chunks)
+    return "\n".join(audit_report_text(report) for report in reports)
 
 
 def main(argv: list[str] | None = None) -> int:

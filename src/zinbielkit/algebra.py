@@ -64,6 +64,12 @@ class AlgebraTable(Frozen):
                 by_output.setdefault(k, []).append((i, j, v))
         return d, by_left, by_right, dict(sorted(by_output.items()))
 
+    @cached_property
+    def _shape_tensors(self) -> dict:
+        """The sparse join's tensors of tree shapes over this table, filled
+        by ``identities._Joiner`` and shared by every evaluation on it."""
+        return {}
+
     def product_basis(self, i: int, j: int) -> dict:
         """Raw coefficient dict of e_i * e_j."""
         return {k: v for k, v in self._pair_products.get((i, j), ())}

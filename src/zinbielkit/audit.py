@@ -5,6 +5,8 @@ catalog's sides.  One sparse-join pass of ``identities.evaluate_sides``
 gives both side values and the residual at every basis tuple where they
 differ; the audit records that complete list of failing tuples in
 lexicographic order, and the first entry doubles as the headline witness.
+The claims, the orientation gate and the orientation pick all read the
+same tree-shape tensors, which the join memoizes on the table.
 Claims whose usual statements assume a Zinbiel table are still evaluated
 when the table fails its orientation check; the report is then marked
 vacuous rather than suppressed.
@@ -16,12 +18,13 @@ contested, and the audit reports rather than decides.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .algebra import AlgebraTable
 from .identities import CLAIM_SIDES, catalog, difference, evaluate_sides, holds, parse_term_sum
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
-from .tensors import Vector
 
 
 class ClaimSpec(NamedTuple):
@@ -66,11 +69,12 @@ class AuditReport(NamedTuple):
         raise KeyError(name)
 
 
-def _failure_text(spec: ClaimSpec, assignment, lhs_val, rhs_val, residual) -> str:
-    where = format_assignment(assignment)
-    if not spec.rhs:
-        return f"at {where}: residual = {format_vector(residual)}"
-    return f"at {where}: lhs = {format_vector(lhs_val)}, rhs = {format_vector(rhs_val)}"
+@cache
+def _claim_sides(lhs: str, rhs: str) -> tuple[tuple[str, ...], tuple]:
+    """(variables, (lhs terms, rhs terms)) of a claim, parsed once per process."""
+    lhs_terms = parse_term_sum(lhs)
+    rhs_terms = parse_term_sum(rhs) if rhs else ()
+    return difference(lhs_terms, rhs_terms).variables, (lhs_terms, rhs_terms)
 
 
 def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Verdict:
@@ -79,31 +83,39 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Ve
     Witness text is the lexicographically first failure; witness data lists
     every failure.  The full list is what makes audit reports diffable
     evidence rather than spot checks; the sparse join finds it without
-    visiting the tuples on which every product vanishes.
+    visiting the tuples on which every product vanishes.  Each distinct side
+    or residual value is formatted once per claim.
     """
-    lhs_terms = parse_term_sum(spec.lhs)
-    rhs_terms = parse_term_sum(spec.rhs) if spec.rhs else ()
-    variables = difference(lhs_terms, rhs_terms).variables
-    hits = evaluate_sides(table, variables, (lhs_terms, rhs_terms))
+    variables, sides = _claim_sides(spec.lhs, spec.rhs)
+    scale, hits = evaluate_sides(table, variables, sides)
     if not hits:
         return Verdict(spec.name, True)
+    shown: dict[tuple, tuple[str, list]] = {}
+
+    def show(value: dict) -> tuple[str, list]:
+        """(text, JSON) of a scaled value; side values may hold zeros."""
+        key = tuple(sorted((k, v) for k, v in value.items() if v))
+        out = shown.get(key)
+        if out is None:
+            exact = {k: Fraction(v, scale) for k, v in key}
+            out = shown[key] = (format_vector(exact), vector_jsonable(exact))
+        return out
+
     failures = []
     for assignment, residual, (lhs, rhs) in hits:
-        lhs_val, rhs_val = Vector(table.dim, lhs), Vector(table.dim, rhs)
-        res_val = Vector(table.dim, residual)
+        where = format_assignment(assignment)
+        (lhs_text, lhs_json), (rhs_text, rhs_json) = show(lhs), show(rhs)
+        res_text, res_json = show(residual)
+        sides_text = f"at {where}: lhs = {lhs_text}, rhs = {rhs_text}"
         if not failures:
-            headline = (
-                f"at {format_assignment(assignment)}: "
-                f"lhs = {format_vector(lhs_val)}, rhs = {format_vector(rhs_val)}, "
-                f"residual = {format_vector(res_val)}"
-            )
+            headline = f"{sides_text}, residual = {res_text}"
         failures.append(
             {
                 "tuple": list(assignment),
-                "text": _failure_text(spec, assignment, lhs_val, rhs_val, res_val),
-                "lhs": vector_jsonable(lhs_val),
-                "rhs": vector_jsonable(rhs_val),
-                "residual": vector_jsonable(res_val),
+                "text": sides_text if spec.rhs else f"at {where}: residual = {res_text}",
+                "lhs": lhs_json,
+                "rhs": rhs_json,
+                "residual": res_json,
             }
         )
     data = {
@@ -128,16 +140,18 @@ def audit_claims(
     a claim filter leaves the gate out of the report, a scan of the catalog
     identity of that name decides it, stopping at its first residual.
     Claims run one after another on the same sparse join as ``check``
-    (``identities.evaluate_sides``).
+    (``identities.evaluate_sides``), so they share its tensors per table.
+    The symmetrized table is built only when a selected claim targets it.
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
-    sym = algebra.symmetrize()
     selected = [c for c in CLAIMS if claims is None or c.name in claims]
     if claims is not None:
         unknown = set(claims) - {c.name for c in CLAIMS}
         if unknown:
             raise ValueError(f"unknown claim(s): {', '.join(sorted(unknown))}")
+    on_sym = any(spec.target == "symmetrized product" for spec in selected)
+    sym = algebra.symmetrize() if on_sym else None
 
     def run(spec: ClaimSpec) -> Verdict:
         table = sym if spec.target == "symmetrized product" else algebra

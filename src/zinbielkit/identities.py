@@ -14,12 +14,19 @@ basis vectors.
 
 Evaluation is a sparse join: each product tree becomes a sparse tensor,
 joined bottom-up over the nonzero structure constants only, so the
-``dim^vars`` basis tuples are never walked one at a time.  Residuals come
-out in lexicographic order of their basis tuples, one slice of the first
-variable at a time, so the first reported residual is a deterministic
-witness.  Each evaluation logs one DEBUG record on the
-``zinbielkit.identities`` logger with the size of the tuple space, the
-slices visited, the joined tensor entries and the residual count.
+``dim^vars`` basis tuples are never walked one at a time.  A tree's tensor
+depends only on its shape: the tree with every leaf a placeholder, the
+sliced variable's leaf marked apart.  So the tensors are memoized per table
+by shape (``AlgebraTable._shape_tensors``) and live as long as the table.
+Read unsliced, ``(x (y z))``, ``(y (x z))`` and ``(z (y x))`` are one
+tensor; every identity, claim and check on the table reads the shapes an
+earlier one built and joins only new ones.  Residuals come out in
+lexicographic order of their basis tuples, one slice of the first variable
+at a time, so the first reported residual is a deterministic witness.  Each
+evaluation logs one DEBUG record on the ``zinbielkit.identities`` logger
+with the size of the tuple space, the slices visited, the tensor entries
+this evaluation joined (not those it read from the memo) and the residual
+count.
 """
 
 from __future__ import annotations
@@ -258,6 +265,10 @@ def render_identity(identity: Identity) -> str:
 
 Tensor = dict  # basis index k -> {leaf assignment: scaled integer coefficient of e_k}
 
+# The leaves of a shape: the sliced variable, fixed at one index per slice,
+# and every other variable.
+SLICED, FREE = "@", "*"
+
 
 def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable:
     """Map from an assignment in leaf order to one in ``variables`` order."""
@@ -267,16 +278,29 @@ def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable
     return itemgetter(*positions)
 
 
+def _shape(tree: Tree, sliced: str | None) -> Tree:
+    """The tree with the leaf ``sliced`` as ``SLICED`` and every other leaf
+    as ``FREE``.  One frame per level, like the parser."""
+    if isinstance(tree, str):
+        return SLICED if tree == sliced else FREE
+    return (_shape(tree[0], sliced), _shape(tree[1], sliced))
+
+
 class _Joiner:
-    """Integer tensors of product trees over one table, built bottom-up by
-    joining only index pairs whose product is nonzero.  Trees without a
-    sliced variable are built once, in ``fixed``; ``joined`` counts the
-    nonzero entries built, for the DEBUG record of ``log``."""
+    """Integer tensors of tree shapes over one table, built bottom-up by
+    joining only index pairs whose product is nonzero.
+
+    The tensors live in the table's memo (``AlgebraTable._shape_tensors``),
+    so they outlive this joiner: a shape without the sliced leaf is keyed by
+    the shape, one with it by ``(shape, slice index)``.  Assignments are in
+    leaf order; each term's ``reorder`` maps them to variable order.
+    ``joined`` counts the nonzero entries this joiner built, for the DEBUG
+    record of ``log``."""
 
     def __init__(self, algebra: AlgebraTable):
         self.dim = algebra.dim
         self.d, self.by_left, self.by_right, self.by_output = algebra._factor_rows
-        self.fixed: dict[Tree, Tensor] = {}
+        self.memo: dict = algebra._shape_tensors
         self.joined = 0
 
     def join(self, left: Tensor, right: Tensor) -> Tensor:
@@ -303,19 +327,26 @@ class _Joiner:
                 del out[k]
         return out
 
-    def tensor(self, tree: Tree, sliced: dict) -> Tensor:
-        """The tree's tensor; ``sliced`` holds the tensors of fixed-index
-        leaves and of the subtrees built over them."""
-        for memo in (sliced, self.fixed):
-            if tree in memo:
-                return memo[tree]
-        if isinstance(tree, str):
-            self.fixed[tree] = {i: {(i,): 1} for i in range(self.dim)}
-            return self.fixed[tree]
-        left, right = self.tensor(tree[0], sliced), self.tensor(tree[1], sliced)
-        memo = sliced if tree[0] in sliced or tree[1] in sliced else self.fixed
-        memo[tree] = self.join(left, right)
-        return memo[tree]
+    def tensor(self, shape: Tree, s: int | None = None) -> tuple[Tensor, bool]:
+        """The shape's tensor with its ``SLICED`` leaf at index ``s``, and
+        whether the shape has that leaf; read from the memo or joined into it."""
+        memo = self.memo
+        if shape in memo:
+            return memo[shape], False
+        key = (shape, s)
+        if key in memo:
+            return memo[key], True
+        if shape == FREE:
+            memo[shape] = {i: {(i,): 1} for i in range(self.dim)}
+            return memo[shape], False
+        if shape == SLICED:
+            memo[key] = {s: {(s,): 1}}
+            return memo[key], True
+        left, left_sliced = self.tensor(shape[0], s)
+        right, right_sliced = self.tensor(shape[1], s)
+        sliced = left_sliced or right_sliced
+        tensor = memo[key if sliced else shape] = self.join(left, right)
+        return tensor, sliced
 
     def log(self, what: str, nvars: int, visited: int, unit: str, residuals: int):
         log_debug(
@@ -326,13 +357,15 @@ class _Joiner:
         )
 
 
-def _compile(variables: tuple[str, ...], sides) -> tuple[int, list]:
-    """(coefficient denominator, [(side, scaled coefficient, tree, reorder)])."""
+def _compile(variables: tuple[str, ...], sides, sliced: str | None) -> tuple[int, list]:
+    """(coefficient denominator, [(side, scaled coefficient, shape, reorder)]),
+    with the variable ``sliced`` as the shapes' ``SLICED`` leaf."""
     for terms in sides:
         _validate_arity(variables, terms)
     coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
     compiled = [
-        (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
+        (side, int(coeff * coeff_den), _shape(tree, sliced),
+         _leaf_order(tuple(_leaves(tree)), variables))
         for side, terms in enumerate(sides)
         for coeff, tree in terms
         if coeff
@@ -346,45 +379,42 @@ def evaluate_sides(
     sides,
     *,
     first_only: bool = False,
-) -> list[tuple[tuple[int, ...], dict, list[dict]]]:
+) -> tuple[int, list[tuple[tuple[int, ...], dict, list[dict]]]]:
     """Residuals of ``sides[0] - sides[1] - ...``, each with every side's value.
 
     ``sides`` holds term sums over ``variables``, every term using each
-    variable exactly once.  Returns ``[(assignment, residual, side values)]``
-    for the basis assignments with a nonzero residual, in lexicographic
-    order, as raw coefficient dicts (side values may hold zeros).
+    variable exactly once.  Returns ``(scale, [(assignment, residual, side
+    values)])`` for the basis assignments with a nonzero residual, in
+    lexicographic order.  Values are integer coefficient dicts, ``scale``
+    times the exact ones (side values may hold zeros).
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
-    is a sparse tensor built by ``_Joiner``.  Assignments are taken one
+    is read as its shape's sparse tensor from the table's memo (``_Joiner``),
+    which keeps every tensor for as long as the table lives: a shape is
+    joined once per table, not once per identity.  Assignments are taken one
     slice of the first variable at a time, in index order: subtrees without
-    that variable are joined once and reused by every slice, and
-    ``first_only`` stops at the first residual of the first slice that has
-    one.
+    that variable are shared by every slice, and ``first_only`` stops at the
+    first residual of the first slice that has one, so later slices are
+    never joined.
 
     Every tree has ``len(variables) - 1`` products, so with the structure
     constants scaled by their common denominator ``d`` and the term
     coefficients by theirs, all tensors hold integers and every value is
-    the same multiple of the exact one; only returned values are divided
-    back into ``Fraction``s.
+    the same multiple ``scale`` of the exact one.
     """
-    coeff_den, compiled = _compile(variables, sides)
-    joiner = _Joiner(algebra)
-    dim = algebra.dim
-    scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
     first = variables[0] if variables else None
-
-    def exact(value: dict) -> dict:
-        return {k: Fraction(v, scale) for k, v in value.items()}
+    coeff_den, compiled = _compile(variables, sides, first)
+    joiner = _Joiner(algebra)
+    scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
 
     hits: list = []
     slices = 0
-    for s in range(dim):
+    for s in range(algebra.dim):
         slices += 1
-        sliced = {first: {s: {(s,): 1}}}
         acc: dict[tuple[int, ...], list[dict]] = {}
-        for side, coeff, tree, reorder in compiled:
-            for k, rows in joiner.tensor(tree, sliced).items():
+        for side, coeff, shape, reorder in compiled:
+            for k, rows in joiner.tensor(shape, s)[0].items():
                 for a, u in rows.items():
                     full = reorder(a)
                     values = acc.get(full)
@@ -400,13 +430,13 @@ def evaluate_sides(
                     residual[k] = residual.get(k, 0) - v
             residual = {k: v for k, v in residual.items() if v}
             if residual:
-                hits.append((full, exact(residual), [exact(v) for v in values]))
+                hits.append((full, residual, values))
                 if first_only:
                     break
         if first_only and hits:
             break
     joiner.log("sparse join", len(variables), slices, "slices", len(hits))
-    return hits
+    return scale, hits
 
 
 def evaluate_by_output(
@@ -421,17 +451,18 @@ def evaluate_by_output(
     its failing assignments; ``first_only`` stops after the least such ``k``.
     This is the shape of a coalgebra check on the transposed table.
 
-    The children of each term's root are built once; the root is joined one
-    output at a time through the table's by-output index, so an early stop
-    skips the later outputs.  Every term must be a product.
+    The children of each term's root are read, unsliced, from the table's
+    shape memo; the root is joined one output at a time through the table's
+    by-output index, so an early stop skips the later outputs.  Every term
+    must be a product.
     """
     if len(variables) < 2:
         raise ValueError("an output read-out needs at least two variables")
-    coeff_den, compiled = _compile(variables, (terms,))
+    coeff_den, compiled = _compile(variables, (terms,), None)
     joiner = _Joiner(algebra)
     roots = [
-        (coeff, joiner.tensor(tree[0], {}), joiner.tensor(tree[1], {}), reorder)
-        for _, coeff, tree, reorder in compiled
+        (coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
+        for _, coeff, shape, reorder in compiled
     ]
     scale = joiner.d ** (len(variables) - 1) * coeff_den
     hits: list = []
@@ -471,8 +502,13 @@ def evaluate(
     ``check``, the claim audit and the Zinbiel scans all run on it.
     ``first_only`` stops at the first violation (the deterministic witness).
     """
-    hits = evaluate_sides(algebra, identity.variables, (identity.terms,), first_only=first_only)
-    return [Residual(a, Vector(algebra.dim, residual)) for a, residual, _ in hits]
+    scale, hits = evaluate_sides(
+        algebra, identity.variables, (identity.terms,), first_only=first_only
+    )
+    return [
+        Residual(a, Vector(algebra.dim, {k: Fraction(v, scale) for k, v in residual.items()}))
+        for a, residual, _ in hits
+    ]
 
 
 def holds(algebra: AlgebraTable, identity: Identity) -> bool:

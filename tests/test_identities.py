@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from zinbielkit.identities import (
     difference,
     evaluate,
     holds,
+    left_zinbiel_residuals,
     parse_identity,
     parse_term_sum,
     render_identity,
+    right_zinbiel_residuals,
 )
 from zinbielkit.models import free_halfshuffle, trunc_integration
 from zinbielkit.reports import vector_jsonable
@@ -179,10 +182,15 @@ def test_sparse_join_matches_reference_scan():
 
 
 def test_claim_sides_match_reference_scan():
+    # The first-only gate scans, then the claims in reverse order, all on one
+    # table object: whatever they leave in its tensor memo must not change a
+    # later claim's failures.
     tables = _random_tables(2019, count=15) + [trunc_integration(4, "left")]
     for table in tables:
         sym = table.symmetrize()
-        for spec in CLAIMS:
+        right_zinbiel_residuals(table, first_only=True)
+        left_zinbiel_residuals(table, first_only=True)
+        for spec in reversed(CLAIMS):
             target = sym if spec.target == "symmetrized product" else table
             lhs_terms = parse_term_sum(spec.lhs)
             rhs_terms = parse_term_sum(spec.rhs) if spec.rhs else ()
@@ -203,6 +211,23 @@ def test_claim_sides_match_reference_scan():
             keys = ("tuple", "lhs", "rhs", "residual")
             assert [{k: f[k] for k in keys} for f in got] == want, spec.name
             assert verdict.holds == (not want)
+
+
+def test_claims_share_shape_tensors_per_table(caplog):
+    by_name = {spec.name: spec for spec in CLAIMS}
+    table = trunc_integration(5, "right")
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        evaluate_claim(table, by_name["left_relation"], "product")
+        evaluate_claim(table, by_name["derived_4"], "product")  # the same sides
+        evaluate_claim(table.symmetrize(), by_name["derived_4"], "product")
+    joined = [
+        int(re.search(r"(\d+) joined entries", r.getMessage()).group(1))
+        for r in caplog.records
+        if r.name == "zinbielkit.identities"
+    ]
+    assert len(joined) == 3
+    assert joined[0] > 0 and joined[2] > 0  # each table builds its own tensors
+    assert joined[1] == 0  # every tensor of the second claim was already built
 
 
 def test_evaluate_rejects_non_multilinear_terms(t3):
