@@ -11,16 +11,19 @@ acting on a module space V.  Maps compose as operators: the matrix product
 where l_v / r_v at a vector v means the coefficient-weighted sum of the
 family.  These are exactly the conditions under which the semidirect sum
 (x+u)*(y+v) = x.y + (l_x v + r_y u) inherits the right-orientation Zinbiel
-identity from the base (the V*V block is zero by construction).
+identity from the base (the V*V block is zero by construction), so
+``check_bimodule`` reads them off one scan of it, as ``AXIOM_ROWS`` lists.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
+from .identities import right_zinbiel_residuals
 from .reports import Verdict, matrix_equality_verdict
-from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, linear_combination
+from .tensors import DimensionMismatch, Frozen, Matrix, add_raw, linear_combination
 
 
 class Bimodule(Frozen):
@@ -71,30 +74,59 @@ class BimoduleViolation(NamedTuple):
 
 _AXIOMS = ("left_composition", "mixed_composition", "right_composition")
 
+# The axioms as blocks of the semidirect sum's scan, module slots of kind 1,
+# read on the module component at (i, j, beta): (axiom, kinds, component, sign).
+AXIOM_ROWS = (
+    ("left_composition", (0, 0, 1), 1, 1),
+    ("mixed_composition", (0, 1, 0), 1, 1),
+    ("mixed_composition", (1, 0, 0), 1, -1),
+    ("right_composition", (1, 0, 0), 1, 1),
+)
+
+
+def read_blocks(hits, n: int, rows) -> dict[str, list]:
+    """Regroup a scan's hits [(triple, residual)] on U + W into conditions.
+
+    U is the basis 0..n-1, W the rest.  A row (condition, kinds, component,
+    sign) adds sign times the U (0) or W (1) component of the residuals at
+    the triples whose slots lie in U or W as the kinds (0 or 1) say, keyed
+    by the local triple with the odd kind's slot last.  Returns condition ->
+    [(key, residual)] in key order without zeros, and empties ``hits``."""
+    by_kinds: dict = {}
+    found: dict[str, dict] = {}
+    for condition, kinds, component, sign in rows:
+        order = itemgetter(*sorted(range(3), key=lambda s: kinds.count(kinds[s]) == 1))
+        block = found.setdefault(condition, {})
+        by_kinds.setdefault(kinds, []).append((component, sign, order, block))
+    while hits:
+        (i, j, k), residual = hits.pop()
+        parts: tuple[dict, dict] = ({}, {})
+        for c, v in residual.items():
+            parts[c >= n][c - n if c >= n else c] = v
+        local = (i - n if i >= n else i, j - n if j >= n else j, k - n if k >= n else k)
+        for component, sign, order, block in by_kinds.get((i >= n, j >= n, k >= n), ()):
+            if part := parts[component]:
+                key = order(local)
+                acc = block.get(key)
+                if acc is None:
+                    block[key] = part if sign > 0 else {c: -v for c, v in part.items()}
+                else:  # the second block of a two-block condition
+                    block[key] = add_raw(acc, part, sign)
+    return {c: [(key, r) for key, r in sorted(block.items()) if r] for c, block in found.items()}
+
+
+def column_matrices(blocks: list, v_dim: int) -> list[tuple[tuple[int, int], Matrix]]:
+    """An axiom's blocks [((i, j, beta), column)] as one matrix per (i, j)."""
+    pairs: dict = {}
+    for (i, j, beta), column in blocks:
+        pairs.setdefault((i, j), {}).update(((alpha, beta), v) for alpha, v in column.items())
+    return [(pair, Matrix(v_dim, v_dim, entries)) for pair, entries in pairs.items()]
+
 
 def check_bimodule(b: Bimodule) -> list[BimoduleViolation]:
     """All axiom violations over basis pairs, in (axiom, i, j) order."""
-    n = b.base.dim
-    left, right = b.left_maps, b.right_maps
-    # r_y r_x + r_y l_x = r_y (r_x + l_x): one product per pair, on sums built once
-    right_plus_left = [right[i] + left[i] for i in range(n)]
-    found: tuple[list, ...] = tuple([] for _ in _AXIOMS)
-    for i in range(n):
-        for j in range(n):
-            prod_ij = b.base.product_basis(i, j)
-            both = dict(prod_ij)
-            for k, v in b.base.product_basis(j, i).items():
-                both[k] = both.get(k, ZERO) + v
-            r_ij = b.right_at(prod_ij)
-            residuals = (
-                left[i] @ left[j] - b.left_at(both),
-                left[i] @ right[j] - r_ij,
-                r_ij - right[j] @ right_plus_left[i],
-            )
-            for axiom, residual, bucket in zip(_AXIOMS, residuals, found):
-                if not residual.is_zero:
-                    bucket.append(BimoduleViolation(axiom, (i, j), residual))
-    return [v for bucket in found for v in bucket]
+    found = read_blocks(right_zinbiel_residuals(semidirect_sum(b)), b.base.dim, AXIOM_ROWS)
+    return [BimoduleViolation(a, *m) for a in _AXIOMS for m in column_matrices(found[a], b.v_dim)]
 
 
 class DerivedRelationsReport(NamedTuple):

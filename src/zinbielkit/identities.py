@@ -386,7 +386,8 @@ def evaluate_sides(
     variable exactly once.  Returns ``(scale, [(assignment, residual, side
     values)])`` for the basis assignments with a nonzero residual, in
     lexicographic order.  Values are integer coefficient dicts, ``scale``
-    times the exact ones (side values may hold zeros).
+    times the exact ones (side values may hold zeros; one side's value is
+    its residual, the same dict, so a long scan keeps one dict per hit).
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
@@ -430,7 +431,7 @@ def evaluate_sides(
                     residual[k] = residual.get(k, 0) - v
             residual = {k: v for k, v in residual.items() if v}
             if residual:
-                hits.append((full, residual, values))
+                hits.append((full, residual, values if len(values) > 1 else (residual,)))
                 if first_only:
                     break
         if first_only and hits:
@@ -502,13 +503,17 @@ def evaluate(
     ``check``, the claim audit and the Zinbiel scans all run on it.
     ``first_only`` stops at the first violation (the deterministic witness).
     """
-    scale, hits = evaluate_sides(
-        algebra, identity.variables, (identity.terms,), first_only=first_only
-    )
-    return [
-        Residual(a, Vector(algebra.dim, {k: Fraction(v, scale) for k, v in residual.items()}))
-        for a, residual, _ in hits
-    ]
+    return [Residual(a, Vector(algebra.dim, r)) for a, r in _exact(algebra, identity, first_only)]
+
+
+def _exact(algebra: AlgebraTable, identity: Identity, first_only: bool) -> list:
+    """[(assignment, residual dict of Fractions)] of ``evaluate_sides``,
+    converted in place, so that a long scan's residuals are not held twice."""
+    variables, terms = identity
+    scale, hits = evaluate_sides(algebra, variables, (terms,), first_only=first_only)
+    for i, (a, r, _) in enumerate(hits):
+        hits[i] = (a, {k: Fraction(v, scale) for k, v in r.items()})
+    return hits
 
 
 def holds(algebra: AlgebraTable, identity: Identity) -> bool:
@@ -520,17 +525,12 @@ def right_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
 
     Returns [(triple, residual dict), ...] in lexicographic triple order.
     """
-    return _triples(a, "right_zinbiel", first_only)
+    return _exact(a, _catalog()["right_zinbiel"], first_only)
 
 
 def left_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
     """Check of (x*y)*z = x*(y*z) + x*(z*y); same shape as the right scan."""
-    return _triples(a, "left_zinbiel", first_only)
-
-
-def _triples(a: AlgebraTable, name: str, first_only: bool) -> list:
-    hits = evaluate(a, _catalog()[name], first_only=first_only)
-    return [(r.assignment, r.value.entries) for r in hits]
+    return _exact(a, _catalog()["left_zinbiel"], first_only)
 
 
 # Claim sides, name -> (lhs, rhs), with rhs "" for 0.  The catalog identity of

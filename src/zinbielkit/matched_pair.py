@@ -18,8 +18,9 @@ these are exactly equivalent to the double
 
     (x+a) * (y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
 
-passing the right-orientation Zinbiel check, which is how the equivalence is
-fuzz-tested.
+passing the right-orientation Zinbiel check, so ``check_matched_pair`` reads
+every condition off one right-Zinbiel scan of the double, as the blocks that
+``_ROWS`` lists.
 
 The base-table prerequisite is part of the check on purpose: with all maps
 zero the double degenerates to the direct sum, so "matched pair" must imply
@@ -38,17 +39,17 @@ and the other half is the same check on (h, g, k, f).
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
-from .bimodule import Bimodule, check_bimodule, representation_verdict
+from .bimodule import _AXIOMS, AXIOM_ROWS, column_matrices, read_blocks, representation_verdict
+from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
 from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
 from .reports import Verdict, VerdictBundle, format_matrix, format_vector, vector_equality_verdict
-from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix
+from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix, add_raw
 
 
 class MatchedPair(Frozen):
@@ -98,27 +99,6 @@ def _combine(columns, coeffs: dict, j: int) -> dict:
     return out
 
 
-def _fold(op, lhs: dict, others) -> dict:
-    """lhs op other for each of ``others`` in turn, dropping zero coefficients."""
-    out = dict(lhs)
-    for other in others:
-        for k, v in other.items():
-            acc = op(out.get(k, ZERO), v)
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _add(lhs: dict, *others: dict) -> dict:
-    return _fold(operator.add, lhs, others)
-
-
-def _sub(lhs: dict, *others: dict) -> dict:
-    return _fold(operator.sub, lhs, others)
-
-
 class MatchedPairViolation(NamedTuple):
     condition: str
     where: tuple[int, ...]
@@ -140,60 +120,36 @@ def matched_pair_verdict(name: str, violations: list[MatchedPairViolation]) -> V
     return Verdict(name, False, format_violation(v), witness)
 
 
-def _mixed_violations(p: AlgebraTable, q: AlgebraTable, lq, rq, q_on_p, p_on_q, side: str):
-    """The three mixed equalities for Q's actions lq, rq on P, over (x, y, a).
-
-    ``q_on_p`` holds the columns of lq, rq and lq+rq; ``p_on_q`` those of P's
-    actions lp, rp and lp+rp on Q.  Returns the compat_r violations and the
-    compat_l_1/compat_l_2 violations, each in scan order.
-    """
-    lq_at, rq_at, lrq_at = q_on_p
-    lp_at, rp_at, lrp_at = p_on_q
-    e = [{i: ONE} for i in range(p.dim)]
-    r_out: list[MatchedPairViolation] = []
-    l_out: list[MatchedPairViolation] = []
-    for x in range(p.dim):
-        for y in range(p.dim):
-            prod = p.product_basis(x, y)
-            sym = _add(prod, p.product_basis(y, x))
-            for a in range(q.dim):
-                r = _sub(
-                    rq[a].apply_raw(sym),
-                    p.multiply_raw(e[x], rq_at[a][y]),
-                    _combine(rq_at, lp_at[y][a], x),
-                )
-                if r:
-                    r_out.append(MatchedPairViolation(f"compat_r{side}", (x, y, a), r))
-                lhs = lq[a].apply_raw(prod)
-                r1 = _sub(lhs, p.multiply_raw(lrq_at[a][x], e[y]), _combine(lq_at, lrp_at[x][a], y))
-                if r1:
-                    l_out.append(MatchedPairViolation(f"compat_l{side}_1", (x, y, a), r1))
-                r2 = _sub(lhs, p.multiply_raw(e[x], lq_at[a][y]), _combine(rq_at, rp_at[y][a], x))
-                if r2:
-                    l_out.append(MatchedPairViolation(f"compat_l{side}_2", (x, y, a), r2))
-    return r_out, l_out
+# The *b conditions as blocks of the double's scan, A's slots of kind 0, read at
+# (x, y, a); the *a conditions swap the kinds and the component.
+_ROWS = tuple(
+    (name.format(p=p, q=q), tuple(k ^ swap for k in kinds), component ^ swap, sign)
+    for swap, p, q in ((0, "a", "b"), (1, "b", "a"))
+    for name, kinds, component, sign in (
+        ("base_{p}_right_zinbiel", (0, 0, 0), 0, 1),
+        ("compat_r{q}", (0, 0, 1), 0, -1),
+        ("compat_l{q}_1", (1, 0, 0), 0, 1),
+        ("compat_l{q}_2", (1, 0, 0), 0, 1),
+        ("compat_l{q}_2", (0, 1, 0), 0, -1),
+        *(("action_on_{q}:" + axiom, *row) for axiom, *row in AXIOM_ROWS),
+    )
+)
 
 
 def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     """Prerequisites plus the six mixed equalities; empty iff the double passes."""
-    out: list[MatchedPairViolation] = []
-    for side, table in (("a", mp.a), ("b", mp.b)):
-        for triple, residual in right_zinbiel_residuals(table):
-            out.append(MatchedPairViolation(f"base_{side}_right_zinbiel", triple, residual))
-    for side, bimodule in (
-        ("b", Bimodule(mp.a, mp.b.dim, mp.la, mp.ra)),
-        ("a", Bimodule(mp.b, mp.a.dim, mp.lb, mp.rb)),
-    ):
-        for v in check_bimodule(bimodule):
-            out.append(MatchedPairViolation(f"action_on_{side}:{v.axiom}", v.pair, v.residual))
+    found = read_blocks(right_zinbiel_residuals(double(mp)), mp.a.dim, _ROWS)
 
-    # Loop invariants shared by both action systems: every action column the
-    # equalities read, including those of the summed actions lb+rb and la+ra.
-    on_a = tuple(_columns(f) for f in (mp.lb, mp.rb, [l + r for l, r in zip(mp.lb, mp.rb)]))
-    on_b = tuple(_columns(f) for f in (mp.la, mp.ra, [l + r for l, r in zip(mp.la, mp.ra)]))
-    rb, lb = _mixed_violations(mp.a, mp.b, mp.lb, mp.rb, on_a, on_b, "b")
-    ra, la = _mixed_violations(mp.b, mp.a, mp.la, mp.ra, on_b, on_a, "a")
-    out += rb + ra + lb + la
+    def read(*conditions, v_dim=None):
+        return [MatchedPairViolation(c, *hit) for c in conditions for hit in
+                (found[c] if v_dim is None else column_matrices(found[c], v_dim))]
+
+    out = read("base_a_right_zinbiel", "base_b_right_zinbiel")
+    for q, v_dim in (("b", mp.b.dim), ("a", mp.a.dim)):
+        out += read(*(f"action_on_{q}:{axiom}" for axiom in _AXIOMS), v_dim=v_dim)
+    out += read("compat_rb", "compat_ra")
+    for q in "ba":  # compat_l*_1 and compat_l*_2 interleaved per (x, y, a)
+        out += sorted(read(f"compat_l{q}_1", f"compat_l{q}_2"), key=lambda v: v.where)
 
     log_debug(
         "zinbielkit.matched_pair",
@@ -239,10 +195,10 @@ def _pair_half(p, q, f, f_at, k_at, names, p_vars, q_vars, bracket: bool):
                     fxa_b = q.multiply_raw(f_at[x][a], {b: ONE})
                     via_a = _combine(f_at, k_at[a][x], b)
                     if bracket:
-                        lhs = _sub(_add(ab, via_a), _combine(f_at, k_at[b][x], a))
-                        yield (x, a, b), lhs, _add(fxa_b, q.multiply_raw({a: ONE}, f_at[x][b]))
+                        lhs = add_raw(add_raw(ab, via_a), _combine(f_at, k_at[b][x], a), -1)
+                        yield (x, a, b), lhs, add_raw(fxa_b, q.multiply_raw({a: ONE}, f_at[x][b]))
                     else:
-                        yield (x, a, b), ab, _add(fxa_b, via_a)
+                        yield (x, a, b), ab, add_raw(fxa_b, via_a)
 
     return (
         representation_verdict(rep_name, p, f, (*p_vars, "v"), bracket=bracket),

@@ -229,6 +229,18 @@ class Matrix(Frozen):
         return Vector(self.rows, dict(self._columns.get(c, ())))
 
 
+def add_raw(lhs: dict, other: dict, sign: int = 1) -> dict:
+    """lhs + other, or lhs - other with ``sign`` -1, dropping zero coefficients."""
+    out = dict(lhs)
+    for k, v in other.items():
+        acc = out.get(k, ZERO) + (v if sign > 0 else -v)
+        if acc:
+            out[k] = acc
+        elif k in out:
+            del out[k]
+    return out
+
+
 def _index(entries) -> dict:
     """((outer, inner), value) pairs -> {outer: ((inner, value), ...)}, inner ascending."""
     out: dict[int, list] = {}

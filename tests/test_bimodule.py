@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from zinbielkit import fuzz
+from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.bimodule import (
     Bimodule,
@@ -50,6 +51,36 @@ def test_regular_over_left_table_fails_with_ordered_violations(l3):
     keys = [(order.index(v.axiom), v.pair) for v in viols]
     assert keys == sorted(keys)
     assert {v.axiom for v in viols} == set(order)
+
+
+def _reference_rows(b):
+    return [tuple(v) for v in check_bimodule(b)], oracles.reference_check_bimodule(b)
+
+
+def test_check_matches_reference(bimodule_family):
+    rng = random.Random(fuzz.DEFAULT_SEED)
+    randoms = [fuzz.random_bimodule(rng, rng.randint(0, 3), rng.randint(0, 3)) for _ in range(300)]
+    failing = 0
+    for b in [b for _, b in bimodule_family] + randoms:
+        got, want = _reference_rows(b)
+        assert got == want
+        failing += bool(want)
+    assert failing > 100
+
+
+def test_mixed_blocks_cancel_to_no_violation():
+    # zero base product, l = 0, r_0 = E_10, r_1 = E_01: right_composition
+    # fails, while the two blocks that make up mixed_composition cancel
+    zero = Matrix.zero(2, 2)
+    r = (Matrix(2, 2, {(1, 0): Fraction(1)}), Matrix(2, 2, {(0, 1): Fraction(1)}))
+    b = Bimodule(algebra_from_entries(2, []), 2, (zero, zero), r)
+    got, want = _reference_rows(b)
+    assert got == want
+    assert [(axiom, pair) for axiom, pair, _ in got] == [
+        ("right_composition", (0, 1)),
+        ("right_composition", (1, 0)),
+    ]
+    assert all(not residual.is_zero for _, _, residual in got)
 
 
 def test_single_entry_perturbation_is_detected(t3):

@@ -167,7 +167,7 @@ def _violation_rows(violations):
     return [(v.condition, v.where, format_violation(v), v.residual) for v in violations]
 
 
-def test_check_matches_reference_scan(t3, matched_pair_family):
+def test_check_matches_reference_scan(t3, t5, matched_pair_family):
     t3_pair = dual_reps(BialgebraCandidate(t3, t3))
     rows = _violation_rows(check_matched_pair(t3_pair))
     assert rows == _violation_rows(oracles.reference_check_matched_pair(t3_pair))
@@ -177,6 +177,7 @@ def test_check_matches_reference_scan(t3, matched_pair_family):
     assert {"compat_la_1", "compat_la_2"} <= conditions
 
     pairs = [dual_reps(bc) for _, bc in fuzz.seeded_candidates(fuzz.DEFAULT_SEED)]
+    pairs += [dual_reps(BialgebraCandidate(t5, t5))]
     pairs += [mp for _, mp in matched_pair_family]
     for mp in pairs:
         got = _violation_rows(check_matched_pair(mp))
