@@ -58,12 +58,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, metavar="FILE")
     args = p.parse_args(argv)
-
-    text = run(args)
-    if args.out:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    try:
+        text = run(args)
+        if args.out:
+            try:
+                args.out.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc}") from None
+        else:
+            sys.stdout.write(text)
+    except ValueError as exc:  # an unknown claim or an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -87,7 +87,7 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Ve
     or residual value is formatted once per claim.
     """
     variables, sides = _claim_sides(spec.lhs, spec.rhs)
-    scale, hits = evaluate_sides(table, variables, sides)
+    scale, hits = evaluate_sides(table, variables, (range(table.dim),) * len(variables), sides)
     if not hits:
         return Verdict(spec.name, True)
     shown: dict[tuple, tuple[str, list]] = {}

@@ -11,19 +11,21 @@ acting on a module space V.  Maps compose as operators: the matrix product
 where l_v / r_v at a vector v means the coefficient-weighted sum of the
 family.  These are exactly the conditions under which the semidirect sum
 (x+u)*(y+v) = x.y + (l_x v + r_y u) inherits the right-orientation Zinbiel
-identity from the base (the V*V block is zero by construction), so
-``check_bimodule`` reads them off one scan of it, as ``AXIOM_ROWS`` lists.
+identity from the base (the V*V block is zero by construction).  On the
+semidirect sum each axiom is one identity, with x and y over the base and v
+over V (``_AXIOMS``), so ``check_bimodule`` is three typed scans of it, and
+the derived relations are three more on the same table (``_RELATIONS``).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import right_zinbiel_residuals
-from .reports import Verdict, matrix_equality_verdict
-from .tensors import DimensionMismatch, Frozen, Matrix, add_raw, linear_combination
+from .identities import evaluate_sides, parse_term_sum
+from .reports import Verdict, failed_verdict, matrix_equality_verdict
+from .tensors import DimensionMismatch, Frozen, Matrix, linear_combination
 
 
 class Bimodule(Frozen):
@@ -39,16 +41,6 @@ class Bimodule(Frozen):
         for m in (*self.left_maps, *self.right_maps):
             if (m.rows, m.cols) != (self.v_dim, self.v_dim):
                 raise DimensionMismatch("action matrices must be v_dim x v_dim")
-
-    def left_at(self, coeffs: dict) -> Matrix:
-        if not coeffs:
-            return Matrix.zero(self.v_dim, self.v_dim)
-        return linear_combination(self.left_maps, coeffs)
-
-    def right_at(self, coeffs: dict) -> Matrix:
-        if not coeffs:
-            return Matrix.zero(self.v_dim, self.v_dim)
-        return linear_combination(self.right_maps, coeffs)
 
 
 def regular_bimodule(a: AlgebraTable) -> Bimodule:
@@ -72,61 +64,57 @@ class BimoduleViolation(NamedTuple):
     residual: Matrix
 
 
-_AXIOMS = ("left_composition", "mixed_composition", "right_composition")
-
-# The axioms as blocks of the semidirect sum's scan, module slots of kind 1,
-# read on the module component at (i, j, beta): (axiom, kinds, component, sign).
-AXIOM_ROWS = (
-    ("left_composition", (0, 0, 1), 1, 1),
-    ("mixed_composition", (0, 1, 0), 1, 1),
-    ("mixed_composition", (1, 0, 0), 1, -1),
-    ("right_composition", (1, 0, 0), 1, 1),
-)
+# The axioms as identities on A + V, x and y over A and v over V.  Every scan
+# takes its variables in the order (x, y, v), so hits come in (i, j, beta) order.
+_AXIOMS = {
+    "left_composition": "(x (y v)) - ((x y) v) - ((y x) v)",
+    "mixed_composition": "(x (v y)) - (v (x y))",
+    "right_composition": "(v (x y)) - ((v x) y) - ((x v) y)",
+}
+_XYV = ("x", "y", "v")
 
 
-def read_blocks(hits, n: int, rows) -> dict[str, list]:
-    """Regroup a scan's hits [(triple, residual)] on U + W into conditions.
-
-    U is the basis 0..n-1, W the rest.  A row (condition, kinds, component,
-    sign) adds sign times the U (0) or W (1) component of the residuals at
-    the triples whose slots lie in U or W as the kinds (0 or 1) say, keyed
-    by the local triple with the odd kind's slot last.  Returns condition ->
-    [(key, residual)] in key order without zeros, and empties ``hits``."""
-    by_kinds: dict = {}
-    found: dict[str, dict] = {}
-    for condition, kinds, component, sign in rows:
-        order = itemgetter(*sorted(range(3), key=lambda s: kinds.count(kinds[s]) == 1))
-        block = found.setdefault(condition, {})
-        by_kinds.setdefault(kinds, []).append((component, sign, order, block))
-    while hits:
-        (i, j, k), residual = hits.pop()
-        parts: tuple[dict, dict] = ({}, {})
-        for c, v in residual.items():
-            parts[c >= n][c - n if c >= n else c] = v
-        local = (i - n if i >= n else i, j - n if j >= n else j, k - n if k >= n else k)
-        for component, sign, order, block in by_kinds.get((i >= n, j >= n, k >= n), ()):
-            if part := parts[component]:
-                key = order(local)
-                acc = block.get(key)
-                if acc is None:
-                    block[key] = part if sign > 0 else {c: -v for c, v in part.items()}
-                else:  # the second block of a two-block condition
-                    block[key] = add_raw(acc, part, sign)
-    return {c: [(key, r) for key, r in sorted(block.items()) if r] for c, block in found.items()}
+def axiom_scans(table: AlgebraTable, p: range, q: range):
+    """Yield (axiom, hits) per axiom, scanned on ``table`` with x and y over
+    ``p`` and v over ``q``.  A hit is ((i, j, beta), P part, Q part): the
+    residual split into its components on ``p`` and on ``q``, every index
+    counted from its range's start, with Fraction values.  The engine's hit
+    list is emptied as it is read, and each yielded list when the next scan
+    starts, so that no two scans' hits are held at once."""
+    for axiom, source in _AXIOMS.items():
+        scale, hits = evaluate_sides(table, _XYV, (p, p, q), (parse_term_sum(source),))
+        read = []
+        hits.reverse()
+        while hits:
+            (i, j, v), residual, _ = hits.pop()
+            parts: tuple[dict, dict] = ({}, {})
+            for k, u in residual.items():
+                on_q = k in q
+                parts[on_q][k - (p, q)[on_q].start] = Fraction(u, scale)
+            read.append(((i - p.start, j - p.start, v - q.start), *parts))
+        yield axiom, read
+        read.clear()
 
 
-def column_matrices(blocks: list, v_dim: int) -> list[tuple[tuple[int, int], Matrix]]:
-    """An axiom's blocks [((i, j, beta), column)] as one matrix per (i, j)."""
+def column_matrices(hits: list, v_dim: int) -> list[tuple[tuple[int, int], Matrix]]:
+    """An axiom scan's Q parts [((i, j, beta), P part, column)] as one matrix
+    per (i, j) whose columns are not all zero."""
     pairs: dict = {}
-    for (i, j, beta), column in blocks:
-        pairs.setdefault((i, j), {}).update(((alpha, beta), v) for alpha, v in column.items())
+    for (i, j, beta), _, column in hits:
+        if column:
+            pairs.setdefault((i, j), {}).update(((alpha, beta), v) for alpha, v in column.items())
     return [(pair, Matrix(v_dim, v_dim, entries)) for pair, entries in pairs.items()]
+
+
+def _axiom_violations(semidirect: AlgebraTable, n: int) -> list[BimoduleViolation]:
+    scans = axiom_scans(semidirect, range(n), range(n, semidirect.dim))
+    m = semidirect.dim - n
+    return [BimoduleViolation(a, *pair) for a, hits in scans for pair in column_matrices(hits, m)]
 
 
 def check_bimodule(b: Bimodule) -> list[BimoduleViolation]:
     """All axiom violations over basis pairs, in (axiom, i, j) order."""
-    found = read_blocks(right_zinbiel_residuals(semidirect_sum(b)), b.base.dim, AXIOM_ROWS)
-    return [BimoduleViolation(a, *m) for a in _AXIOMS for m in column_matrices(found[a], b.v_dim)]
+    return _axiom_violations(semidirect_sum(b), b.base.dim)
 
 
 class DerivedRelationsReport(NamedTuple):
@@ -138,40 +126,40 @@ class DerivedRelationsReport(NamedTuple):
         return bool(self.axioms)
 
 
+# The derived relations as two-sided identities on A + V, variables as in _AXIOMS.
+_RELATIONS = {
+    "left_of_product_l_then_r": ("((x y) v)", "((x v) y)"),
+    "left_of_product_r_then_l": ("((x y) v)", "(x (v y))"),
+    "right_maps_commute": ("((v y) x)", "((v x) y)"),
+}
+
+
 def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
     """Audit of the two textbook derived relations, as printed.
 
     The first relation ``l_{x.y} = r_y l_x`` is ambiguous about composition
-    order, so both readings are evaluated: ``l_then_r`` applies l first
-    (matrix r_y @ l_x), ``r_then_l`` applies r first (matrix l_x @ r_y).
-    The second is commutation of the right maps, r_x r_y = r_y r_x.
-    Neither needs to hold on bimodules that pass the axioms; the verdicts are
-    findings, and the report is vacuous when the axioms themselves fail; it
-    keeps the axiom violations it computed for that.
+    order, so both readings are evaluated: ``l_then_r`` applies l first,
+    (x y) v = (x v) y on the semidirect sum, and ``r_then_l`` applies r
+    first, (x y) v = x (v y).  The second is commutation of the right maps,
+    (v y) x = (v x) y.  Each is a typed scan of the axioms' semidirect sum,
+    stopped at its first witness.  Neither needs to hold on bimodules that
+    pass the axioms; the verdicts are findings, and the report is vacuous
+    when the axioms fail; it keeps the axiom violations it computed for that.
     """
-    n = b.base.dim
-    axioms = check_bimodule(b)
-
-    def pairs(rhs_of):
-        for i in range(n):
-            for j in range(n):
-                yield (i, j), b.left_at(b.base.product_basis(i, j)), rhs_of(i, j)
-
-    def commute_pairs():
-        for i in range(n):
-            for j in range(n):
-                yield (i, j), b.right_maps[i] @ b.right_maps[j], b.right_maps[j] @ b.right_maps[i]
-
-    relations = (
-        matrix_equality_verdict(
-            "left_of_product_l_then_r", pairs(lambda i, j: b.right_maps[j] @ b.left_maps[i])
-        ),
-        matrix_equality_verdict(
-            "left_of_product_r_then_l", pairs(lambda i, j: b.left_maps[i] @ b.right_maps[j])
-        ),
-        matrix_equality_verdict("right_maps_commute", commute_pairs()),
-    )
-    return DerivedRelationsReport(axioms, relations)
+    n, semidirect = b.base.dim, semidirect_sum(b)
+    axioms = _axiom_violations(semidirect, n)
+    domains = (range(n), range(n), range(n, semidirect.dim))
+    relations = []
+    for name, sides in _RELATIONS.items():
+        terms = tuple(parse_term_sum(side) for side in sides)
+        scale, hits = evaluate_sides(semidirect, _XYV, domains, terms, first_only=True)
+        if not hits:
+            relations.append(Verdict(name, True))
+            continue
+        (i, j, v), _, values = hits[0]
+        lhs, rhs = ({k - n: Fraction(u, scale) for k, u in val.items() if u} for val in values)
+        relations.append(failed_verdict(name, (i, j, v - n), _XYV, lhs, rhs))
+    return DerivedRelationsReport(axioms, tuple(relations))
 
 
 def semidirect_sum(b: Bimodule) -> AlgebraTable:

@@ -14,19 +14,20 @@ basis vectors.
 
 Evaluation is a sparse join: each product tree becomes a sparse tensor,
 joined bottom-up over the nonzero structure constants only, so the
-``dim^vars`` basis tuples are never walked one at a time.  A tree's tensor
-depends only on its shape: the tree with every leaf a placeholder, the
-sliced variable's leaf marked apart.  So the tensors are memoized per table
-by shape (``AlgebraTable._shape_tensors``) and live as long as the table.
-Read unsliced, ``(x (y z))``, ``(y (x z))`` and ``(z (y x))`` are one
-tensor; every identity, claim and check on the table reads the shapes an
-earlier one built and joins only new ones.  Residuals come out in
-lexicographic order of their basis tuples, one slice of the first variable
-at a time, so the first reported residual is a deterministic witness.  Each
-evaluation logs one DEBUG record on the ``zinbielkit.identities`` logger
-with the size of the tuple space, the slices visited, the tensor entries
-this evaluation joined (not those it read from the memo) and the residual
-count.
+``dim^vars`` basis tuples are never walked one at a time.  Each variable
+ranges over an index range, ``range(dim)`` unless typed: a check on A + V
+reads x over A and v over V.  A tree's tensor depends only on its shape, the
+tree with each leaf its variable's range and the sliced leaf marked apart,
+so tensors are memoized per table by shape (``AlgebraTable._shape_tensors``)
+for as long as the table lives, typed and untyped alike.  Read unsliced,
+``(x (y z))``, ``(y (x z))`` and ``(z (y x))`` are one tensor; every
+identity, claim and check on the table reads the shapes an earlier one built
+and joins only new ones.  Residuals come out in lexicographic order of their
+basis tuples, one slice of the first variable at a time, so the first
+reported residual is a deterministic witness.  Each evaluation logs one
+DEBUG record on the ``zinbielkit.identities`` logger with the size of the
+tuple space, the slices visited, the tensor entries this evaluation joined
+(not those it read from the memo) and the residual count.
 """
 
 from __future__ import annotations
@@ -265,9 +266,8 @@ def render_identity(identity: Identity) -> str:
 
 Tensor = dict  # basis index k -> {leaf assignment: scaled integer coefficient of e_k}
 
-# The leaves of a shape: the sliced variable, fixed at one index per slice,
-# and every other variable.
-SLICED, FREE = "@", "*"
+# The sliced variable's leaf, one index per slice; other leaves are ranges.
+SLICED = "@"
 
 
 def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable:
@@ -278,12 +278,13 @@ def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable
     return itemgetter(*positions)
 
 
-def _shape(tree: Tree, sliced: str | None) -> Tree:
-    """The tree with the leaf ``sliced`` as ``SLICED`` and every other leaf
-    as ``FREE``.  One frame per level, like the parser."""
+def _shape(tree: Tree, leaves: dict) -> Tree:
+    """The tree with each variable's leaf replaced by ``leaves[name]``:
+    ``SLICED``, or the ``(start, stop)`` of its index range, which hashes
+    faster than a ``range``.  One frame per level, like the parser."""
     if isinstance(tree, str):
-        return SLICED if tree == sliced else FREE
-    return (_shape(tree[0], sliced), _shape(tree[1], sliced))
+        return leaves[tree]
+    return (_shape(tree[0], leaves), _shape(tree[1], leaves))
 
 
 class _Joiner:
@@ -331,40 +332,44 @@ class _Joiner:
         """The shape's tensor with its ``SLICED`` leaf at index ``s``, and
         whether the shape has that leaf; read from the memo or joined into it."""
         memo = self.memo
-        if shape in memo:
-            return memo[shape], False
+        if (tensor := memo.get(shape)) is not None:
+            return tensor, False
         key = (shape, s)
-        if key in memo:
-            return memo[key], True
-        if shape == FREE:
-            memo[shape] = {i: {(i,): 1} for i in range(self.dim)}
-            return memo[shape], False
+        if (tensor := memo.get(key)) is not None:
+            return tensor, True
         if shape == SLICED:
             memo[key] = {s: {(s,): 1}}
             return memo[key], True
+        if isinstance(shape[0], int):  # a free leaf, (start, stop) of its range
+            memo[shape] = {i: {(i,): 1} for i in range(*shape)}
+            return memo[shape], False
         left, left_sliced = self.tensor(shape[0], s)
         right, right_sliced = self.tensor(shape[1], s)
         sliced = left_sliced or right_sliced
         tensor = memo[key if sliced else shape] = self.join(left, right)
         return tensor, sliced
 
-    def log(self, what: str, nvars: int, visited: int, unit: str, residuals: int):
+    def log(self, what: str, domains, visited: int, of: int, unit: str, residuals: int):
+        sizes = [len(d) for d in domains]
+        untyped = all(d == range(self.dim) for d in domains)
+        space = f"{self.dim}^{len(sizes)}" if untyped else "*".join(map(str, sizes))
         log_debug(
             "zinbielkit.identities",
-            "%s: %d^%d = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
-            what, self.dim, nvars, self.dim ** nvars, visited, self.dim, unit,
-            self.joined, residuals,
+            "%s: %s = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
+            what, space, math.prod(sizes), visited, of, unit, self.joined, residuals,
         )
 
 
-def _compile(variables: tuple[str, ...], sides, sliced: str | None) -> tuple[int, list]:
+def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, list]:
     """(coefficient denominator, [(side, scaled coefficient, shape, reorder)]),
-    with the variable ``sliced`` as the shapes' ``SLICED`` leaf."""
+    with ``leaves[i]`` (``SLICED`` or a range) the leaf of ``variables[i]``."""
     for terms in sides:
         _validate_arity(variables, terms)
     coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
+    by_name = {v: leaf if leaf == SLICED else (leaf.start, leaf.stop)
+               for v, leaf in zip(variables, leaves)}
     compiled = [
-        (side, int(coeff * coeff_den), _shape(tree, sliced),
+        (side, int(coeff * coeff_den), _shape(tree, by_name),
          _leaf_order(tuple(_leaves(tree)), variables))
         for side, terms in enumerate(sides)
         for coeff, tree in terms
@@ -376,6 +381,7 @@ def _compile(variables: tuple[str, ...], sides, sliced: str | None) -> tuple[int
 def evaluate_sides(
     algebra: AlgebraTable,
     variables: tuple[str, ...],
+    domains: tuple[range, ...],
     sides,
     *,
     first_only: bool = False,
@@ -383,11 +389,14 @@ def evaluate_sides(
     """Residuals of ``sides[0] - sides[1] - ...``, each with every side's value.
 
     ``sides`` holds term sums over ``variables``, every term using each
-    variable exactly once.  Returns ``(scale, [(assignment, residual, side
-    values)])`` for the basis assignments with a nonzero residual, in
-    lexicographic order.  Values are integer coefficient dicts, ``scale``
-    times the exact ones (side values may hold zeros; one side's value is
-    its residual, the same dict, so a long scan keeps one dict per hit).
+    variable exactly once, and each variable ranges over its ``domains``
+    entry, an index range of the basis (``range(algebra.dim)`` for an
+    untyped identity).  Returns ``(scale, [(assignment, residual, side
+    values)])`` for the assignments in the product of the domains with a
+    nonzero residual, in lexicographic order.  Values are integer coefficient
+    dicts, ``scale`` times the exact ones (side values may hold zeros; one
+    side's value is its residual, the same dict, so a long scan keeps one
+    dict per hit).
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
@@ -404,14 +413,14 @@ def evaluate_sides(
     coefficients by theirs, all tensors hold integers and every value is
     the same multiple ``scale`` of the exact one.
     """
-    first = variables[0] if variables else None
-    coeff_den, compiled = _compile(variables, sides, first)
+    coeff_den, compiled = _compile(variables, (SLICED, *domains[1:]), sides)
     joiner = _Joiner(algebra)
     scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
 
     hits: list = []
     slices = 0
-    for s in range(algebra.dim):
+    sliced = domains[0] if domains else range(algebra.dim)
+    for s in sliced:
         slices += 1
         acc: dict[tuple[int, ...], list[dict]] = {}
         for side, coeff, shape, reorder in compiled:
@@ -436,7 +445,7 @@ def evaluate_sides(
                     break
         if first_only and hits:
             break
-    joiner.log("sparse join", len(variables), slices, "slices", len(hits))
+    joiner.log("sparse join", domains, slices, len(sliced), "slices", len(hits))
     return scale, hits
 
 
@@ -459,7 +468,8 @@ def evaluate_by_output(
     """
     if len(variables) < 2:
         raise ValueError("an output read-out needs at least two variables")
-    coeff_den, compiled = _compile(variables, (terms,), None)
+    domains = (range(algebra.dim),) * len(variables)
+    coeff_den, compiled = _compile(variables, domains, (terms,))
     joiner = _Joiner(algebra)
     roots = [
         (coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
@@ -486,7 +496,7 @@ def evaluate_by_output(
             hits.append((k, residual))
             if first_only:
                 break
-    joiner.log("output join", len(variables), outputs, "outputs", len(hits))
+    joiner.log("output join", domains, outputs, algebra.dim, "outputs", len(hits))
     return hits
 
 
@@ -510,7 +520,8 @@ def _exact(algebra: AlgebraTable, identity: Identity, first_only: bool) -> list:
     """[(assignment, residual dict of Fractions)] of ``evaluate_sides``,
     converted in place, so that a long scan's residuals are not held twice."""
     variables, terms = identity
-    scale, hits = evaluate_sides(algebra, variables, (terms,), first_only=first_only)
+    domains = (range(algebra.dim),) * len(variables)
+    scale, hits = evaluate_sides(algebra, variables, domains, (terms,), first_only=first_only)
     for i, (a, r, _) in enumerate(hits):
         hits[i] = (a, {k: Fraction(v, scale) for k, v in r.items()})
     return hits

@@ -18,9 +18,11 @@ these are exactly equivalent to the double
 
     (x+a) * (y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
 
-passing the right-orientation Zinbiel check, so ``check_matched_pair`` reads
-every condition off one right-Zinbiel scan of the double, as the blocks that
-``_ROWS`` lists.
+passing the right-orientation Zinbiel check.  So ``check_matched_pair``
+scans both base tables, then runs the three bimodule axiom identities
+(``bimodule._AXIOMS``) on the double per action system, x and y over P and a
+over Q.  On Q's component they are the action's bimodule axioms; on P's,
+compat_r is -left, compat_l_1 is right and compat_l_2 is -mixed (``_ON_P``).
 
 The base-table prerequisite is part of the check on purpose: with all maps
 zero the double degenerates to the direct sum, so "matched pair" must imply
@@ -45,7 +47,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
-from .bimodule import _AXIOMS, AXIOM_ROWS, column_matrices, read_blocks, representation_verdict
+from .bimodule import _AXIOMS, axiom_scans, column_matrices, representation_verdict
 from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
 from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
 from .reports import Verdict, VerdictBundle, format_matrix, format_vector, vector_equality_verdict
@@ -120,36 +122,41 @@ def matched_pair_verdict(name: str, violations: list[MatchedPairViolation]) -> V
     return Verdict(name, False, format_violation(v), witness)
 
 
-# The *b conditions as blocks of the double's scan, A's slots of kind 0, read at
-# (x, y, a); the *a conditions swap the kinds and the component.
-_ROWS = tuple(
-    (name.format(p=p, q=q), tuple(k ^ swap for k in kinds), component ^ swap, sign)
-    for swap, p, q in ((0, "a", "b"), (1, "b", "a"))
-    for name, kinds, component, sign in (
-        ("base_{p}_right_zinbiel", (0, 0, 0), 0, 1),
-        ("compat_r{q}", (0, 0, 1), 0, -1),
-        ("compat_l{q}_1", (1, 0, 0), 0, 1),
-        ("compat_l{q}_2", (1, 0, 0), 0, 1),
-        ("compat_l{q}_2", (0, 1, 0), 0, -1),
-        *(("action_on_{q}:" + axiom, *row) for axiom, *row in AXIOM_ROWS),
-    )
-)
+# What an axiom scan of the double reads on P's component: the compatibility
+# condition of the action system on Q, and its sign.
+_ON_P = {
+    "left_composition": ("compat_r{q}", -1),
+    "mixed_composition": ("compat_l{q}_2", -1),
+    "right_composition": ("compat_l{q}_1", 1),
+}
 
 
 def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     """Prerequisites plus the six mixed equalities; empty iff the double passes."""
-    found = read_blocks(right_zinbiel_residuals(double(mp)), mp.a.dim, _ROWS)
-
-    def read(*conditions, v_dim=None):
-        return [MatchedPairViolation(c, *hit) for c in conditions for hit in
-                (found[c] if v_dim is None else column_matrices(found[c], v_dim))]
-
-    out = read("base_a_right_zinbiel", "base_b_right_zinbiel")
-    for q, v_dim in (("b", mp.b.dim), ("a", mp.a.dim)):
-        out += read(*(f"action_on_{q}:{axiom}" for axiom in _AXIOMS), v_dim=v_dim)
-    out += read("compat_rb", "compat_ra")
+    out = [
+        MatchedPairViolation(f"base_{p}_right_zinbiel", *hit)
+        for p, table in (("a", mp.a), ("b", mp.b))
+        for hit in right_zinbiel_residuals(table)
+    ]
+    d, n = double(mp), mp.a.dim
+    on_a, on_b = range(n), range(n, d.dim)
+    found: dict[str, list] = {}
+    for q, p_range, q_range in (("b", on_a, on_b), ("a", on_b, on_a)):
+        for axiom, hits in axiom_scans(d, p_range, q_range):
+            action, (compat, sign) = f"action_on_{q}:{axiom}", _ON_P[axiom]
+            found[action] = [MatchedPairViolation(action, *m)
+                             for m in column_matrices(hits, len(q_range))]
+            compat = compat.format(q=q)
+            found[compat] = [MatchedPairViolation(compat, key, part) for key, part, _ in hits if part]
+            if sign < 0:  # in place, so that no residual is held twice
+                for _, part, _ in hits:
+                    for k in part:
+                        part[k] = -part[k]
+    for q in "ba":
+        out += (v for axiom in _AXIOMS for v in found[f"action_on_{q}:{axiom}"])
+    out += found["compat_rb"] + found["compat_ra"]
     for q in "ba":  # compat_l*_1 and compat_l*_2 interleaved per (x, y, a)
-        out += sorted(read(f"compat_l{q}_1", f"compat_l{q}_2"), key=lambda v: v.where)
+        out += sorted(found[f"compat_l{q}_1"] + found[f"compat_l{q}_2"], key=lambda v: v.where)
 
     log_debug(
         "zinbielkit.matched_pair",

@@ -96,6 +96,22 @@ def format_matrix(m: Matrix) -> str:
     return ", ".join(f"[{r},{c}]={format_scalar(v)}" for (r, c), v in m.items())
 
 
+def failed_verdict(name: str, assignment, var_names, lhs, rhs, residual=None) -> Verdict:
+    """The failing verdict witnessed by lhs != rhs at a basis assignment; the
+    JSON witness carries ``residual`` only if it is given."""
+    where = ", ".join(f"{n}=e{i}" for n, i in zip(var_names, assignment))
+    text = f"at {where}: lhs = {format_vector(lhs)}, rhs = {format_vector(rhs)}"
+    data = {
+        "tuple": list(assignment),
+        "variables": list(var_names),
+        "lhs": vector_jsonable(lhs),
+        "rhs": vector_jsonable(rhs),
+    }
+    if residual is not None:
+        data["residual"] = vector_jsonable(residual)
+    return Verdict(name, False, text, data)
+
+
 def matrix_equality_verdict(
     name: str, pairs, var_names: tuple[str, str, str] = ("x", "y", "v")
 ) -> Verdict:
@@ -106,22 +122,9 @@ def matrix_equality_verdict(
     """
     for (i, j), lhs, rhs in pairs:
         diff = lhs - rhs
-        if diff.is_zero:
-            continue
-        beta = min(c for (_, c) in diff.entries)
-        lcol, rcol = lhs.column(beta), rhs.column(beta)
-        a, b, v = var_names
-        text = (
-            f"at {a}=e{i}, {b}=e{j}, {v}=e{beta}: "
-            f"lhs = {format_vector(lcol)}, rhs = {format_vector(rcol)}"
-        )
-        data = {
-            "tuple": [i, j, beta],
-            "variables": list(var_names),
-            "lhs": vector_jsonable(lcol),
-            "rhs": vector_jsonable(rcol),
-        }
-        return Verdict(name, False, text, data)
+        if not diff.is_zero:
+            beta = min(c for (_, c) in diff.entries)
+            return failed_verdict(name, (i, j, beta), var_names, lhs.column(beta), rhs.column(beta))
     return Verdict(name, True)
 
 
@@ -139,16 +142,6 @@ def vector_equality_verdict(name: str, triples, var_names: tuple[str, ...]) -> V
             elif k in diff:
                 del diff[k]
         diff = {k: v for k, v in diff.items() if v}
-        if not diff:
-            continue
-        where = ", ".join(f"{n}=e{i}" for n, i in zip(var_names, assignment))
-        text = f"at {where}: lhs = {format_vector(lhs)}, rhs = {format_vector(rhs)}"
-        data = {
-            "tuple": list(assignment),
-            "variables": list(var_names),
-            "lhs": vector_jsonable(lhs),
-            "rhs": vector_jsonable(rhs),
-            "residual": vector_jsonable(diff),
-        }
-        return Verdict(name, False, text, data)
+        if diff:
+            return failed_verdict(name, assignment, var_names, lhs, rhs, diff)
     return Verdict(name, True)

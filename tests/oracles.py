@@ -324,6 +324,34 @@ def reference_check_bimodule(b) -> list:
     return [(axiom, pair, res) for axiom in _AXIOMS for pair, res in found[axiom]]
 
 
+def reference_check_derived_relations(b) -> tuple:
+    """The three derived-relation verdicts, from the action matrices pair by
+    pair: l_{x.y} against r_y l_x and l_x r_y, and r_x r_y against r_y r_x."""
+    n, m = b.base.dim, b.v_dim
+    left, right = b.left_maps, b.right_maps
+
+    def pairs(rhs_of):
+        for i in range(n):
+            for j in range(n):
+                lhs = Matrix(m, m, _family_at(left, b.base.product_basis(i, j)))
+                yield (i, j), lhs, Matrix(m, m, rhs_of(i, j))
+
+    return (
+        matrix_equality_verdict(
+            "left_of_product_l_then_r", pairs(lambda i, j: reference_matmul(right[j], left[i]))
+        ),
+        matrix_equality_verdict(
+            "left_of_product_r_then_l", pairs(lambda i, j: reference_matmul(left[i], right[j]))
+        ),
+        matrix_equality_verdict(
+            "right_maps_commute",
+            (((i, j), Matrix(m, m, reference_matmul(right[i], right[j])),
+              Matrix(m, m, reference_matmul(right[j], right[i])))
+             for i in range(n) for j in range(n)),
+        ),
+    )
+
+
 def _apply_family(family, coeffs: dict, vec: dict) -> dict:
     """sum_k coeffs[k] * (family[k] applied to vec), by full scans."""
     out: dict[int, Fraction] = {}

@@ -321,6 +321,22 @@ def test_check_with_vanishing_products_ends_at_once(request):
     assert run.stdout.endswith(": HOLDS (trunc-int:right:1)\n")
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--claims", "nope"], "error: unknown claim(s): nope\n"),
+        (["--max-n", "1", "--out", "tests"], "error: cannot write tests: "),
+        (["--max-n", "1", "--out", "tests/no_such_dir/audit.txt"], "error: cannot write "),
+    ],
+    ids=["unknown-claim", "out-is-a-directory", "out-in-missing-directory"],
+)
+def test_claim_audit_script_input_errors_exit_2(request, args, message):
+    run = _python(request, "scripts/run_claim_audit.py", *args)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith(message) and run.stderr.count("\n") == 1, run.stderr
+
+
 CLI_MODULES = {
     f"zinbielkit.{name}"
     for name in ("algebra", "audit", "bialgebra", "bimodule", "cli", "coalgebra", "identities",

@@ -19,6 +19,7 @@ from zinbielkit.identities import (
     catalog_source,
     difference,
     evaluate,
+    evaluate_sides,
     holds,
     left_zinbiel_residuals,
     parse_identity,
@@ -181,6 +182,46 @@ def test_sparse_join_matches_reference_scan():
             assert _as_pairs(evaluate(table, ident, first_only=True)) == want[:1]
 
 
+def _typed(table, ident, domains, first_only=False):
+    scale, hits = evaluate_sides(
+        table, ident.variables, domains, (ident.terms,), first_only=first_only
+    )
+    return [(a, {k: Fraction(v, scale) for k, v in r.items()}) for a, r, _ in hits]
+
+
+def test_typed_sparse_join_matches_filtered_reference_scan():
+    # Half the tables are scanned untyped first, so typed shapes meet a memo
+    # that already holds untyped ones; the other half are scanned untyped last.
+    rng = random.Random(20182)
+    identities = list(catalog().values()) + [_degree_4_identity(rng)]
+    tables = _random_tables(2020, count=8) + [trunc_integration(4, "left")]
+    failing = 0
+    for n, table in enumerate(tables):
+        for ident in identities:
+            want_all = oracles.reference_evaluate(table, ident)
+            if n % 2:
+                assert _as_pairs(evaluate(table, ident)) == want_all
+            # Variables over the two summands of a random cut, as the
+            # structural checks type them; over arbitrary ranges; and with
+            # the last variable's range empty.
+            cut = rng.randint(0, table.dim)
+            halves = (range(cut), range(cut, table.dim))
+            cases = [tuple(rng.choice(halves) for _ in ident.variables) for _ in range(3)]
+            cases.append(tuple(range(lo, rng.randint(lo, table.dim))
+                               for lo in (rng.randint(0, table.dim) for _ in ident.variables)))
+            cases.append((range(table.dim),) * (len(ident.variables) - 1) + (range(1, 1),))
+            for domains in cases:
+                want = [
+                    (a, r) for a, r in want_all if all(i in d for i, d in zip(a, domains))
+                ]
+                assert _typed(table, ident, domains) == want, (render_identity(ident), domains)
+                assert _typed(table, ident, domains, first_only=True) == want[:1]
+                failing += bool(want)
+            if not n % 2:
+                assert _as_pairs(evaluate(table, ident)) == want_all
+    assert failing > 50
+
+
 def test_claim_sides_match_reference_scan():
     # The first-only gate scans, then the claims in reverse order, all on one
     # table object: whatever they leave in its tensor memo must not change a
@@ -241,10 +282,14 @@ def test_evaluate_rejects_non_multilinear_terms(t3):
 
 def test_debug_record_per_evaluate_call(caplog, t5):
     ident = catalog()["left_zinbiel"]
+    typed = (range(2), range(1, 4), range(6))
     with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
         evaluate(t5, ident)
         evaluate(t5, ident, first_only=True)
+        _, hits = evaluate_sides(t5, ident.variables, typed, (ident.terms,))
     records = [r for r in caplog.records if r.name == "zinbielkit.identities"]
-    assert len(records) == 2
+    assert len(records) == 3
     assert "6^3 = 216 basis tuples" in records[0].getMessage()
     assert records[0].getMessage().endswith(f"{len(evaluate(t5, ident))} residuals")
+    assert "2*3*6 = 36 basis tuples, 2 of 2 slices" in records[2].getMessage()
+    assert records[2].getMessage().endswith(f" {len(hits)} residuals")
