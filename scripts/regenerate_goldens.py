@@ -25,6 +25,7 @@ from zinbielkit.bimodule import Bimodule, regular_bimodule
 from zinbielkit.fuzz import DEFAULT_SEED, seeded_candidates
 from zinbielkit.matched_pair import MatchedPair, zero_matched_pair
 from zinbielkit.models import trunc_integration
+from zinbielkit.reports import JsonEncoder
 from zinbielkit.serialization import dump_path
 from zinbielkit.tensors import Matrix
 
@@ -117,7 +118,7 @@ def write_goldens(goldens: Path, seed: int):
     ]
     combined = {"kind": "claim_audit_collection", "reports": reports}
     (goldens / "claim_audit.json").write_text(
-        json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(combined, indent=2, sort_keys=True, cls=JsonEncoder) + "\n", encoding="utf-8"
     )
 
     _cli(

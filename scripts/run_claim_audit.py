@@ -22,6 +22,7 @@ from pathlib import Path
 from zinbielkit import fuzz
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
+from zinbielkit.reports import JsonEncoder
 
 
 def pick_orientation(table, requested: str) -> str:
@@ -43,7 +44,7 @@ def run(args: argparse.Namespace) -> str:
     if args.format == "json":
         payloads = [audit_report_jsonable(report) for report in reports]
         collection = {"kind": "claim_audit_collection", "reports": payloads}
-        return json.dumps(collection, indent=2, sort_keys=True) + "\n"
+        return json.dumps(collection, indent=2, sort_keys=True, cls=JsonEncoder) + "\n"
     return "\n".join(audit_report_text(report) for report in reports)
 
 

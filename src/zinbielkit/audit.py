@@ -18,7 +18,6 @@ contested, and the audit reports rather than decides.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -93,12 +92,19 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Ve
     shown: dict[tuple, tuple[str, list]] = {}
 
     def show(value: dict) -> tuple[str, list]:
-        """(text, JSON) of a scaled value; side values may hold zeros."""
-        key = tuple(sorted((k, v) for k, v in value.items() if v))
+        """(text, JSON) of a scaled value, found by its items.  Side values
+        may hold zeros, so a miss looks again without them before it formats."""
+        key = tuple(sorted(value.items()))
         out = shown.get(key)
         if out is None:
-            exact = {k: Fraction(v, scale) for k, v in key}
-            out = shown[key] = (format_vector(exact), vector_jsonable(exact))
+            nonzero = tuple((k, v) for k, v in key if v)
+            out = shown.get(nonzero)
+            if out is None:
+                scaled = dict(nonzero)
+                out = shown[nonzero] = (
+                    format_vector(scaled, scale=scale), vector_jsonable(scaled, scale=scale)
+                )
+            shown[key] = out
         return out
 
     failures = []

@@ -134,20 +134,10 @@ _RELATIONS = {
 }
 
 
-def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
-    """Audit of the two textbook derived relations, as printed.
-
-    The first relation ``l_{x.y} = r_y l_x`` is ambiguous about composition
-    order, so both readings are evaluated: ``l_then_r`` applies l first,
-    (x y) v = (x v) y on the semidirect sum, and ``r_then_l`` applies r
-    first, (x y) v = x (v y).  The second is commutation of the right maps,
-    (v y) x = (v x) y.  Each is a typed scan of the axioms' semidirect sum,
-    stopped at its first witness.  Neither needs to hold on bimodules that
-    pass the axioms; the verdicts are findings, and the report is vacuous
-    when the axioms fail; it keeps the axiom violations it computed for that.
-    """
-    n, semidirect = b.base.dim, semidirect_sum(b)
-    axioms = _axiom_violations(semidirect, n)
+def relation_verdicts(semidirect: AlgebraTable, n: int) -> tuple[Verdict, ...]:
+    """The derived-relation verdicts on a semidirect sum whose base is its
+    first ``n`` basis vectors: one typed scan per relation, stopped at its
+    first witness."""
     domains = (range(n), range(n), range(n, semidirect.dim))
     relations = []
     for name, sides in _RELATIONS.items():
@@ -159,7 +149,24 @@ def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
         (i, j, v), _, values = hits[0]
         lhs, rhs = ({k - n: Fraction(u, scale) for k, u in val.items() if u} for val in values)
         relations.append(failed_verdict(name, (i, j, v - n), _XYV, lhs, rhs))
-    return DerivedRelationsReport(axioms, tuple(relations))
+    return tuple(relations)
+
+
+def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
+    """Audit of the two textbook derived relations, as printed.
+
+    The first relation ``l_{x.y} = r_y l_x`` is ambiguous about composition
+    order, so both readings are evaluated: ``l_then_r`` applies l first,
+    (x y) v = (x v) y on the semidirect sum, and ``r_then_l`` applies r
+    first, (x y) v = x (v y).  The second is commutation of the right maps,
+    (v y) x = (v x) y.  Neither needs to hold on bimodules that pass the
+    axioms; the verdicts are findings.  When the axioms fail the report is
+    vacuous: it keeps the axiom violations, and no relation is scanned
+    (``relations`` is empty).
+    """
+    n, semidirect = b.base.dim, semidirect_sum(b)
+    axioms = _axiom_violations(semidirect, n)
+    return DerivedRelationsReport(axioms, () if axioms else relation_verdicts(semidirect, n))
 
 
 def semidirect_sum(b: Bimodule) -> AlgebraTable:

@@ -66,7 +66,7 @@ from .matched_pair import (
     matched_pair_verdict,
 )
 from .models import free_halfshuffle, trunc_integration
-from .reports import Verdict, format_assignment, format_vector, vector_jsonable
+from .reports import JsonEncoder, Verdict, format_assignment, format_vector, vector_jsonable
 from .serialization import InputFormatError, dumps, load_path
 
 
@@ -125,7 +125,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _emit_json(payload: dict, out_path: str | None):
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, cls=JsonEncoder) + "\n", out_path)
 
 
 # -- check -------------------------------------------------------------------

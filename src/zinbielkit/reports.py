@@ -1,4 +1,5 @@
-"""Shared verdict container and deterministic formatting helpers.
+"""Shared verdict container, deterministic formatting helpers and the JSON
+writer behind every JSON output.
 
 All renderers sort their sparse data, so a report is byte-identical no matter
 how the underlying computation was scheduled.
@@ -6,7 +7,10 @@ how the underlying computation was scheduled.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from .tensors import Matrix, Vector, format_scalar
@@ -59,15 +63,25 @@ class VerdictBundle(NamedTuple):
         }
 
 
-def format_sum(entries, name) -> str:
+def scaled_scalar(value, scale: int = 1) -> str:
+    """``format_scalar(value / scale)``.  With ``scale`` 1 the value may be a
+    Fraction; otherwise it is an int, reduced by one gcd without a Fraction."""
+    if scale == 1:
+        return format_scalar(value)
+    g = gcd(value, scale)
+    return str(value // g) if g == scale else f"{value // g}/{scale // g}"
+
+
+def format_sum(entries, name, scale: int = 1) -> str:
     """Render sorted (key, coefficient) pairs as a signed sum of ``name(key)``,
-    e.g. ``e1 + (1/2)e3 - (1/30)e5``."""
+    e.g. ``e1 + (1/2)e3 - (1/30)e5``; coefficients are ``scale`` times the
+    exact ones."""
     if not entries:
         return "0"
     parts = []
     for idx, (k, val) in enumerate(entries):
         mag = abs(val)
-        body = name(k) if mag == 1 else f"({format_scalar(mag)}){name(k)}"
+        body = name(k) if mag == scale else f"({scaled_scalar(mag, scale)}){name(k)}"
         if idx == 0:
             parts.append(body if val > 0 else f"-{body}")
         else:
@@ -75,19 +89,21 @@ def format_sum(entries, name) -> str:
     return " ".join(parts)
 
 
-def format_vector(v: Vector | Mapping[int, Fraction], symbol: str = "e") -> str:
-    """Render a sparse vector as e.g. ``e1 + (1/2)e3 - (1/30)e5``."""
+def format_vector(v: Vector | Mapping[int, Fraction], symbol: str = "e", scale: int = 1) -> str:
+    """Render a sparse vector as e.g. ``e1 + (1/2)e3 - (1/30)e5``; a mapping
+    may hold ``scale`` times the exact coefficients, as ints."""
     entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
-    return format_sum(entries, lambda k: f"{symbol}{k}")
+    return format_sum(entries, lambda k: f"{symbol}{k}", scale)
 
 
 def format_assignment(assignment: tuple[int, ...], symbol: str = "e") -> str:
     return "(" + ",".join(f"{symbol}{i}" for i in assignment) + ")"
 
 
-def vector_jsonable(v: Vector | Mapping[int, Fraction]) -> list:
+def vector_jsonable(v: Vector | Mapping[int, Fraction], scale: int = 1) -> list:
+    """[[index, "p/q"], ...] of a sparse vector, ``scale`` as in format_vector."""
     entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
-    return [[k, format_scalar(val)] for k, val in entries]
+    return [[k, scaled_scalar(val, scale)] for k, val in entries]
 
 
 def format_matrix(m: Matrix) -> str:
@@ -145,3 +161,114 @@ def vector_equality_verdict(name: str, triples, var_names: tuple[str, ...]) -> V
         if diff:
             return failed_verdict(name, assignment, var_names, lhs, rhs, diff)
     return Verdict(name, True)
+
+
+class _Unsupported(Exception):
+    """A value that JsonEncoder leaves to the stdlib encoder."""
+
+
+# Levels _write reports: a list of lists of scalars is memoized; a dict is
+# above any list that is.
+_MEMOIZED, _NESTED = 2, 3
+
+# JSON text of each scalar type, looked up by exact type: a subclass such as
+# an IntEnum is left to the stdlib.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write(o, parts: list, depth: int, memo: dict) -> int:
+    """Append the indent-2 text of ``o`` at nesting ``depth`` to ``parts``.
+
+    Returns the value's level: 0 for a scalar, one more than its deepest item
+    for a list, ``_NESTED`` for a dict.  A list of level ``_MEMOIZED`` (some
+    items lists of scalars, the rest scalars) is joined into one part and kept
+    in ``memo`` by ``(id, depth)``, so a list object met again costs one
+    append.  A scalar item is written in place, any other by a recursive call.
+    """
+    t = type(o)
+    if t is list:
+        if not o:
+            parts.append("[]")
+            return 1
+        key = (id(o), depth)
+        hit = memo.get(key)
+        if hit is not None:
+            parts.append(hit)
+            return _MEMOIZED
+        start, inner = len(parts), "\n" + "  " * (depth + 1)
+        head, sep, level = "[" + inner, "," + inner, 0
+        for item in o:
+            text = _SCALARS.get(type(item))
+            if text is not None:
+                parts.append(head + text(item))
+            else:
+                parts.append(head)
+                level = max(level, _write(item, parts, depth + 1, memo))
+            head = sep
+        parts.append("\n" + "  " * depth + "]")
+        level += 1
+        if level == _MEMOIZED:
+            joined = "".join(parts[start:])
+            del parts[start:]
+            parts.append(joined)
+            memo[key] = joined
+        return level
+    if t is dict:
+        if not o:
+            parts.append("{}")
+            return _NESTED
+        if any(type(k) is not str for k in o):
+            raise _Unsupported
+        inner = "\n" + "  " * (depth + 1)
+        head, sep = "{" + inner, "," + inner
+        for k in sorted(o):
+            item = o[k]
+            text = _SCALARS.get(type(item))
+            if text is not None:
+                parts.append(f"{head}{encode_basestring_ascii(k)}: {text(item)}")
+            else:
+                parts.append(f"{head}{encode_basestring_ascii(k)}: ")
+                _write(item, parts, depth + 1, memo)
+            head = sep
+        parts.append("\n" + "  " * depth + "}")
+        return _NESTED
+    text = _SCALARS.get(t)
+    if text is None:
+        raise _Unsupported
+    parts.append(text(o))
+    return 0
+
+
+class JsonEncoder(json.JSONEncoder):
+    """The encoder of every JSON output: ``json.dumps(obj, indent=2,
+    sort_keys=True, cls=JsonEncoder)`` is byte-identical to the call without
+    ``cls``.
+
+    The stdlib uses its C encoder only when ``indent`` is None, so indented
+    output goes through its pure-Python generators.  This writer appends the
+    same text to one list of parts instead.  It knows dicts with str keys,
+    lists, str, int, bool and None.  Any other value (a float, a tuple, an
+    int key), or any other setting, hands the whole object to the stdlib.
+    Only lists of lists of scalars are memoized (see ``_write``): an audit
+    shares each such value list among many witnesses.  The text of larger
+    containers would hold most of the output twice.  Lists of scalars are
+    mostly unique (a witness's tuple), and a memo entry for each kept tens of
+    thousands of tuples alive, whose garbage-collector passes cost more than
+    the memo saved.
+    """
+
+    def encode(self, o) -> str:
+        settings = (self.indent, self.item_separator, self.key_separator)
+        if settings != (2, ",", ": ") or not (self.sort_keys and self.ensure_ascii):
+            return super().encode(o)
+        parts: list[str] = []
+        try:
+            _write(o, parts, 0, {})
+        except (_Unsupported, RecursionError):
+            return super().encode(o)
+        return "".join(parts)

@@ -2,7 +2,9 @@
 
 Canonical form: entry lists sorted by index tuple, scalars rendered "p/q" or
 "p", keys sorted, two-space indent, trailing newline.  Serializing the same
-object twice (or after a round trip) yields identical bytes.
+object twice (or after a round trip) yields identical bytes.  The text comes
+from ``reports.JsonEncoder``, the one encoder of every JSON output, byte-
+identical to ``json.dumps(indent=2, sort_keys=True)``.
 
 All readers validate: unknown kinds, missing fields, out-of-range indices,
 malformed scalars, and duplicate entries raise InputFormatError.
@@ -18,6 +20,7 @@ from .bialgebra import BialgebraCandidate
 from .bimodule import Bimodule
 from .coalgebra import CoalgebraTable
 from .matched_pair import MatchedPair
+from .reports import JsonEncoder
 from .tensors import Matrix, Tensor3, format_scalar, parse_scalar
 
 
@@ -230,7 +233,7 @@ def from_jsonable(obj: Any):
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True, cls=JsonEncoder) + "\n"
 
 
 def loads(text: str):

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, golden bytes, parallel determinism."""
 
+import contextlib
 import filecmp
+import io
 import json
 import logging
 import os
@@ -9,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zinbielkit import check_bimodule, regular_bimodule, trunc_integration
 from zinbielkit.cli import main
@@ -319,6 +322,63 @@ def test_check_with_vanishing_products_ends_at_once(request):
     run = _python(request, "-m", "zinbielkit", "check", "trunc-int:right:1", expr)
     assert run.returncode == 0, run.stderr
     assert run.stdout.endswith(": HOLDS (trunc-int:right:1)\n")
+
+
+# Identity sources: sums of terms over one set of names, each name once per
+# term as the arity rule asks, a quarter of them broken by a coefficient, a
+# suffix or a term that breaks that rule; token soup; and short text.
+_COEFFS = st.sampled_from(["", "", "2 * ", "1/2 * ", "3/4 * ", "0 * ",
+                           "123456789012345678901234567890 * "])
+_BAD_COEFFS = st.sampled_from(["1/0 * ", "7 ", "2/ * ", "-3/4 * ", "* "])
+_SUFFIXES = st.sampled_from(["", " = 0"])
+_BAD_SUFFIXES = st.sampled_from([" = 1", " =", " )", " (", " x", " = 0 0"])
+
+
+@st.composite
+def _sums(draw):
+    names = draw(st.lists(st.sampled_from(["x", "y", "z", "w", "e1", "_v"]), min_size=1,
+                          max_size=4, unique=True))
+    broken = draw(st.integers(0, 3)) == 0
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        k = draw(st.integers(1, len(leaves) - 1))
+        return f"({tree(leaves[:k])} {tree(leaves[k:])})"
+
+    src = draw(st.sampled_from(["", "-", "+ "]))
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            src += draw(st.sampled_from([" + ", " - ", "-", "+"]))
+        leaves = draw(st.permutations(names))
+        if broken and draw(st.booleans()):
+            leaves = leaves[1:] or leaves * 2
+        src += draw(_BAD_COEFFS if broken and draw(st.booleans()) else _COEFFS) + tree(leaves)
+    return src + draw(_BAD_SUFFIXES if broken and draw(st.booleans()) else _SUFFIXES)
+
+
+_TOKENS = st.lists(
+    st.sampled_from(["x", "y", "z", "(", ")", "+", "-", "*", "/", "=", "0", "2", " ", "é", "#",
+                     "\t", "right_zinbiel", "9" * 30]),
+    max_size=30,
+).map("".join)
+_SOURCES = st.one_of(_sums(), _TOKENS, st.text(max_size=20), st.sampled_from(["right_zinbiel", ""]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SOURCES)
+def test_any_identity_source_ends_in_an_exit_code_and_one_message(source):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["check", "trunc-int:right:3", source])
+        except SystemExit as exc:  # argparse, e.g. a source that looks like an option
+            code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert sum("error:" in line for line in lines) <= 1, lines
+    assert (code == 2) == any("error:" in line for line in lines), (code, lines)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize(
