@@ -96,6 +96,8 @@ def write_corpus(corpus: Path):
     )
     (corpus / "malformed.json").write_text("{ this is not json\n", encoding="utf-8")
     (corpus / "bad_kind.json").write_text('{"kind": "mystery"}\n', encoding="utf-8")
+    (corpus / "list_kind.json").write_text('{"kind": ["algebra"]}\n', encoding="utf-8")
+    (corpus / "dict_kind.json").write_text('{"kind": {"algebra": 1}}\n', encoding="utf-8")
 
 
 def write_goldens(goldens: Path, seed: int):

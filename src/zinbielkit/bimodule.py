@@ -1,8 +1,8 @@
 """Bimodules over a structure-constant algebra and the semidirect sum.
 
 A bimodule is a pair of matrix families (l, r) indexed by the base basis,
-acting on a module space V.  Maps compose as operators: the matrix product
-``l_x @ r_y`` applies r_y first.  The axioms checked are
+acting on a module space V.  Maps compose as operators: ``l_x r_y``
+applies r_y first.  The axioms checked are
 
     l_x l_y           = l_{x.y} + l_{y.x}
     l_x r_y           = r_{x.y}
@@ -15,6 +15,15 @@ identity from the base (the V*V block is zero by construction).  On the
 semidirect sum each axiom is one identity, with x and y over the base and v
 over V (``_AXIOMS``), so ``check_bimodule`` is three typed scans of it, and
 the derived relations are three more on the same table (``_RELATIONS``).
+
+No check multiplies an action matrix.  A family F is a representation,
+F_{x.y} = F_x F_y, iff ``((x y) v) = (x (y v))`` holds on a table where x
+acts on v by F from the left alone; for a bracket table, [F_x, F_y] is
+``(x (y v)) - (y (x v))`` (``_REPRESENTATION``, ``_BRACKET_REPRESENTATION``).
+The sub-adjacent map x -> l_x - r_x is checked on the semidirect sum of the
+base's commutator table with left maps l - r and zero right maps.  Every
+verdict that stops at its first witness, here and in the pair checks of
+``matched_pair``, comes from one typed scan (``first_witness_verdict``).
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .identities import evaluate_sides, parse_term_sum
-from .reports import Verdict, failed_verdict, matrix_equality_verdict
-from .tensors import DimensionMismatch, Frozen, Matrix, linear_combination
+from .reports import Verdict, failed_verdict
+from .tensors import DimensionMismatch, Frozen, Matrix
 
 
 class Bimodule(Frozen):
@@ -134,22 +143,33 @@ _RELATIONS = {
 }
 
 
+def first_witness_verdict(
+    name: str, table: AlgebraTable, sides, variables, domains, shown=None, *, residual=False
+) -> Verdict:
+    """The verdict of ``sides[0] = sides[1]`` (term-sum sources) on ``table``,
+    each of ``variables`` over its ``domains`` entry, an index range: one
+    typed scan, stopped at its first witness.  Every value must lie in the
+    last variable's range.  The witness counts each index from its range's
+    start, names the variables ``shown`` (``variables`` if None) and carries
+    the residual only with ``residual``."""
+    terms = tuple(parse_term_sum(side) for side in sides)
+    scale, hits = evaluate_sides(table, variables, domains, terms, first_only=True)
+    if not hits:
+        return Verdict(name, True)
+    assignment, diff, values = hits[0]
+    start = domains[-1].start
+    lhs, rhs, diff = ({k - start: Fraction(u, scale) for k, u in val.items() if u}
+                      for val in (*values, diff))
+    where = tuple(i - d.start for i, d in zip(assignment, domains))
+    return failed_verdict(name, where, shown or variables, lhs, rhs, diff if residual else None)
+
+
 def relation_verdicts(semidirect: AlgebraTable, n: int) -> tuple[Verdict, ...]:
     """The derived-relation verdicts on a semidirect sum whose base is its
-    first ``n`` basis vectors: one typed scan per relation, stopped at its
-    first witness."""
+    first ``n`` basis vectors."""
     domains = (range(n), range(n), range(n, semidirect.dim))
-    relations = []
-    for name, sides in _RELATIONS.items():
-        terms = tuple(parse_term_sum(side) for side in sides)
-        scale, hits = evaluate_sides(semidirect, _XYV, domains, terms, first_only=True)
-        if not hits:
-            relations.append(Verdict(name, True))
-            continue
-        (i, j, v), _, values = hits[0]
-        lhs, rhs = ({k - n: Fraction(u, scale) for k, u in val.items() if u} for val in values)
-        relations.append(failed_verdict(name, (i, j, v - n), _XYV, lhs, rhs))
-    return tuple(relations)
+    return tuple(first_witness_verdict(name, semidirect, sides, _XYV, domains)
+                 for name, sides in _RELATIONS.items())
 
 
 def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
@@ -187,32 +207,25 @@ class SubadjacentReport(NamedTuple):
     representation: Verdict
 
 
-def representation_verdict(
-    name: str, table: AlgebraTable, maps, var_names=("x", "y", "v"), *, bracket: bool = False
-) -> Verdict:
-    """F_{e_i.e_j} = F_i F_j over basis pairs of ``table``, or [F_i, F_j] with
-    ``bracket``: the family ``maps`` is a representation of the table."""
-
-    def pairs():
-        for i in range(table.dim):
-            for j in range(table.dim):
-                coeffs = table.product_basis(i, j)
-                fi, fj = maps[i], maps[j]
-                lhs = linear_combination(maps, coeffs) if coeffs else Matrix.zero(fi.rows, fi.cols)
-                yield (i, j), lhs, (fi @ fj - fj @ fi) if bracket else fi @ fj
-
-    return matrix_equality_verdict(name, pairs(), var_names)
+# A family F acting by x.v = F_x v on a table with x and y over its base and v
+# over the module: F is a representation, or for a bracket table a bracket
+# representation.  The pair checks of ``matched_pair`` read these too.
+_REPRESENTATION = ("((x y) v)", "(x (y v))")
+_BRACKET_REPRESENTATION = ("((x y) v)", "(x (y v)) - (y (x v))")
 
 
 def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     """The family x -> l_x - r_x, with its bracket-representation verdict.
 
-    Checks (l-r)_{[e_i,e_j]} = [(l-r)_i, (l-r)_j] against the commutator of
-    the base table.  This can fail even on axiom-passing bimodules; the
+    Checks (l-r)_{[e_i,e_j]} = [(l-r)_i, (l-r)_j], the bracket identity on
+    the semidirect sum of the base's commutator table acting on V by l-r
+    from the left alone.  This can fail even on axiom-passing bimodules; the
     verdict records what actually happens.
     """
-    maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(b.base.dim))
-    bracket = b.base.commutator()
-    return SubadjacentReport(
-        maps, representation_verdict("bracket_representation", bracket, maps, bracket=True)
-    )
+    n = b.base.dim
+    maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))
+    zeros = (Matrix.zero(b.v_dim, b.v_dim),) * n
+    table = semidirect_sum(Bimodule(b.base.commutator(), b.v_dim, maps, zeros))
+    domains = (range(n), range(n), range(n, table.dim))
+    return SubadjacentReport(maps, first_witness_verdict(
+        "bracket_representation", table, _BRACKET_REPRESENTATION, _XYV, domains))

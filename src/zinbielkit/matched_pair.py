@@ -36,22 +36,42 @@ compatibility over x in g and a, b in h,
     commutative associative:  f(x)(a o b) = (f(x)a) o b + f(k(a)x)b
     Lie:                      f(x)[a,b] + f(k(a)x)b - f(k(b)x)a = [f(x)a, b] + [a, f(x)b]
 
-and the other half is the same check on (h, g, k, f).
+and the other half is the same check on (h, g, k, f).  Both halves are read
+off one action table, ``double(MatchedPair(g, h, f, 0, k, 0))``: on it
+x.a = f(x)a lies in h and a.x = k(a)x in g, so every mixed product lands in
+one summand and every term above is a single tree.  With x and y over P and
+v, a and b over Q, the four identities are
+
+    representation:          ((x y) v) = (x (y v))
+    bracket representation:  ((x y) v) = (x (y v)) - (y (x v))
+    commutative associative: (x (a b)) = ((x a) b) + ((a x) b)
+    Lie:                     (x (a b)) + ((a x) b) - ((b x) a) = ((x a) b) + (a (x b))
+
+with (P, Q) = (g, h) in one half and (h, g) in the other.  Each is a typed
+scan of the table, stopped at its first witness; no action matrix is
+multiplied.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .audit import ClaimSpec, evaluate_claim
-from .bimodule import _AXIOMS, axiom_scans, column_matrices, representation_verdict
+from .bimodule import (
+    _AXIOMS,
+    _BRACKET_REPRESENTATION,
+    _REPRESENTATION,
+    _XYV,
+    axiom_scans,
+    column_matrices,
+    first_witness_verdict,
+)
 from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
 from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
-from .reports import Verdict, VerdictBundle, format_matrix, format_vector, vector_equality_verdict
-from .tensors import ONE, ZERO, DimensionMismatch, Frozen, Matrix, add_raw
+from .reports import Verdict, VerdictBundle, format_matrix, format_vector
+from .tensors import DimensionMismatch, Frozen, Matrix
 
 
 class MatchedPair(Frozen):
@@ -81,24 +101,6 @@ def zero_matched_pair(a: AlgebraTable, b: AlgebraTable) -> MatchedPair:
     zp = Matrix.zero(b.dim, b.dim)
     zn = Matrix.zero(a.dim, a.dim)
     return MatchedPair(a, b, (zp,) * a.dim, (zp,) * a.dim, (zn,) * b.dim, (zn,) * b.dim)
-
-
-def _columns(family) -> list[list[dict]]:
-    """[k][j] -> column j of family[k] as a raw dict: what family[k] does to e_j."""
-    return [[m.column(j).entries for j in range(m.cols)] for m in family]
-
-
-def _combine(columns, coeffs: dict, j: int) -> dict:
-    """sum_k coeffs[k] * (family[k] applied to e_j), from the family's columns."""
-    out: dict[int, Fraction] = {}
-    for k, s in coeffs.items():
-        for m, v in columns[k][j].items():
-            acc = out.get(m, ZERO) + s * v
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-    return out
 
 
 class MatchedPairViolation(NamedTuple):
@@ -189,31 +191,14 @@ def double(mp: MatchedPair) -> AlgebraTable:
     return algebra_from_entries(n + p, entries, labels)
 
 
-def _pair_half(p, q, f, f_at, k_at, names, p_vars, q_vars, bracket: bool):
-    """Representation and compatibility verdicts of f, P acting on Q, where
-    k_at are the columns of Q acting on P (see the module docstring)."""
-    rep_name, compat_name = names
-
-    def triples():
-        for x in range(p.dim):
-            for a in range(q.dim):
-                for b in range(q.dim):
-                    ab = f[x].apply_raw(q.product_basis(a, b))
-                    fxa_b = q.multiply_raw(f_at[x][a], {b: ONE})
-                    via_a = _combine(f_at, k_at[a][x], b)
-                    if bracket:
-                        lhs = add_raw(add_raw(ab, via_a), _combine(f_at, k_at[b][x], a), -1)
-                        yield (x, a, b), lhs, add_raw(fxa_b, q.multiply_raw({a: ONE}, f_at[x][b]))
-                    else:
-                        yield (x, a, b), ab, add_raw(fxa_b, via_a)
-
-    return (
-        representation_verdict(rep_name, p, f, (*p_vars, "v"), bracket=bracket),
-        vector_equality_verdict(compat_name, triples(), (p_vars[0], *q_vars)),
-    )
+# The two identities of one half of a pair check on the action table, x and y
+# over P and a and b over Q; the other half swaps P and Q.
+_COMMASSOC_COMPATIBILITY = ("(x (a b))", "((x a) b) + ((a x) b)")
+_LIE_COMPATIBILITY = ("(x (a b)) + ((a x) b) - ((b x) a)", "((x a) b) + (a (x b))")
+_XAB = ("x", "a", "b")
 
 
-def _pair_bundle(kind, claims, g, h, f, k, names, bracket: bool) -> VerdictBundle:
+def _pair_bundle(kind, claims, g, h, f, k, names, representation, compatibility) -> VerdictBundle:
     """f is g acting on h, k is h acting on g; names holds each half's
     (representation, compatibility) verdict names."""
     verdicts = [
@@ -221,12 +206,18 @@ def _pair_bundle(kind, claims, g, h, f, k, names, bracket: bool) -> VerdictBundl
         for side, table in (("g", g), ("h", h))
         for claim, sides in claims
     ]
-    f_at, k_at = _columns(f), _columns(k)
-    halves = (
-        _pair_half(g, h, f, f_at, k_at, names[0], ("x", "y"), ("a", "b"), bracket),
-        _pair_half(h, g, k, k_at, f_at, names[1], ("a", "b"), ("x", "y"), bracket),
-    )
-    verdicts += (v for both in zip(*halves) for v in both)
+    zero_g, zero_h = (Matrix.zero(g.dim, g.dim),) * h.dim, (Matrix.zero(h.dim, h.dim),) * g.dim
+    table = double(MatchedPair(g, h, f, zero_h, k, zero_g))
+    on_g, on_h = range(g.dim), range(g.dim, table.dim)
+    # per half: its names, P, Q, and the names shown for x, y and for a, b
+    halves = ((names[0], on_g, on_h, ("x", "y"), ("a", "b")),
+              (names[1], on_h, on_g, ("a", "b"), ("x", "y")))
+    for (rep, _), p, q, (x, y), _ in halves:
+        verdicts.append(
+            first_witness_verdict(rep, table, representation, _XYV, (p, p, q), (x, y, "v")))
+    for (_, compat), p, q, (x, _), (a, b) in halves:
+        verdicts.append(first_witness_verdict(
+            compat, table, compatibility, _XAB, (p, q, q), (x, a, b), residual=True))
     return VerdictBundle(kind, tuple(verdicts))
 
 
@@ -239,7 +230,7 @@ def check_commassoc_matched_pair(
         [(claim, CLAIM_SIDES[claim]) for claim in ("commutative", "associative")],
         g, h, mu, rho,
         (("mu_representation", "compat_mu"), ("rho_representation", "compat_rho")),
-        bracket=False,
+        _REPRESENTATION, _COMMASSOC_COMPATIBILITY,
     )
 
 
@@ -252,7 +243,7 @@ def check_lie_matched_pair(
         [("antisymmetric", ("(x y)", "- (y x)")), ("jacobi", CLAIM_SIDES["jacobi"])],
         g, h, rho, mu,
         (("rho_representation", "compat_on_h"), ("mu_representation", "compat_on_g")),
-        bracket=True,
+        _BRACKET_REPRESENTATION, _LIE_COMPATIBILITY,
     )
 
 

@@ -128,41 +128,6 @@ def failed_verdict(name: str, assignment, var_names, lhs, rhs, residual=None) ->
     return Verdict(name, False, text, data)
 
 
-def matrix_equality_verdict(
-    name: str, pairs, var_names: tuple[str, str, str] = ("x", "y", "v")
-) -> Verdict:
-    """First-witness verdict for a family of matrix equalities.
-
-    ``pairs`` yields ((i, j), lhs, rhs) in scan order; the witness is the first
-    column where the matrices differ, reported as module vectors.
-    """
-    for (i, j), lhs, rhs in pairs:
-        diff = lhs - rhs
-        if not diff.is_zero:
-            beta = min(c for (_, c) in diff.entries)
-            return failed_verdict(name, (i, j, beta), var_names, lhs.column(beta), rhs.column(beta))
-    return Verdict(name, True)
-
-
-def vector_equality_verdict(name: str, triples, var_names: tuple[str, ...]) -> Verdict:
-    """First-witness verdict for a family of vector equalities.
-
-    ``triples`` yields (assignment, lhs_dict, rhs_dict) in scan order.
-    """
-    for assignment, lhs, rhs in triples:
-        diff = dict(lhs)
-        for k, v in rhs.items():
-            acc = diff.get(k, 0) - v
-            if acc:
-                diff[k] = acc
-            elif k in diff:
-                del diff[k]
-        diff = {k: v for k, v in diff.items() if v}
-        if diff:
-            return failed_verdict(name, assignment, var_names, lhs, rhs, diff)
-    return Verdict(name, True)
-
-
 class _Unsupported(Exception):
     """A value that JsonEncoder leaves to the stdlib encoder."""
 

@@ -227,7 +227,7 @@ def to_jsonable(obj) -> dict:
 def from_jsonable(obj: Any):
     _require(isinstance(obj, dict), "payload must be a JSON object")
     kind = obj.get("kind")
-    reader = _READERS.get(kind)
+    reader = _READERS.get(kind) if isinstance(kind, str) else None
     _require(reader is not None, f"unknown kind {kind!r}")
     return reader(obj)
 

@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Scalar = Fraction
 
@@ -229,36 +229,12 @@ class Matrix(Frozen):
         return Vector(self.rows, dict(self._columns.get(c, ())))
 
 
-def add_raw(lhs: dict, other: dict, sign: int = 1) -> dict:
-    """lhs + other, or lhs - other with ``sign`` -1, dropping zero coefficients."""
-    out = dict(lhs)
-    for k, v in other.items():
-        acc = out.get(k, ZERO) + (v if sign > 0 else -v)
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
-    return out
-
-
 def _index(entries) -> dict:
     """((outer, inner), value) pairs -> {outer: ((inner, value), ...)}, inner ascending."""
     out: dict[int, list] = {}
     for (outer, inner), v in entries:
         out.setdefault(outer, []).append((inner, v))
     return {key: tuple(sorted(val)) for key, val in out.items()}
-
-
-def linear_combination(family: Iterable[Matrix], coeffs: Mapping[int, Fraction]) -> Matrix:
-    """Coefficient-weighted sum of a matrix family (linear extension of an action)."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty matrix family")
-    out: dict[tuple[int, int], Fraction] = {}
-    for i, s in coeffs.items():
-        for k, v in family[i].entries.items():
-            out[k] = out.get(k, ZERO) + s * v
-    return Matrix(family[0].rows, family[0].cols, out)
 
 
 def rank(m: Matrix) -> int:

@@ -22,14 +22,8 @@ from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
 from zinbielkit.coalgebra import CoalgebraViolation, format_triples, triples_jsonable
 from zinbielkit.matched_pair import MatchedPairViolation
 from zinbielkit.identities import CLAIM_SIDES
-from zinbielkit.reports import (
-    Verdict,
-    VerdictBundle,
-    format_scalar,
-    matrix_equality_verdict,
-    vector_equality_verdict,
-)
-from zinbielkit.tensors import Matrix, linear_combination, rank
+from zinbielkit.reports import Verdict, VerdictBundle, failed_verdict, format_scalar
+from zinbielkit.tensors import Matrix, rank
 
 X, T = sympy.symbols("X t")
 
@@ -292,6 +286,38 @@ def _family_at(family, coeffs):
     return {key: v for key, v in out.items() if v}
 
 
+def _commutator(left, right) -> Matrix:
+    """left right - right left, from two full-scan products."""
+    return _mat_sum(
+        [(1, reference_matmul(left, right)), (-1, reference_matmul(right, left))],
+        left.rows, left.cols,
+    )
+
+
+def _matrix_equality_verdict(name, pairs, var_names=("x", "y", "v")) -> Verdict:
+    """First-witness verdict of matrix equalities: ``pairs`` yields ((i, j),
+    lhs, rhs) in scan order, and the witness is the first column where the
+    two differ, as module vectors."""
+    for (i, j), lhs, rhs in pairs:
+        diff = _sub(lhs.entries, rhs.entries)
+        if diff:
+            beta = min(c for _, c in diff)
+            lhs_col, rhs_col = ({r: v for (r, c), v in m.entries.items() if c == beta}
+                                for m in (lhs, rhs))
+            return failed_verdict(name, (i, j, beta), var_names, lhs_col, rhs_col)
+    return Verdict(name, True)
+
+
+def _vector_equality_verdict(name, triples, var_names) -> Verdict:
+    """First-witness verdict of vector equalities: ``triples`` yields
+    (assignment, lhs, rhs) in scan order, and the witness carries the residual."""
+    for assignment, lhs, rhs in triples:
+        diff = _sub(lhs, rhs)
+        if diff:
+            return failed_verdict(name, assignment, var_names, lhs, rhs, diff)
+    return Verdict(name, True)
+
+
 def reference_check_bimodule(b) -> list:
     """(axiom, (i, j), residual Matrix) for every violated axiom, in
     (axiom, i, j) order, each residual recomputed from full scans."""
@@ -337,13 +363,13 @@ def reference_check_derived_relations(b) -> tuple:
                 yield (i, j), lhs, Matrix(m, m, rhs_of(i, j))
 
     return (
-        matrix_equality_verdict(
+        _matrix_equality_verdict(
             "left_of_product_l_then_r", pairs(lambda i, j: reference_matmul(right[j], left[i]))
         ),
-        matrix_equality_verdict(
+        _matrix_equality_verdict(
             "left_of_product_r_then_l", pairs(lambda i, j: reference_matmul(left[i], right[j]))
         ),
-        matrix_equality_verdict(
+        _matrix_equality_verdict(
             "right_maps_commute",
             (((i, j), Matrix(m, m, reference_matmul(right[i], right[j])),
               Matrix(m, m, reference_matmul(right[j], right[i])))
@@ -500,18 +526,18 @@ def reference_commassoc_matched_pair(g, h, mu, rho) -> VerdictBundle:
         for i in range(g.dim):
             for j in range(g.dim):
                 coeffs = g.product_basis(i, j)
-                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
-                yield (i, j), lhs, mu[i] @ mu[j]
+                lhs = Matrix(h.dim, h.dim, _family_at(mu, coeffs))
+                yield (i, j), lhs, Matrix(h.dim, h.dim, reference_matmul(mu[i], mu[j]))
 
     def rho_rep():
         for i in range(h.dim):
             for j in range(h.dim):
                 coeffs = h.product_basis(i, j)
-                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
-                yield (i, j), lhs, rho[i] @ rho[j]
+                lhs = Matrix(g.dim, g.dim, _family_at(rho, coeffs))
+                yield (i, j), lhs, Matrix(g.dim, g.dim, reference_matmul(rho[i], rho[j]))
 
-    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("x", "y", "v")))
-    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("a", "b", "v")))
+    verdicts.append(_matrix_equality_verdict("mu_representation", mu_rep(), ("x", "y", "v")))
+    verdicts.append(_matrix_equality_verdict("rho_representation", rho_rep(), ("a", "b", "v")))
 
     e = _basis
     mu_at, rho_at = _action_columns(mu), _action_columns(rho)
@@ -540,8 +566,8 @@ def reference_commassoc_matched_pair(g, h, mu, rho) -> VerdictBundle:
                     )
                     yield (a, x, y), lhs, rhs
 
-    verdicts.append(vector_equality_verdict("compat_mu", compat_mu(), ("x", "a", "b")))
-    verdicts.append(vector_equality_verdict("compat_rho", compat_rho(), ("a", "x", "y")))
+    verdicts.append(_vector_equality_verdict("compat_mu", compat_mu(), ("x", "a", "b")))
+    verdicts.append(_vector_equality_verdict("compat_rho", compat_rho(), ("a", "x", "y")))
     return VerdictBundle("commutative_associative_pair", tuple(verdicts))
 
 
@@ -558,18 +584,18 @@ def reference_lie_matched_pair(g, h, rho, mu) -> VerdictBundle:
         for i in range(g.dim):
             for j in range(g.dim):
                 coeffs = g.product_basis(i, j)
-                lhs = linear_combination(rho, coeffs) if coeffs else Matrix.zero(h.dim, h.dim)
-                yield (i, j), lhs, rho[i] @ rho[j] - rho[j] @ rho[i]
+                lhs = Matrix(h.dim, h.dim, _family_at(rho, coeffs))
+                yield (i, j), lhs, _commutator(rho[i], rho[j])
 
     def mu_rep():
         for i in range(h.dim):
             for j in range(h.dim):
                 coeffs = h.product_basis(i, j)
-                lhs = linear_combination(mu, coeffs) if coeffs else Matrix.zero(g.dim, g.dim)
-                yield (i, j), lhs, mu[i] @ mu[j] - mu[j] @ mu[i]
+                lhs = Matrix(g.dim, g.dim, _family_at(mu, coeffs))
+                yield (i, j), lhs, _commutator(mu[i], mu[j])
 
-    verdicts.append(matrix_equality_verdict("rho_representation", rho_rep(), ("x", "y", "v")))
-    verdicts.append(matrix_equality_verdict("mu_representation", mu_rep(), ("a", "b", "v")))
+    verdicts.append(_matrix_equality_verdict("rho_representation", rho_rep(), ("x", "y", "v")))
+    verdicts.append(_matrix_equality_verdict("mu_representation", mu_rep(), ("a", "b", "v")))
 
     e = _basis
     rho_at, mu_at = _action_columns(rho), _action_columns(mu)
@@ -610,8 +636,8 @@ def reference_lie_matched_pair(g, h, rho, mu) -> VerdictBundle:
                     )
                     yield (a, x, y), lhs, rhs
 
-    verdicts.append(vector_equality_verdict("compat_on_h", compat_h(), ("x", "a", "b")))
-    verdicts.append(vector_equality_verdict("compat_on_g", compat_g(), ("a", "x", "y")))
+    verdicts.append(_vector_equality_verdict("compat_on_h", compat_h(), ("x", "a", "b")))
+    verdicts.append(_vector_equality_verdict("compat_on_g", compat_g(), ("a", "x", "y")))
     return VerdictBundle("lie_pair", tuple(verdicts))
 
 
@@ -642,14 +668,10 @@ def reference_induced_subadjacent_map(b) -> SubadjacentReport:
         for i in range(n):
             for j in range(n):
                 coeffs = bracket.product_basis(i, j)
-                lhs = (
-                    linear_combination(maps, coeffs)
-                    if coeffs
-                    else Matrix.zero(b.v_dim, b.v_dim)
-                )
-                yield (i, j), lhs, maps[i] @ maps[j] - maps[j] @ maps[i]
+                lhs = Matrix(b.v_dim, b.v_dim, _family_at(maps, coeffs))
+                yield (i, j), lhs, _commutator(maps[i], maps[j])
 
-    return SubadjacentReport(maps, matrix_equality_verdict("bracket_representation", pairs()))
+    return SubadjacentReport(maps, _matrix_equality_verdict("bracket_representation", pairs()))
 
 
 def reference_check_form(a, form):

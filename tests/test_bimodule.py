@@ -169,8 +169,40 @@ def test_subadjacent_representation_fails_on_regular_model(t5):
     assert v.witness_data["rhs"] == [[5, "-1/30"]]
 
 
+def _sparse_bimodules():
+    """Bimodules over small bases (zero ones of dims 0 and 2, and e0 e1 = e2,
+    whose commutator is not zero) on modules of dims 0 to 3, whose actions
+    hold one or two entries, half of them on the last basis vectors."""
+    rng = random.Random(fuzz.DEFAULT_SEED)
+
+    def pick(k):
+        return k - 1 if rng.random() < 0.5 else rng.randrange(k)
+
+    bases = [
+        algebra_from_entries(0, []),
+        algebra_from_entries(2, []),
+        algebra_from_entries(3, [(0, 1, 2, Fraction(1))]),
+    ]
+    out = []
+    for base in bases:
+        for v_dim in range(4):
+            for entries in (1, 1, 2, 2):
+                maps = ([{} for _ in range(base.dim)], [{} for _ in range(base.dim)])
+                for _ in range(entries if base.dim and v_dim else 0):
+                    family = maps[rng.randrange(2)]
+                    family[pick(base.dim)][(pick(v_dim), pick(v_dim))] = Fraction(rng.choice((1, -1)))
+                left, right = (tuple(Matrix(v_dim, v_dim, m) for m in family) for family in maps)
+                out.append(Bimodule(base, v_dim, left, right))
+    return out
+
+
+def test_sparse_bimodules_fail_late():
+    witnesses = [induced_subadjacent_map(b).representation.witness_data for b in _sparse_bimodules()]
+    assert any(w and w["tuple"] != [0, 0, 0] for w in witnesses)
+
+
 def test_subadjacent_map_matches_reference(bimodule_family):
-    for _, b in bimodule_family:
+    for b in [b for _, b in bimodule_family] + _sparse_bimodules():
         assert induced_subadjacent_map(b) == oracles.reference_induced_subadjacent_map(b)
 
 

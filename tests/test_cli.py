@@ -2,6 +2,7 @@
 
 import contextlib
 import filecmp
+import functools
 import io
 import json
 import logging
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -54,6 +56,8 @@ EXIT_CASES = [
     (["check", "tests/corpus/model_l3.json", "left_zinbiel"], 1),
     (["check", "tests/corpus/malformed.json", "right_zinbiel"], 2),
     (["check", "tests/corpus/bad_kind.json", "right_zinbiel"], 2),
+    (["check", "tests/corpus/list_kind.json", "right_zinbiel"], 2),
+    (["audit", "tests/corpus/dict_kind.json"], 2),
     (["check", "tests/corpus/no_such_file.json", "right_zinbiel"], 2),
     (["check", "tests/corpus/model_t3.json", "no_such_identity"], 2),
     (["check", "tests/corpus/model_t3.json", "(x (y z"], 2),
@@ -374,6 +378,81 @@ def test_any_identity_source_ends_in_an_exit_code_and_one_message(source):
             code = main(["check", "trunc-int:right:3", source])
         except SystemExit as exc:  # argparse, e.g. a source that looks like an option
             code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert sum("error:" in line for line in lines) <= 1, lines
+    assert (code == 2) == any("error:" in line for line in lines), (code, lines)
+    assert "Traceback" not in err.getvalue()
+
+
+# the check names of each input kind; every corpus payload of one of these
+# kinds is a seed of the loader fuzz below
+_CHECKS_OF_KIND = {
+    "algebra": ("right_zinbiel", "left_zinbiel"),
+    "coalgebra": ("co_right", "aux"),
+    "bimodule": ("axioms", "derived_relations", "subadjacent"),
+    "matched_pair": ("matched_pair",),
+    "bialgebra_candidate": ("manin_triple",),
+}
+
+
+@functools.cache
+def _seed_payloads() -> tuple:
+    out = []
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.json")):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            continue  # the deliberately malformed input
+        if isinstance(payload["kind"], str) and payload["kind"] in _CHECKS_OF_KIND:
+            out.append(payload)
+    return tuple(out)
+
+
+def _draw_field(data, payload) -> tuple:
+    """The key path of a field, drawn by a walk from the top: each step
+    enters one field (a dict key or a list index) of the value reached, and
+    the walk stops at a scalar, at an empty value or on a coin flip."""
+    path, node = (), payload
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    return path
+
+
+# Values every loader refuses before it builds anything, or small dims.
+_FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(-1, 2), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_mutated_payload_ends_in_an_exit_code_and_one_message(tmp_path, data):
+    payload = data.draw(st.sampled_from(_seed_payloads()))
+    checks = _CHECKS_OF_KIND[payload["kind"]]
+    *parents, key = _draw_field(data, payload)
+    payload = json.loads(json.dumps(payload))  # a copy to mutate
+    node = payload
+    for parent in parents:
+        node = node[parent]
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_FIELD_VALUES)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = data.draw(st.sampled_from([["audit", str(path)]] + [["check", str(path), c] for c in checks]))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2), (code, err.getvalue())
     lines = err.getvalue().splitlines()
     assert sum("error:" in line for line in lines) <= 1, lines

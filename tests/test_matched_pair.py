@@ -1,5 +1,6 @@
 """Matched pairs: compatibility checks, the double, induced pair structures."""
 
+import itertools
 import logging
 import random
 from collections import Counter
@@ -195,8 +196,72 @@ def _bundle_pairs(t3, t5, matched_pair_family):
     return pairs
 
 
+def _small_tables():
+    """Zero tables of dims 0, 2 and 3, e0 e0 = e1 (commutative and
+    associative) and [e0, e1] = e2 (Lie)."""
+    one = Fraction(1)
+    return [
+        algebra_from_entries(0, []),
+        algebra_from_entries(2, []),
+        algebra_from_entries(3, []),
+        algebra_from_entries(2, [(0, 0, 1, one)]),
+        algebra_from_entries(3, [(0, 1, 2, one), (1, 0, 2, -one)]),
+    ]
+
+
+def _sparse_pairs():
+    """Pairs of small tables, of equal, unequal and zero dims, whose actions
+    hold one or two entries, half of them on the last basis vectors: their
+    first witnesses fall past (0, 0, 0), and a representation may hold
+    beside a failing compatibility."""
+    rng = random.Random(fuzz.DEFAULT_SEED)
+
+    def pick(k):
+        return k - 1 if rng.random() < 0.5 else rng.randrange(k)
+
+    pairs = []
+    for a, b in itertools.product(_small_tables(), repeat=2):
+        # family -> (matrices, size): la and ra act on B, lb and rb on A
+        shapes = {"la": (a.dim, b.dim), "ra": (a.dim, b.dim), "lb": (b.dim, a.dim), "rb": (b.dim, a.dim)}
+        for entries in (1, 1, 2, 2):
+            acc = {name: [{} for _ in range(count)] for name, (count, _) in shapes.items()}
+            for _ in range(entries if a.dim and b.dim else 0):
+                name = rng.choice(list(shapes))
+                count, size = shapes[name]
+                acc[name][pick(count)][(pick(size), pick(size))] = Fraction(rng.choice((1, -1, 2)))
+            pairs.append(MatchedPair(a, b, *(
+                tuple(Matrix(size, size, m) for m in acc[name]) for name, (_, size) in shapes.items()
+            )))
+    return pairs
+
+
+def _direct_bundles(mp):
+    """The commutative-associative and Lie bundles of a pair's own actions,
+    on both orders of the summands."""
+    for args in ((mp.a, mp.b, mp.la, mp.lb), (mp.b, mp.a, mp.rb, mp.ra)):
+        yield check_commassoc_matched_pair(*args)
+        yield check_lie_matched_pair(*args)
+
+
+def test_sparse_pairs_fail_late_and_in_part():
+    late, in_part = set(), set()
+    for mp in _sparse_pairs():
+        for bundle in _direct_bundles(mp):
+            representations, compatibilities = bundle.verdicts[4:6], bundle.verdicts[6:]
+            late.update((bundle.kind, v.name) for v in bundle.verdicts[4:]
+                        if not v.holds and v.witness_data["tuple"] != [0, 0, 0])
+            if all(v.holds for v in representations) and not all(v.holds for v in compatibilities):
+                in_part.add(bundle.kind)
+    commassoc = ("mu_representation", "rho_representation", "compat_mu", "compat_rho")
+    lie = ("rho_representation", "mu_representation", "compat_on_h", "compat_on_g")
+    assert late == {("commutative_associative_pair", name) for name in commassoc} | {
+        ("lie_pair", name) for name in lie
+    }
+    assert in_part == {"commutative_associative_pair", "lie_pair"}
+
+
 def test_pair_bundles_match_reference(t3, t5, matched_pair_family):
-    for mp in _bundle_pairs(t3, t5, matched_pair_family):
+    for mp in _bundle_pairs(t3, t5, matched_pair_family) + _sparse_pairs():
         assert induced_commassoc_pair(mp) == oracles.reference_induced_commassoc_pair(mp)
         assert induced_lie_pair(mp) == oracles.reference_induced_lie_pair(mp)
         # non-induced actions, on both orders of the summands

@@ -115,6 +115,8 @@ BAD_PAYLOADS = [
         'expected kind "algebra"',
     ),
     ("not json at all", "not valid JSON"),
+    ('{"kind": ["algebra"]}', "unknown kind ['algebra']"),
+    ('{"kind": {"algebra": 1}}', "unknown kind {'algebra': 1}"),
 ]
 
 

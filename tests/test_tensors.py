@@ -13,7 +13,6 @@ from zinbielkit.tensors import (
     Tensor3,
     Vector,
     format_scalar,
-    linear_combination,
     parse_scalar,
     rank,
 )
@@ -102,11 +101,6 @@ def test_apply_matches_column_combination():
     out = m.apply(v)
     want = m.column(0).scale(Fraction(1)) + m.column(1).scale(Fraction(6))
     assert out == want
-
-
-def test_linear_combination_empty_coeffs():
-    fam = (Matrix.identity(2), Matrix.zero(2, 2))
-    assert linear_combination(fam, {}).is_zero
 
 
 def test_tensor3_shape_guard():
