@@ -1,12 +1,13 @@
 """Claim audit: evaluates the catalog of textbook claims on one table.
 
 Each claim is an equation between two term sums, drawn from the identity
-catalog's sides.  One sparse-join pass of ``identities.evaluate_sides``
-gives both side values and the residual at every basis tuple where they
-differ; the audit records that complete list of failing tuples in
-lexicographic order, and the first entry doubles as the headline witness.
-The claims, the orientation gate and the orientation pick all read the
-same tree-shape tensors, which the join memoizes on the table.
+catalog's sides.  One sparse-join pass (``identities.evaluate_pass``)
+reads every claim on a table and gives both side values and the residual
+at every basis tuple where they differ; the audit records that complete
+list of failing tuples in lexicographic order, and the first entry doubles
+as the headline witness.  The claims of a pass share their tree-shape
+tensors slice by slice; the orientation gate and pick share with them the
+shapes without the sliced variable, which the join memoizes on the table.
 Claims whose usual statements assume a Zinbiel table are still evaluated
 when the table fails its orientation check; the report is then marked
 vacuous rather than suppressed.
@@ -22,7 +23,9 @@ from functools import cache
 from typing import NamedTuple
 
 from .algebra import AlgebraTable
-from .identities import CLAIM_SIDES, catalog, difference, evaluate_sides, holds, parse_term_sum
+from .identities import (
+    CLAIM_SIDES, catalog, difference, evaluate_pass, evaluate_sides, holds, parse_term_sum,
+)
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 
 
@@ -76,17 +79,27 @@ def _claim_sides(lhs: str, rhs: str) -> tuple[tuple[str, ...], tuple]:
     return difference(lhs_terms, rhs_terms).variables, (lhs_terms, rhs_terms)
 
 
-def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, target_name: str) -> Verdict:
+def _claim_scan(table: AlgebraTable, spec: ClaimSpec) -> tuple:
+    """(variables, domains, sides) of the claim's scan on ``table``."""
+    variables, sides = _claim_sides(spec.lhs, spec.rhs)
+    return variables, (range(table.dim),) * len(variables), sides
+
+
+def evaluate_claim(
+    table: AlgebraTable, spec: ClaimSpec, target_name: str, evaluated: tuple | None = None
+) -> Verdict:
     """Verdict of lhs == rhs with the complete failing-tuple list attached.
 
     Witness text is the lexicographically first failure; witness data lists
     every failure.  The full list is what makes audit reports diffable
     evidence rather than spot checks; the sparse join finds it without
     visiting the tuples on which every product vanishes.  Each distinct side
-    or residual value is formatted once per claim.
+    or residual value is formatted once per claim.  ``evaluated`` is the
+    claim's ``(scale, hits)`` from a pass over ``table`` that read it (see
+    ``audit_claims``); without it the claim is scanned on its own.
     """
-    variables, sides = _claim_sides(spec.lhs, spec.rhs)
-    scale, hits = evaluate_sides(table, variables, (range(table.dim),) * len(variables), sides)
+    variables = _claim_sides(spec.lhs, spec.rhs)[0]
+    scale, hits = evaluated or evaluate_sides(table, *_claim_scan(table, spec))
     if not hits:
         return Verdict(spec.name, True)
     shown: dict[tuple, tuple[str, list]] = {}
@@ -145,9 +158,11 @@ def audit_claims(
     ``orientation`` selects which Zinbiel check gates the vacuous flag; when
     a claim filter leaves the gate out of the report, a scan of the catalog
     identity of that name decides it, stopping at its first residual.
-    Claims run one after another on the same sparse join as ``check``
-    (``identities.evaluate_sides``), so they share its tensors per table.
-    The symmetrized table is built only when a selected claim targets it.
+    The claims on one table are read in one pass of the sparse join
+    (``identities.evaluate_pass``), so they share its tensors slice by
+    slice; each claim's verdict is then built, and its hits dropped, one
+    claim at a time.  The symmetrized table is built only when a selected
+    claim targets it.
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
@@ -156,14 +171,17 @@ def audit_claims(
         unknown = set(claims) - {c.name for c in CLAIMS}
         if unknown:
             raise ValueError(f"unknown claim(s): {', '.join(sorted(unknown))}")
-    on_sym = any(spec.target == "symmetrized product" for spec in selected)
-    sym = algebra.symmetrize() if on_sym else None
-
-    def run(spec: ClaimSpec) -> Verdict:
-        table = sym if spec.target == "symmetrized product" else algebra
-        return evaluate_claim(table, spec, spec.target)
-
-    results = [run(spec) for spec in selected]
+    by_target: dict[str, list[ClaimSpec]] = {}
+    for spec in selected:
+        by_target.setdefault(spec.target, []).append(spec)
+    verdicts: dict[str, Verdict] = {}
+    for target, specs in by_target.items():
+        table = algebra.symmetrize() if target == "symmetrized product" else algebra
+        evaluations = evaluate_pass(table, [_claim_scan(table, spec) for spec in specs])
+        evaluations.reverse()  # popped in turn, so hits go as each verdict is built
+        for spec in specs:
+            verdicts[spec.name] = evaluate_claim(table, spec, target, evaluations.pop())
+    results = [verdicts[spec.name] for spec in selected]
 
     gate = _ORIENTATION_CLAIM[orientation]
     verdict = next((v for v in results if v.name == gate), None)

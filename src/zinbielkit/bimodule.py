@@ -13,8 +13,9 @@ family.  These are exactly the conditions under which the semidirect sum
 (x+u)*(y+v) = x.y + (l_x v + r_y u) inherits the right-orientation Zinbiel
 identity from the base (the V*V block is zero by construction).  On the
 semidirect sum each axiom is one identity, with x and y over the base and v
-over V (``_AXIOMS``), so ``check_bimodule`` is three typed scans of it, and
-the derived relations are three more on the same table (``_RELATIONS``).
+over V (``_AXIOMS``), so ``check_bimodule`` reads the three in one typed
+pass over it, and the derived relations are three more scans on the same
+table (``_RELATIONS``).
 
 No check multiplies an action matrix.  A family F is a representation,
 F_{x.y} = F_x F_y, iff ``((x y) v) = (x (y v))`` holds on a table where x
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import evaluate_sides, parse_term_sum
+from .identities import ExactValues, evaluate_pass, evaluate_sides, parse_term_sum
 from .reports import Verdict, failed_verdict
 from .tensors import DimensionMismatch, Frozen, Matrix
 
@@ -83,24 +84,33 @@ _AXIOMS = {
 _XYV = ("x", "y", "v")
 
 
-def axiom_scans(table: AlgebraTable, p: range, q: range):
-    """Yield (axiom, hits) per axiom, scanned on ``table`` with x and y over
-    ``p`` and v over ``q``.  A hit is ((i, j, beta), P part, Q part): the
-    residual split into its components on ``p`` and on ``q``, every index
-    counted from its range's start, with Fraction values.  The engine's hit
-    list is emptied as it is read, and each yielded list when the next scan
-    starts, so that no two scans' hits are held at once."""
-    for axiom, source in _AXIOMS.items():
-        scale, hits = evaluate_sides(table, _XYV, (p, p, q), (parse_term_sum(source),))
+def axiom_scans(table: AlgebraTable, p: range, q: range, p_signs: dict | None = None):
+    """Yield (axiom, hits) per axiom, all three read in one pass on ``table``
+    (``identities.evaluate_pass``) with x and y over ``p`` and v over ``q``,
+    so that they share its tensors slice by slice.  A hit is ((i, j, beta),
+    P part, Q part): the residual split into its components on ``p`` and on
+    ``q``, every index counted from its range's start, with Fraction values,
+    the P part times ``p_signs[axiom]`` (1 if absent).  Each axiom's hits
+    are read off the pass's list as they are converted, and each yielded
+    list is emptied when the next axiom starts, so that no two axioms'
+    converted hits are held at once."""
+    evaluations = evaluate_pass(table, [(_XYV, (p, p, q), (parse_term_sum(source),))
+                                        for source in _AXIOMS.values()])
+    evaluations.reverse()
+    for axiom in _AXIOMS:
+        scale, hits = evaluations.pop()
+        exact, sign = ExactValues(scale), (p_signs or {}).get(axiom, 1)
         read = []
         hits.reverse()
         while hits:
             (i, j, v), residual, _ = hits.pop()
-            parts: tuple[dict, dict] = ({}, {})
+            on_p, on_q = {}, {}
             for k, u in residual.items():
-                on_q = k in q
-                parts[on_q][k - (p, q)[on_q].start] = Fraction(u, scale)
-            read.append(((i - p.start, j - p.start, v - q.start), *parts))
+                if q.start <= k < q.stop:
+                    on_q[k - q.start] = exact[u]
+                else:
+                    on_p[k - p.start] = exact[sign * u]
+            read.append(((i - p.start, j - p.start, v - q.start), on_p, on_q))
         yield axiom, read
         read.clear()
 

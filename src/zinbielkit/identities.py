@@ -16,18 +16,24 @@ Evaluation is a sparse join: each product tree becomes a sparse tensor,
 joined bottom-up over the nonzero structure constants only, so the
 ``dim^vars`` basis tuples are never walked one at a time.  Each variable
 ranges over an index range, ``range(dim)`` unless typed: a check on A + V
-reads x over A and v over V.  A tree's tensor depends only on its shape, the
-tree with each leaf its variable's range and the sliced leaf marked apart,
-so tensors are memoized per table by shape (``AlgebraTable._shape_tensors``)
-for as long as the table lives, typed and untyped alike.  Read unsliced,
-``(x (y z))``, ``(y (x z))`` and ``(z (y x))`` are one tensor; every
-identity, claim and check on the table reads the shapes an earlier one built
-and joins only new ones.  Residuals come out in lexicographic order of their
-basis tuples, one slice of the first variable at a time, so the first
-reported residual is a deterministic witness.  Each evaluation logs one
-DEBUG record on the ``zinbielkit.identities`` logger with the size of the
-tuple space, the slices visited, the tensor entries this evaluation joined
-(not those it read from the memo) and the residual count.
+reads x over A and v over V.  Assignments are read one slice of the first
+variable at a time.  A tree's tensor depends only on its shape, the tree
+with each leaf its variable's range and the sliced leaf marked apart.  A
+shape without the sliced leaf is the same in every slice, and is memoized
+per table (``AlgebraTable._shape_tensors``) for as long as the table lives,
+typed and untyped alike: read unsliced, ``(x (y z))``, ``(y (x z))`` and
+``(z (y x))`` are one tensor, and every identity, claim and check on the
+table reads the shapes an earlier one built.  A shape with the sliced leaf
+is kept for one slice only, so an evaluation's memory grows by at most one
+slice's tensors.  Identities still share those: a check reads all of its
+identities over one table and one first range in a single pass
+(``evaluate_pass``), every identity on a slice before the next slice, as
+the claims of an audit and the axioms of a bimodule do.  Residuals come out
+in lexicographic order of their basis tuples, so the first reported
+residual is a deterministic witness.  Each identity logs one DEBUG record on
+the ``zinbielkit.identities`` logger with the size of the tuple space, the
+slices visited, the tensor entries it joined (not those it read from a
+store) and the residual count.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -270,6 +276,21 @@ Tensor = dict  # basis index k -> {leaf assignment: scaled integer coefficient o
 SLICED = "@"
 
 
+class ExactValues(dict):
+    """``Fraction(u, scale)`` per scaled integer ``u``, built on first use and
+    shared by every value of one scan that holds ``u``: a ``Fraction`` is
+    immutable, and a scan's values repeat few integers many times."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, u: int) -> Fraction:
+        value = self[u] = Fraction(u, self.scale)
+        return value
+
+
 def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable:
     """Map from an assignment in leaf order to one in ``variables`` order."""
     positions = tuple(leaves.index(name) for name in variables)
@@ -291,17 +312,19 @@ class _Joiner:
     """Integer tensors of tree shapes over one table, built bottom-up by
     joining only index pairs whose product is nonzero.
 
-    The tensors live in the table's memo (``AlgebraTable._shape_tensors``),
-    so they outlive this joiner: a shape without the sliced leaf is keyed by
-    the shape, one with it by ``(shape, slice index)``.  Assignments are in
-    leaf order; each term's ``reorder`` maps them to variable order.
-    ``joined`` counts the nonzero entries this joiner built, for the DEBUG
-    record of ``log``."""
+    A shape without the sliced leaf is kept in the table's memo
+    (``AlgebraTable._shape_tensors``), so it outlives this joiner.  A shape
+    with it is kept in ``sliced`` only while its slice is read: the pass
+    clears that store before the next slice, and it goes with the joiner.
+    Assignments are in leaf order; each term's ``reorder`` maps them to
+    variable order.  ``joined`` counts the nonzero entries this joiner
+    built, for the DEBUG records of ``log``."""
 
     def __init__(self, algebra: AlgebraTable):
         self.dim = algebra.dim
         self.d, self.by_left, self.by_right, self.by_output = algebra._factor_rows
         self.memo: dict = algebra._shape_tensors
+        self.sliced: dict = {}
         self.joined = 0
 
     def join(self, left: Tensor, right: Tensor) -> Tensor:
@@ -313,8 +336,17 @@ class _Joiner:
                        for kl, t in self.by_right.get(kr, ()) if kl in left]
         out: Tensor = {}
         for kl, kr, products in matches:
-            right_rows = right[kr].items()
-            pairs = [(a + b, u * w) for a, u in left[kl].items() for b, w in right_rows]
+            left_rows, right_rows = left[kl].items(), right[kr].items()
+            if len(products) == 1:
+                ((k, c),) = products
+                row = out.setdefault(k, {})
+                for a, u in left_rows:
+                    u *= c
+                    for b, w in right_rows:
+                        ab = a + b
+                        row[ab] = row.get(ab, 0) + u * w
+                continue
+            pairs = [(a + b, u * w) for a, u in left_rows for b, w in right_rows]
             for k, c in products:
                 row = out.setdefault(k, {})
                 for a, u in pairs:
@@ -330,52 +362,145 @@ class _Joiner:
 
     def tensor(self, shape: Tree, s: int | None = None) -> tuple[Tensor, bool]:
         """The shape's tensor with its ``SLICED`` leaf at index ``s``, and
-        whether the shape has that leaf; read from the memo or joined into it."""
-        memo = self.memo
-        if (tensor := memo.get(shape)) is not None:
+        whether the shape has that leaf; read from its store or joined into it."""
+        if (tensor := self.memo.get(shape)) is not None:
             return tensor, False
-        key = (shape, s)
-        if (tensor := memo.get(key)) is not None:
+        if (tensor := self.sliced.get(shape)) is not None:
             return tensor, True
         if shape == SLICED:
-            memo[key] = {s: {(s,): 1}}
-            return memo[key], True
+            tensor = self.sliced[shape] = {s: {(s,): 1}}
+            return tensor, True
         if isinstance(shape[0], int):  # a free leaf, (start, stop) of its range
-            memo[shape] = {i: {(i,): 1} for i in range(*shape)}
-            return memo[shape], False
+            tensor = self.memo[shape] = {i: {(i,): 1} for i in range(*shape)}
+            return tensor, False
         left, left_sliced = self.tensor(shape[0], s)
         right, right_sliced = self.tensor(shape[1], s)
         sliced = left_sliced or right_sliced
-        tensor = memo[key if sliced else shape] = self.join(left, right)
+        tensor = (self.sliced if sliced else self.memo)[shape] = self.join(left, right)
         return tensor, sliced
 
-    def log(self, what: str, domains, visited: int, of: int, unit: str, residuals: int):
+    def log(self, what: str, domains, visited: int, of: int, unit: str, joined: int,
+            residuals: int):
         sizes = [len(d) for d in domains]
         untyped = all(d == range(self.dim) for d in domains)
         space = f"{self.dim}^{len(sizes)}" if untyped else "*".join(map(str, sizes))
         log_debug(
             "zinbielkit.identities",
             "%s: %s = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
-            what, space, math.prod(sizes), visited, of, unit, self.joined, residuals,
+            what, space, math.prod(sizes), visited, of, unit, joined, residuals,
         )
+
+
+@lru_cache(maxsize=256)
+def _plan(variables: tuple[str, ...], sides: tuple) -> tuple[int, tuple]:
+    """The table-independent half of ``_compile``, once per identity: the
+    arity check, then (coefficient denominator, ((side, scaled coefficient,
+    tree, reorder), ...))."""
+    for terms in sides:
+        _validate_arity(variables, terms)
+    coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
+    return coeff_den, tuple(
+        (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
+        for side, terms in enumerate(sides)
+        for coeff, tree in terms
+        if coeff
+    )
 
 
 def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, list]:
     """(coefficient denominator, [(side, scaled coefficient, shape, reorder)]),
     with ``leaves[i]`` (``SLICED`` or a range) the leaf of ``variables[i]``."""
-    for terms in sides:
-        _validate_arity(variables, terms)
-    coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
+    coeff_den, plan = _plan(variables, tuple(map(tuple, sides)))
     by_name = {v: leaf if leaf == SLICED else (leaf.start, leaf.stop)
                for v, leaf in zip(variables, leaves)}
-    compiled = [
-        (side, int(coeff * coeff_den), _shape(tree, by_name),
-         _leaf_order(tuple(_leaves(tree)), variables))
-        for side, terms in enumerate(sides)
-        for coeff, tree in terms
-        if coeff
-    ]
-    return coeff_den, compiled
+    return coeff_den, [(side, coeff, _shape(tree, by_name), reorder)
+                       for side, coeff, tree, reorder in plan]
+
+
+def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list,
+                first_only: bool) -> None:
+    """Append the residuals of one identity on slice ``s``, in lexicographic
+    order, to ``hits``; ``width`` is its number of sides."""
+    acc: dict = {}
+    if width == 1:  # one integer dict per assignment: the residual
+        for _, coeff, shape, reorder in compiled:
+            for k, rows in tensor(shape, s)[0].items():
+                for a, u in rows.items():
+                    full = reorder(a)
+                    value = acc.get(full)
+                    if value is None:
+                        value = acc[full] = {}
+                    value[k] = value.get(k, 0) + coeff * u
+    else:  # one dict per side and assignment
+        for side, coeff, shape, reorder in compiled:
+            for k, rows in tensor(shape, s)[0].items():
+                for a, u in rows.items():
+                    full = reorder(a)
+                    values = acc.get(full)
+                    if values is None:
+                        values = acc[full] = [{} for _ in range(width)]
+                    value = values[side]
+                    value[k] = value.get(k, 0) + coeff * u
+    for full in sorted(acc):
+        values = acc[full]
+        if width == 1:
+            residual = {k: v for k, v in values.items() if v}
+            values = (residual,)
+        else:
+            residual = dict(values[0])
+            for other in values[1:]:
+                for k, v in other.items():
+                    residual[k] = residual.get(k, 0) - v
+            residual = {k: v for k, v in residual.items() if v}
+            values = tuple(values)
+        if residual:
+            hits.append((full, residual, values))
+            if first_only:
+                return
+
+
+def evaluate_pass(
+    algebra: AlgebraTable, scans, *, first_only: bool = False
+) -> list[tuple[int, list[tuple[tuple[int, ...], dict, tuple[dict, ...]]]]]:
+    """``evaluate_sides`` of each ``(variables, domains, sides)`` in ``scans``,
+    all read in one pass over the slices of their common first range:
+    ``[(scale, hits)]`` in the order of ``scans``.
+
+    Every identity reads a slice before the pass moves to the next one, so
+    identities that share a sliced shape join its tensor once, and the
+    pass then drops every sliced tensor: memory grows by at most one slice's
+    tensors beside the slice-free shapes of the table's memo.  Each identity
+    logs its own DEBUG record, with the entries it joined itself; with
+    ``first_only`` each stops at its own first residual, and the pass at
+    the last of them.
+    """
+    joiner = _Joiner(algebra)
+    first = scans[0][1][0] if scans[0][1] else range(algebra.dim)
+    plans = []
+    for variables, domains, sides in scans:
+        if (domains[0] if domains else range(algebra.dim)) != first:
+            raise ValueError("the scans of one pass need one first range")
+        coeff_den, compiled = _compile(variables, (SLICED, *domains[1:]), sides)
+        scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
+        plans.append((compiled, len(sides), scale, []))
+    joined = [0] * len(plans)
+    visited = [0] * len(plans)
+    reading = list(range(len(plans)))
+    for s in first:
+        for n in reading:
+            compiled, width, _, hits = plans[n]
+            before = joiner.joined
+            _read_slice(joiner.tensor, s, compiled, width, hits, first_only)
+            joined[n] += joiner.joined - before
+            visited[n] += 1
+        joiner.sliced.clear()
+        if first_only:
+            reading = [n for n in reading if not plans[n][3]]
+            if not reading:
+                break
+    for (_, domains, _), (_, _, _, hits), n_joined, n_visited in zip(scans, plans, joined, visited):
+        joiner.log("sparse join", domains, n_visited, len(first), "slices", n_joined, len(hits))
+    return [(scale, hits) for _, _, scale, hits in plans]
 
 
 def evaluate_sides(
@@ -385,7 +510,7 @@ def evaluate_sides(
     sides,
     *,
     first_only: bool = False,
-) -> tuple[int, list[tuple[tuple[int, ...], dict, list[dict]]]]:
+) -> tuple[int, list[tuple[tuple[int, ...], dict, tuple[dict, ...]]]]:
     """Residuals of ``sides[0] - sides[1] - ...``, each with every side's value.
 
     ``sides`` holds term sums over ``variables``, every term using each
@@ -396,57 +521,24 @@ def evaluate_sides(
     nonzero residual, in lexicographic order.  Values are integer coefficient
     dicts, ``scale`` times the exact ones (side values may hold zeros; one
     side's value is its residual, the same dict, so a long scan keeps one
-    dict per hit).
+    dict per hit).  This is the one-identity case of ``evaluate_pass``.
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
-    is read as its shape's sparse tensor from the table's memo (``_Joiner``),
-    which keeps every tensor for as long as the table lives: a shape is
-    joined once per table, not once per identity.  Assignments are taken one
-    slice of the first variable at a time, in index order: subtrees without
-    that variable are shared by every slice, and ``first_only`` stops at the
-    first residual of the first slice that has one, so later slices are
-    never joined.
+    is read as its shape's sparse tensor (``_Joiner``).  Assignments are
+    taken one slice of the first variable at a time, in index order.  A
+    shape without that variable is the same in every slice; it is joined
+    once per table and kept in the table's memo for every later evaluation.
+    A shape with it is kept only while its slice is read.  ``first_only``
+    stops at the first residual of the first slice that has one, so later
+    slices are never joined.
 
     Every tree has ``len(variables) - 1`` products, so with the structure
     constants scaled by their common denominator ``d`` and the term
     coefficients by theirs, all tensors hold integers and every value is
     the same multiple ``scale`` of the exact one.
     """
-    coeff_den, compiled = _compile(variables, (SLICED, *domains[1:]), sides)
-    joiner = _Joiner(algebra)
-    scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
-
-    hits: list = []
-    slices = 0
-    sliced = domains[0] if domains else range(algebra.dim)
-    for s in sliced:
-        slices += 1
-        acc: dict[tuple[int, ...], list[dict]] = {}
-        for side, coeff, shape, reorder in compiled:
-            for k, rows in joiner.tensor(shape, s)[0].items():
-                for a, u in rows.items():
-                    full = reorder(a)
-                    values = acc.get(full)
-                    if values is None:
-                        values = acc[full] = [{} for _ in sides]
-                    value = values[side]
-                    value[k] = value.get(k, 0) + coeff * u
-        for full in sorted(acc):
-            values = acc[full]
-            residual = dict(values[0])
-            for other in values[1:]:
-                for k, v in other.items():
-                    residual[k] = residual.get(k, 0) - v
-            residual = {k: v for k, v in residual.items() if v}
-            if residual:
-                hits.append((full, residual, values if len(values) > 1 else (residual,)))
-                if first_only:
-                    break
-        if first_only and hits:
-            break
-    joiner.log("sparse join", domains, slices, len(sliced), "slices", len(hits))
-    return scale, hits
+    return evaluate_pass(algebra, ((variables, domains, sides),), first_only=first_only)[0]
 
 
 def evaluate_by_output(
@@ -475,7 +567,7 @@ def evaluate_by_output(
         (coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
         for _, coeff, shape, reorder in compiled
     ]
-    scale = joiner.d ** (len(variables) - 1) * coeff_den
+    exact = ExactValues(joiner.d ** (len(variables) - 1) * coeff_den)
     hits: list = []
     outputs = 0
     for k, products in joiner.by_output.items():
@@ -491,12 +583,12 @@ def evaluate_by_output(
                             full = reorder(a + b)
                             acc[full] = acc.get(full, 0) + u * w
         joiner.joined += len(acc)
-        residual = {a: Fraction(u, scale) for a, u in acc.items() if u}
+        residual = {a: exact[u] for a, u in acc.items() if u}
         if residual:
             hits.append((k, residual))
             if first_only:
                 break
-    joiner.log("output join", domains, outputs, algebra.dim, "outputs", len(hits))
+    joiner.log("output join", domains, outputs, algebra.dim, "outputs", joiner.joined, len(hits))
     return hits
 
 
@@ -522,8 +614,9 @@ def _exact(algebra: AlgebraTable, identity: Identity, first_only: bool) -> list:
     variables, terms = identity
     domains = (range(algebra.dim),) * len(variables)
     scale, hits = evaluate_sides(algebra, variables, domains, (terms,), first_only=first_only)
+    exact = ExactValues(scale)
     for i, (a, r, _) in enumerate(hits):
-        hits[i] = (a, {k: Fraction(v, scale) for k, v in r.items()})
+        hits[i] = (a, {k: exact[v] for k, v in r.items()})
     return hits
 
 

@@ -131,6 +131,7 @@ _ON_P = {
     "mixed_composition": ("compat_l{q}_2", -1),
     "right_composition": ("compat_l{q}_1", 1),
 }
+_P_SIGNS = {axiom: sign for axiom, (_, sign) in _ON_P.items()}
 
 
 def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
@@ -144,16 +145,11 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     on_a, on_b = range(n), range(n, d.dim)
     found: dict[str, list] = {}
     for q, p_range, q_range in (("b", on_a, on_b), ("a", on_b, on_a)):
-        for axiom, hits in axiom_scans(d, p_range, q_range):
-            action, (compat, sign) = f"action_on_{q}:{axiom}", _ON_P[axiom]
+        for axiom, hits in axiom_scans(d, p_range, q_range, _P_SIGNS):
+            action, compat = f"action_on_{q}:{axiom}", _ON_P[axiom][0].format(q=q)
             found[action] = [MatchedPairViolation(action, *m)
                              for m in column_matrices(hits, len(q_range))]
-            compat = compat.format(q=q)
             found[compat] = [MatchedPairViolation(compat, key, part) for key, part, _ in hits if part]
-            if sign < 0:  # in place, so that no residual is held twice
-                for _, part, _ in hits:
-                    for k in part:
-                        part[k] = -part[k]
     for q in "ba":
         out += (v for axiom in _AXIOMS for v in found[f"action_on_{q}:{axiom}"])
     out += found["compat_rb"] + found["compat_ra"]

@@ -13,6 +13,7 @@ malformed scalars, and duplicate entries raise InputFormatError.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any
 
 from .algebra import AlgebraTable
@@ -28,36 +29,42 @@ class InputFormatError(ValueError):
     pass
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """Raise ``message``, filled with ``args`` by ``str.format``, unless
+    ``cond``: the message is built only for the failure it reports."""
     if not cond:
-        raise InputFormatError(message)
+        raise InputFormatError(message.format(*args) if args else message)
 
 
 def _as_dim(obj: Any, field: str) -> int:
     _require(isinstance(obj, int) and not isinstance(obj, bool) and obj >= 0,
-             f"{field} must be a nonnegative integer")
+             "{} must be a nonnegative integer", field)
     return obj
 
 
 def _as_index(obj: Any, bound: int, field: str) -> int:
-    _require(isinstance(obj, int) and not isinstance(obj, bool), f"{field} must be an integer")
-    _require(0 <= obj < bound, f"{field} {obj} out of range [0,{bound})")
+    _require(isinstance(obj, int) and not isinstance(obj, bool), "{} must be an integer", field)
+    _require(0 <= obj < bound, "{} {} out of range [0,{})", field, obj, bound)
     return obj
 
 
+# Each distinct scalar string is parsed once; a payload repeats few of them.
+_parse_scalar = lru_cache(maxsize=256)(parse_scalar)
+
+
 def _as_scalar(obj: Any, field: str):
-    _require(isinstance(obj, str), f"{field} must be a scalar string like \"p/q\"")
+    _require(isinstance(obj, str), "{} must be a scalar string like \"p/q\"", field)
     try:
-        return parse_scalar(obj)
+        return _parse_scalar(obj)
     except ValueError as exc:
         raise InputFormatError(f"{field}: {exc}") from None
 
 
 def _entry_rows(obj: Any, field: str, width: int):
-    _require(isinstance(obj, list), f"{field} must be a list")
+    _require(isinstance(obj, list), "{} must be a list", field)
     for row in obj:
         _require(isinstance(row, list) and len(row) == width,
-                 f"{field} rows must be {width}-element lists")
+                 "{} rows must be {}-element lists", field, width)
         yield row
 
 
@@ -85,7 +92,7 @@ def algebra_from_jsonable(obj: Any) -> AlgebraTable:
         j = _as_index(row[1], dim, "structure index")
         k = _as_index(row[2], dim, "structure index")
         v = _as_scalar(row[3], "structure value")
-        _require((i, j, k) not in entries, f"duplicate structure entry ({i},{j},{k})")
+        _require((i, j, k) not in entries, "duplicate structure entry ({},{},{})", i, j, k)
         if v:
             entries[(i, j, k)] = v
     return AlgebraTable(dim, tuple(basis), Tensor3(dim, dim, dim, entries))
@@ -111,7 +118,7 @@ def coalgebra_from_jsonable(obj: Any) -> CoalgebraTable:
         i = _as_index(row[1], dim, "coproduct index")
         j = _as_index(row[2], dim, "coproduct index")
         v = _as_scalar(row[3], "coproduct value")
-        _require((k, i, j) not in entries, f"duplicate coproduct entry ({k},{i},{j})")
+        _require((k, i, j) not in entries, "duplicate coproduct entry ({},{},{})", k, i, j)
         if v:
             entries[(k, i, j)] = v
     return CoalgebraTable(dim, Tensor3(dim, dim, dim, entries))
@@ -128,12 +135,14 @@ def _maps_jsonable(maps: tuple[Matrix, ...]) -> list:
 def _maps_from_jsonable(obj: Any, count: int, rows: int, field: str) -> tuple[Matrix, ...]:
     acc: list[dict] = [{} for _ in range(count)]
     seen = set()
+    family, row_field = f"{field} family index", f"{field} row"
+    column, value = f"{field} column", f"{field} value"
     for row in _entry_rows(obj, field, 4):
-        idx = _as_index(row[0], count, f"{field} family index")
-        r = _as_index(row[1], rows, f"{field} row")
-        c = _as_index(row[2], rows, f"{field} column")
-        v = _as_scalar(row[3], f"{field} value")
-        _require((idx, r, c) not in seen, f"duplicate {field} entry ({idx},{r},{c})")
+        idx = _as_index(row[0], count, family)
+        r = _as_index(row[1], rows, row_field)
+        c = _as_index(row[2], rows, column)
+        v = _as_scalar(row[3], value)
+        _require((idx, r, c) not in seen, "duplicate {} entry ({},{},{})", field, idx, r, c)
         seen.add((idx, r, c))
         if v:
             acc[idx][(r, c)] = v
@@ -228,7 +237,7 @@ def from_jsonable(obj: Any):
     _require(isinstance(obj, dict), "payload must be a JSON object")
     kind = obj.get("kind")
     reader = _READERS.get(kind) if isinstance(kind, str) else None
-    _require(reader is not None, f"unknown kind {kind!r}")
+    _require(reader is not None, "unknown kind {!r}", kind)
     return reader(obj)
 
 

@@ -104,9 +104,9 @@ def test_filtered_out_gate_is_decided_without_a_claim_run(orientation, l3, t3, m
     run = []
     evaluate_claim = audit.evaluate_claim
 
-    def counting(table, spec, target):
+    def counting(table, spec, target, evaluated=None):
         run.append(spec.name)
-        return evaluate_claim(table, spec, target)
+        return evaluate_claim(table, spec, target, evaluated)
 
     monkeypatch.setattr(audit, "evaluate_claim", counting)
     for table in (l3, t3):

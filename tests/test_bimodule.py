@@ -28,6 +28,12 @@ def test_regular_bimodules_over_passing_bases_satisfy_axioms(t3, t5, free23):
         assert check_bimodule(regular_bimodule(a)) == []
 
 
+def test_axiom_residuals_are_fractions(l3):
+    violations = check_bimodule(regular_bimodule(l3))
+    values = [v for violation in violations for v in violation.residual.entries.values()]
+    assert values and all(type(v) is Fraction for v in values)
+
+
 def test_zero_bimodule_satisfies_axioms_over_any_base(l3, standard_models):
     # zero maps kill every axiom term, even when the base is not Zinbiel
     assert check_bimodule(zero_bimodule(l3, 3)) == []

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 
 import zinbielkit
 from zinbielkit.algebra import algebra_from_entries
-from zinbielkit.audit import CLAIMS, evaluate_claim
+from zinbielkit.audit import CLAIMS, audit_claims, evaluate_claim
 from zinbielkit.identities import (
+    SLICED,
     ArityError,
     Identity,
     IdentitySyntaxError,
@@ -19,6 +20,7 @@ from zinbielkit.identities import (
     catalog_source,
     difference,
     evaluate,
+    evaluate_pass,
     evaluate_sides,
     holds,
     left_zinbiel_residuals,
@@ -254,21 +256,97 @@ def test_claim_sides_match_reference_scan():
             assert verdict.holds == (not want)
 
 
-def test_claims_share_shape_tensors_per_table(caplog):
-    by_name = {spec.name: spec for spec in CLAIMS}
-    table = trunc_integration(5, "right")
-    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
-        evaluate_claim(table, by_name["left_relation"], "product")
-        evaluate_claim(table, by_name["derived_4"], "product")  # the same sides
-        evaluate_claim(table.symmetrize(), by_name["derived_4"], "product")
-    joined = [
+def _joined(records) -> list[int]:
+    return [
         int(re.search(r"(\d+) joined entries", r.getMessage()).group(1))
-        for r in caplog.records
+        for r in records
         if r.name == "zinbielkit.identities"
     ]
-    assert len(joined) == 3
-    assert joined[0] > 0 and joined[2] > 0  # each table builds its own tensors
-    assert joined[1] == 0  # every tensor of the second claim was already built
+
+
+def _has_sliced_leaf(shape) -> bool:
+    if shape == SLICED:
+        return True
+    return isinstance(shape, tuple) and any(map(_has_sliced_leaf, shape))
+
+
+def _entries(tensor) -> int:
+    return sum(len(rows) for rows in tensor.values())
+
+
+def test_claims_of_one_audit_pass_share_sliced_tensors(caplog):
+    # derived_4 has the sides of left_relation, so in one pass it reads every
+    # tensor left_relation joined, slice by slice, and joins none itself.
+    table = trunc_integration(5, "right")
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        audit_claims(table, "right", claims=["left_relation", "derived_4"])
+    joined = _joined(caplog.records)
+    assert len(joined) == 3  # both claims, then the gate's first-only scan
+    assert joined[0] > 0 and joined[1] == 0
+
+
+def test_slice_free_shapes_are_reused_across_calls_and_sliced_ones_are_not(caplog):
+    table = trunc_integration(5, "right")
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        right_zinbiel_residuals(table)
+        memo = dict(table._shape_tensors)
+        right_zinbiel_residuals(table)
+    first, second = _joined(caplog.records)
+    assert table._shape_tensors.keys() == memo.keys()
+    assert all(table._shape_tensors[shape] is tensor for shape, tensor in memo.items())
+    slice_free = sum(_entries(t) for shape, t in memo.items() if not isinstance(shape[0], int))
+    assert slice_free > 0
+    assert second == first - slice_free > 0  # only the sliced shapes are joined again
+
+
+def test_the_table_memo_holds_no_sliced_shape_and_no_partial_tensor():
+    ident = catalog()["left_zinbiel"]
+    typed = (range(2), range(1, 4), range(6))
+    runs = [
+        lambda t: evaluate(t, ident, first_only=True),
+        lambda t: evaluate(t, ident),
+        lambda t: evaluate_sides(t, ident.variables, typed, (ident.terms,), first_only=True),
+        lambda t: evaluate_pass(t, [(ident.variables, typed, (ident.terms,))] * 2),
+        lambda t: audit_claims(t, "left"),
+        lambda t: holds(t, catalog()["jacobi"]),
+    ]
+    complete = trunc_integration(5, "right")
+    for run in runs:
+        run(complete)
+    for run in runs:
+        table = trunc_integration(5, "right")
+        run(table)
+        assert table._shape_tensors
+        assert not any(map(_has_sliced_leaf, table._shape_tensors))
+        # a first-only scan stores whole tensors, as a full scan would
+        assert all(complete._shape_tensors[s] == t for s, t in table._shape_tensors.items())
+
+
+def test_one_pass_reads_every_scan_as_its_own_evaluation():
+    table = _random_tables(2021, count=1)[0]
+    scans = [
+        (ident.variables, (range(table.dim),) * len(ident.variables), (ident.terms,))
+        for ident in catalog().values()
+    ]
+    for first_only in (False, True):
+        want = [evaluate_sides(table, *scan, first_only=first_only) for scan in scans]
+        assert evaluate_pass(table, scans, first_only=first_only) == want
+    with pytest.raises(ValueError):
+        evaluate_pass(table, [scans[0], (scans[0][0], (range(1),) * 3, scans[0][2])])
+
+
+def test_joined_counts_are_pinned(caplog):
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        right_zinbiel_residuals(trunc_integration(5, "right"))
+        evaluate(free_halfshuffle(2, 3), catalog()["lie_admissible"])
+    assert _joined(caplog.records) == [105, 132]
+
+
+def test_exact_values_are_fractions(t5, l3):
+    residuals = evaluate(t5, catalog()["lie_admissible"])
+    values = [v for r in residuals for v in r.value.entries.values()]
+    values += [v for _, r in right_zinbiel_residuals(l3) for v in r.values()]
+    assert values and all(type(v) is Fraction for v in values)
 
 
 def test_evaluate_rejects_non_multilinear_terms(t3):

@@ -26,6 +26,7 @@ from zinbielkit.matched_pair import (
     induced_lie_pair,
     zero_matched_pair,
 )
+from zinbielkit.models import trunc_integration
 from zinbielkit.tensors import DimensionMismatch, Matrix
 
 
@@ -66,6 +67,24 @@ def test_broken_base_reported_first(l3, t2):
     assert first.where == (0, 1, 0)
     assert dict(first.residual) == {1: Fraction(-1)}
     assert format_violation(first) == "base_a_right_zinbiel at (0,1,0): residual -e1"
+
+
+def test_joined_counts_are_pinned_and_values_are_fractions(caplog):
+    t3 = trunc_integration(3, "right")
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        violations = check_matched_pair(dual_reps(BialgebraCandidate(t3, t3)))
+    joined = [int(r.getMessage().split(", ")[-2].split()[0])
+              for r in caplog.records if r.name == "zinbielkit.identities"]
+    # Both base scans read the one table t3: the second reuses its slice-free
+    # shapes and joins its sliced ones again.  Then three axioms per action
+    # system, each read in one pass.
+    assert joined == [30, 24, 92, 62, 88, 80, 50, 88]
+    values = [
+        v
+        for violation in violations
+        for v in getattr(violation.residual, "entries", violation.residual).values()
+    ]
+    assert values and all(type(v) is Fraction for v in values)
 
 
 def test_broken_action_reported_with_matrix_residual(t3, t2):
