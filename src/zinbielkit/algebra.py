@@ -97,10 +97,6 @@ class AlgebraTable(Frozen):
             raise DimensionMismatch("vector dim != algebra dim")
         return Vector(self.dim, self.multiply_raw(x.entries, y.entries))
 
-    def associator(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        """(x*y)*z - x*(y*z)."""
-        return self.multiply(self.multiply(x, y), z) - self.multiply(x, self.multiply(y, z))
-
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of v -> e_i * v."""
         return Matrix(

@@ -8,9 +8,10 @@ list of failing tuples in lexicographic order, and the first entry doubles
 as the headline witness.  The claims of a pass share their tree-shape
 tensors slice by slice; the orientation gate and pick share with them the
 shapes without the sliced variable, which the join memoizes on the table.
-Claims whose usual statements assume a Zinbiel table are still evaluated
-when the table fails its orientation check; the report is then marked
-vacuous rather than suppressed.
+The text and JSON of each witness value and basis tuple are formatted once
+per audit, for every claim and both targets.  Claims whose usual statements
+assume a Zinbiel table are still evaluated when the table fails its
+orientation check; the report is then marked vacuous rather than suppressed.
 
 Both orientation relations (left_relation, right_relation) are always
 evaluated side by side: their usual attribution to an orientation is
@@ -93,16 +94,20 @@ def evaluate_claim(
     Witness text is the lexicographically first failure; witness data lists
     every failure.  The full list is what makes audit reports diffable
     evidence rather than spot checks; the sparse join finds it without
-    visiting the tuples on which every product vanishes.  Each distinct side
-    or residual value is formatted once per claim.  ``evaluated`` is the
-    claim's ``(scale, hits)`` from a pass over ``table`` that read it (see
-    ``audit_claims``); without it the claim is scanned on its own.
+    visiting the tuples on which every product vanishes.  ``evaluated`` is
+    the claim's ``(scale, hits)`` from a pass over ``table`` that read it,
+    plus the witness memo of that audit (see ``audit_claims``): the (text,
+    JSON) of each value by scale and items, and the text of each tuple, so
+    each is formatted once per audit.  Without it the claim is scanned and
+    formatted on its own.
     """
     variables = _claim_sides(spec.lhs, spec.rhs)[0]
-    scale, hits = evaluated or evaluate_sides(table, *_claim_scan(table, spec))
+    if evaluated is None:
+        evaluated = (*evaluate_sides(table, *_claim_scan(table, spec)), ({}, {}))
+    scale, hits, (by_scale, places) = evaluated
     if not hits:
         return Verdict(spec.name, True)
-    shown: dict[tuple, tuple[str, list]] = {}
+    shown: dict[tuple, tuple[str, list]] = by_scale.setdefault(scale, {})
 
     def show(value: dict) -> tuple[str, list]:
         """(text, JSON) of a scaled value, found by its items.  Side values
@@ -122,7 +127,9 @@ def evaluate_claim(
 
     failures = []
     for assignment, residual, (lhs, rhs) in hits:
-        where = format_assignment(assignment)
+        where = places.get(assignment)
+        if where is None:
+            where = places[assignment] = format_assignment(assignment)
         (lhs_text, lhs_json), (rhs_text, rhs_json) = show(lhs), show(rhs)
         res_text, res_json = show(residual)
         sides_text = f"at {where}: lhs = {lhs_text}, rhs = {rhs_text}"
@@ -161,8 +168,9 @@ def audit_claims(
     The claims on one table are read in one pass of the sparse join
     (``identities.evaluate_pass``), so they share its tensors slice by
     slice; each claim's verdict is then built, and its hits dropped, one
-    claim at a time.  The symmetrized table is built only when a selected
-    claim targets it.
+    claim at a time.  The witness memo lives for this call: every claim of
+    both targets reads the values and tuples the earlier ones formatted.
+    The symmetrized table is built only when a selected claim targets it.
     """
     if orientation not in _ORIENTATION_CLAIM:
         raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
@@ -175,12 +183,13 @@ def audit_claims(
     for spec in selected:
         by_target.setdefault(spec.target, []).append(spec)
     verdicts: dict[str, Verdict] = {}
+    memo: tuple[dict, dict] = ({}, {})
     for target, specs in by_target.items():
         table = algebra.symmetrize() if target == "symmetrized product" else algebra
         evaluations = evaluate_pass(table, [_claim_scan(table, spec) for spec in specs])
         evaluations.reverse()  # popped in turn, so hits go as each verdict is built
         for spec in specs:
-            verdicts[spec.name] = evaluate_claim(table, spec, target, evaluations.pop())
+            verdicts[spec.name] = evaluate_claim(table, spec, target, (*evaluations.pop(), memo))
     results = [verdicts[spec.name] for spec in selected]
 
     gate = _ORIENTATION_CLAIM[orientation]

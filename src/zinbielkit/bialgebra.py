@@ -46,9 +46,6 @@ class BilinearFormTable(Frozen):
         if (self.g.rows, self.g.cols) != (self.dim, self.dim):
             raise ValueError("form matrix must be dim x dim")
 
-    def pair_basis(self, i: int, j: int) -> Fraction:
-        return self.g.get(i, j)
-
 
 def standard_pairing(n: int) -> BilinearFormTable:
     entries = {}

@@ -204,9 +204,3 @@ def check_aux_coalgebra_identities(c: CoalgebraTable) -> VerdictBundle:
     names = ("co_right_relation_a", "co_right_relation_b", "co_left_relation_a",
              "co_left_relation_b", "co_derived_1", "co_derived_2", "co_derived_3")
     return _bundle(c, "aux_coalgebra_identities", names)
-
-
-def gap_counterexample() -> CoalgebraTable:
-    """Coproduct whose symmetrization is zero (so trivially cocommutative and
-    coassociative) while the coproduct itself passes neither orientation."""
-    return coalgebra_from_entries(2, [(0, 0, 1, 1), (0, 1, 0, -1)])

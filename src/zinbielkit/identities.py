@@ -51,16 +51,15 @@ from .tensors import Vector
 Tree = Union[str, tuple]
 
 
-def log_debug(logger: str, msg: str, *args) -> None:
-    """A DEBUG record on ``logger``, through ``logging`` if it is loaded.
+def debug_logger(name: str):
+    """The logger ``name`` if ``logging`` is loaded, else None.
 
     The package does not import ``logging``, which would cost every command
     its start-up.  A program that never imported it cannot have a handler,
-    so skipping the record then loses nothing.
+    so a caller that then builds no record, nor its arguments, loses nothing.
     """
     logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(logger).debug(msg, *args)
+    return None if logging is None else logging.getLogger(name)
 
 
 # Deepest product nesting the parser accepts.  Parsing, the variable walk and
@@ -381,11 +380,13 @@ class _Joiner:
 
     def log(self, what: str, domains, visited: int, of: int, unit: str, joined: int,
             residuals: int):
+        logger = debug_logger("zinbielkit.identities")
+        if logger is None:
+            return
         sizes = [len(d) for d in domains]
         untyped = all(d == range(self.dim) for d in domains)
         space = f"{self.dim}^{len(sizes)}" if untyped else "*".join(map(str, sizes))
-        log_debug(
-            "zinbielkit.identities",
+        logger.debug(
             "%s: %s = %d basis tuples, %d of %d %s, %d joined entries, %d residuals",
             what, space, math.prod(sizes), visited, of, unit, joined, residuals,
         )
@@ -446,6 +447,8 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
         if width == 1:
             residual = {k: v for k, v in values.items() if v}
             values = (residual,)
+        elif width == 2 and values[0] == values[1]:
+            continue  # equal sides, so a zero residual: skipped in one compare
         else:
             residual = dict(values[0])
             for other in values[1:]:
@@ -682,7 +685,3 @@ def _catalog() -> dict[str, Identity]:
 def catalog() -> dict[str, Identity]:
     """Named identity collection; every entry round-trips through the parser."""
     return dict(_catalog())
-
-
-def catalog_source(name: str) -> str:
-    return render_identity(_catalog()[name])

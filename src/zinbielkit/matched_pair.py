@@ -69,7 +69,7 @@ from .bimodule import (
     first_witness_verdict,
 )
 from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
-from .identities import CLAIM_SIDES, log_debug, right_zinbiel_residuals
+from .identities import CLAIM_SIDES, debug_logger, right_zinbiel_residuals
 from .reports import Verdict, VerdictBundle, format_matrix, format_vector
 from .tensors import DimensionMismatch, Frozen, Matrix
 
@@ -156,11 +156,12 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
     for q in "ba":  # compat_l*_1 and compat_l*_2 interleaved per (x, y, a)
         out += sorted(found[f"compat_l{q}_1"] + found[f"compat_l{q}_2"], key=lambda v: v.where)
 
-    log_debug(
-        "zinbielkit.matched_pair",
-        "matched pair: dim A = %d, dim B = %d, %d violations %s",
-        mp.a.dim, mp.b.dim, len(out), dict(Counter(v.condition for v in out)),
-    )
+    logger = debug_logger("zinbielkit.matched_pair")
+    if logger is not None:
+        logger.debug(
+            "matched pair: dim A = %d, dim B = %d, %d violations %s",
+            mp.a.dim, mp.b.dim, len(out), dict(Counter(v.condition for v in out)),
+        )
     return out
 
 

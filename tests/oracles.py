@@ -8,7 +8,9 @@ by the per-tuple scan the library's sparse join replaced, the
 structural checks by the full-table scans their indexed kernels replaced,
 and the coalgebra checks by the composition calculus of coproducts that
 their transposed identities replaced.
-Agreement is always exact; there are no tolerances anywhere.
+Agreement is always exact; there are no tolerances anywhere.  The module
+also holds the few helpers that only tests call, so that the library does
+not compile them on every command.
 """
 
 from fractions import Fraction
@@ -19,9 +21,11 @@ import sympy
 
 from zinbielkit.audit import ClaimSpec, evaluate_claim
 from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
-from zinbielkit.coalgebra import CoalgebraViolation, format_triples, triples_jsonable
+from zinbielkit.coalgebra import (
+    CoalgebraViolation, coalgebra_from_entries, format_triples, triples_jsonable,
+)
 from zinbielkit.matched_pair import MatchedPairViolation
-from zinbielkit.identities import CLAIM_SIDES
+from zinbielkit.identities import CLAIM_SIDES, catalog, render_identity
 from zinbielkit.reports import Verdict, VerdictBundle, failed_verdict, format_scalar
 from zinbielkit.tensors import Matrix, rank
 
@@ -886,3 +890,27 @@ def reference_aux_joint_scan(c) -> VerdictBundle:
         "aux_coalgebra_identities",
         tuple(_co_verdict(name, first.get(name)) for name in REFERENCE_AUX),
     )
+
+
+# -- helpers only the tests call ----------------------------------------------
+
+
+def vector_associator(table, x, y, z):
+    """(x*y)*z - x*(y*z) of Vectors, through the table's own ``multiply``."""
+    return table.multiply(table.multiply(x, y), z) - table.multiply(x, table.multiply(y, z))
+
+
+def gap_counterexample():
+    """Coproduct whose symmetrization is zero (so trivially cocommutative and
+    coassociative) while the coproduct itself passes neither orientation."""
+    return coalgebra_from_entries(2, [(0, 0, 1, 1), (0, 1, 0, -1)])
+
+
+def catalog_source(name: str) -> str:
+    """Canonical source text of the catalog identity ``name``."""
+    return render_identity(catalog()[name])
+
+
+def pair_basis(form, i: int, j: int) -> Fraction:
+    """B(e_i, e_j) of a bilinear form table."""
+    return form.g.get(i, j)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from zinbielkit import audit
-from zinbielkit.audit import CLAIMS, audit_claims, audit_report_text
+from zinbielkit.audit import CLAIMS, audit_claims, audit_report_text, evaluate_claim
+from zinbielkit.identities import evaluate_pass
+from zinbielkit.models import free_halfshuffle, trunc_integration
 
 import oracles
 
@@ -116,6 +118,55 @@ def test_filtered_out_gate_is_decided_without_a_claim_run(orientation, l3, t3, m
         assert run == selected
         assert report.vacuous == full.vacuous
         assert report.claims == tuple(v for v in full.claims if v.name in selected)
+
+
+def _memo_tables(algebra_family):
+    for n in range(7):
+        for orientation in ("right", "left"):
+            yield f"trunc-int:{orientation}:{n}", trunc_integration(n, orientation)
+    yield "free:2:3", free_halfshuffle(2, 3)
+    yield "free:2:4", free_halfshuffle(2, 4)
+    yield from algebra_family
+
+
+def test_claims_read_the_audit_memo_as_they_would_alone(algebra_family):
+    # One audit formats each value and tuple once for all of its claims;
+    # every verdict, witness data included, is the claim's verdict alone.
+    failing = 0
+    for name, table in _memo_tables(algebra_family):
+        sym = table.symmetrize()
+        for v, spec in zip(audit_claims(table, "right").claims, CLAIMS):
+            target = sym if spec.target == "symmetrized product" else table
+            assert v == evaluate_claim(target, spec, spec.target), (name, spec.name)
+            failing += not v.holds
+    assert failing > 1000
+
+
+def test_each_witness_value_and_tuple_is_formatted_once_per_audit(monkeypatch):
+    table = trunc_integration(12, "left")
+    values, tuples = set(), set()
+    for target in ("product", "symmetrized product"):
+        t = table.symmetrize() if target == "symmetrized product" else table
+        scans = [audit._claim_scan(t, spec) for spec in CLAIMS if spec.target == target]
+        for scale, hits in evaluate_pass(t, scans):
+            for assignment, residual, sides in hits:
+                tuples.add(assignment)
+                values.update((scale, tuple(sorted((k, u) for k, u in value.items() if u)))
+                              for value in (residual, *sides))
+    calls = {"format_vector": 0, "vector_jsonable": 0, "format_assignment": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(audit, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(audit, name, counting)
+    audit_claims(table, "right")
+    assert calls == {
+        "format_vector": len(values), "vector_jsonable": len(values),
+        "format_assignment": len(tuples),
+    }
+    # both targets and several scales share the one memo
+    assert len({scale for scale, _ in values}) > 1
 
 
 def test_symmetrized_targets_use_symmetrized_table(l3):

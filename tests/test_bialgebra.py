@@ -1,7 +1,9 @@
 """Pairings, dual representations, Manin-triple and four-way equivalence audits."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +20,7 @@ from zinbielkit.bialgebra import (
     equivalence_audit,
     standard_pairing,
 )
+from zinbielkit.identities import right_zinbiel_residuals
 from zinbielkit.matched_pair import check_matched_pair
 from zinbielkit.tensors import Matrix
 
@@ -39,11 +42,11 @@ def test_standard_pairing_is_symmetric_nondegenerate_isotropic(n):
     form = standard_pairing(n)
     assert form.dim == 2 * n
     for i in range(n):
-        assert form.pair_basis(i, n + i) == 1
-        assert form.pair_basis(n + i, i) == 1
+        assert oracles.pair_basis(form, i, n + i) == 1
+        assert oracles.pair_basis(form, n + i, i) == 1
         for j in range(n):
-            assert form.pair_basis(i, j) == 0
-            assert form.pair_basis(n + i, n + j) == 0
+            assert oracles.pair_basis(form, i, j) == 0
+            assert oracles.pair_basis(form, n + i, n + j) == 0
     # zero product makes invariance trivial, isolating the form properties
     assert check_form(algebra_from_entries(2 * n, []), form).holds
 
@@ -112,6 +115,28 @@ def test_equivalence_conditions_one_three_four_agree(candidates):
         assert b[0] == b[2] == b[3], (name, b)
         assert rep.agreement == (len(set(b)) == 1)
         assert bool(rep.findings) == (not rep.agreement)
+
+
+def test_equivalence_positive_controls_on_small_right_zinbiel_pairs():
+    # Every ordered pair of the dim-2 right-Zinbiel tables with entries in
+    # {-1, 0, 1}: unlike the seeded candidates, many pairs hold all four
+    # conditions with non-zero products, so agreement is not vacuous here.
+    keys = list(product(range(2), repeat=3))
+    tables = []
+    for values in product((-1, 0, 1), repeat=len(keys)):
+        table = algebra_from_entries(2, [(*k, Fraction(v)) for k, v in zip(keys, values) if v])
+        if not right_zinbiel_residuals(table, first_only=True):
+            tables.append(table)
+    assert len(tables) == 9
+    outcomes = Counter()
+    for a, astar in product(tables, repeat=2):
+        b = equivalence_audit(BialgebraCandidate(a, astar)).booleans
+        assert b[0] == b[2] == b[3], (a.c, astar.c, b)
+        assert b[1] or not b[0], (a.c, astar.c, b)  # condition 1 implies 2
+        outcomes[b] += 1
+        if all(b) and (a.c.entries or astar.c.entries):
+            outcomes["non-zero"] += 1
+    assert outcomes == {(True,) * 4: 33, (False, True, False, False): 48, "non-zero": 32}
 
 
 def test_equivalence_quadruple_with_trivial_dual(t2):

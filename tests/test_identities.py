@@ -17,7 +17,6 @@ from zinbielkit.identities import (
     Identity,
     IdentitySyntaxError,
     catalog,
-    catalog_source,
     difference,
     evaluate,
     evaluate_pass,
@@ -70,7 +69,7 @@ def test_parse_render_round_trip(src):
 
 def test_catalog_round_trips():
     for name, ident in catalog().items():
-        assert parse_identity(catalog_source(name)) == ident
+        assert parse_identity(oracles.catalog_source(name)) == ident
         assert parse_identity(render_identity(ident)) == ident
 
 

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from zinbielkit import fuzz
+from zinbielkit import fuzz, matched_pair
 from zinbielkit.algebra import algebra_from_entries, direct_sum
 from zinbielkit.bialgebra import BialgebraCandidate, dual_reps
 from zinbielkit.identities import right_zinbiel_residuals
@@ -289,6 +290,20 @@ def test_pair_bundles_match_reference(t3, t5, matched_pair_family):
                 oracles.reference_commassoc_matched_pair(*args)
             )
             assert check_lie_matched_pair(*args) == oracles.reference_lie_matched_pair(*args)
+
+
+def test_no_record_arguments_without_logging(monkeypatch):
+    # A program that never imported logging has no handler, so the check
+    # builds no record and does not count its violations by condition.
+    mp = fuzz.random_matched_pair(random.Random(5), 3, 2)
+    want = check_matched_pair(mp)
+
+    def unbuilt(*args):
+        raise AssertionError("record arguments built without logging")
+
+    monkeypatch.setattr(matched_pair, "Counter", unbuilt)
+    monkeypatch.delitem(sys.modules, "logging")
+    assert check_matched_pair(mp) == want
 
 
 def test_debug_record_per_check(caplog):

@@ -1,14 +1,17 @@
 """The benchmark's layer tracer (``perfbench/spans.py``) finds every name it
-patches, so a library change that drops one fails here, not only in a traced
+patches, and the heaviest audits replay under it to their recorded output and
+work counts (``perfbench/expected.json``), so a library change that drops a
+patched name or moves an output byte or count fails here, not only in a
 benchmark run."""
 
+import json
 import sys
 
 import pytest
 
 # Module names the benchmark's scripts import or register; removed again after
 # each test so that no other test sees them.
-_BENCH_MODULES = ("run", "spans", "reference", "run_claim_audit")
+_BENCH_MODULES = ("run", "spans", "reference", "run_claim_audit", "workloads", "oracle")
 
 
 @pytest.fixture
@@ -58,3 +61,32 @@ def test_traced_json_audit_times_emission_in_its_own_layers(perfbench, capsys):
     assert metrics["audit.json.calls"] == 2
     assert metrics["reports.format.calls"] > 0
     assert metrics["audit.evaluate_claim.calls"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--model", "trunc-int:left:12", "--format", "json"),
+        ("audit", "--model", "trunc-int:right:12", "--parallel", "2"),
+    ],
+)
+def test_dense_audits_replay_to_their_recorded_output_and_counts(perfbench, argv):
+    # The failure-heavy audits of the dense-trunc workload, replayed as the
+    # traced benchmark replays them: exit code, output digest and work counts
+    # (audit.failures, audit.tuples, models.nnz) are the recorded ones.
+    run, spans = perfbench
+    import workloads
+    import zinbielkit.cli
+
+    recorded = json.loads((run.HERE / "expected.json").read_text(encoding="utf-8"))
+    cmd = workloads.Command("audit", argv)
+    want = run.expectation(cmd, recorded)
+    assert {"audit.failures", "audit.tuples", "models.nnz"} <= want.counts.keys()
+    script = run._load_script()
+    entries = {"cli": zinbielkit.cli.main, "script": script.main}
+    modules = run.zinbielkit_modules(script)
+    _, results, span_list, incomplete = run.traced_pass([cmd], entries, modules)
+    [(rc, output)] = results
+    assert incomplete == set()
+    assert run.mismatch(cmd, want, rc, output) is None
+    assert run.count_mismatch(cmd, want, spans.command_counts(span_list).get(0, {})) is None
