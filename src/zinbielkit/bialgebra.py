@@ -20,7 +20,6 @@ finding, never patched over.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from .algebra import AlgebraTable
@@ -58,25 +57,31 @@ def standard_pairing(n: int) -> BilinearFormTable:
 def _invariance(a: AlgebraTable, g: Matrix, name: str) -> Verdict:
     """B(x.y, z) = B(x, y.z) on basis triples, witnessed at the least
     failing (i, j, l)."""
-    # B(e_i.e_j, e_l) and B(e_i, e_j.e_l) as rows over l, built once per (i, j)
-    # from the pairing's row i and the transposed left multiplications.
-    gt = g.transpose()
-    left_t = [a.left_mult_matrix(j).transpose() for j in range(a.dim)]
-    for i, j in product(range(a.dim), repeat=2):
-        lhs_row = gt.apply_raw(a.product_basis(i, j))
-        rhs_row = left_t[j].apply_raw(gt.column(i).entries)
-        if lhs_row != rhs_row:
-            differ = lhs_row.keys() | rhs_row.keys()
-            l = min(k for k in differ if lhs_row.get(k) != rhs_row.get(k))
-            lhs, rhs = lhs_row.get(l, ZERO), rhs_row.get(l, ZERO)
-            return Verdict(
-                name,
-                False,
-                f"at (e{i},e{j},e{l}): B(xy,z) = {format_scalar(lhs)}, "
-                f"B(x,yz) = {format_scalar(rhs)}",
-                {"tuple": [i, j, l], "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)},
-            )
-    return Verdict(name, True)
+    # B(e_i e_j, e_l) = sum_k c_ij^k g_kl and B(e_i, e_j e_l) = sum_k g_ik c_jl^k,
+    # summed over the nonzero structure constants and the form's entries.
+    g_rows: dict[int, list] = {}
+    g_cols: dict[int, list] = {}
+    for (r, c), v in g.entries.items():
+        g_rows.setdefault(r, []).append((c, v))
+        g_cols.setdefault(c, []).append((r, v))
+    lhs: dict[tuple[int, int, int], Fraction] = {}
+    rhs: dict[tuple[int, int, int], Fraction] = {}
+    for (p, q, k), v in a.c.entries.items():
+        for l, w in g_rows.get(k, ()):
+            lhs[p, q, l] = lhs.get((p, q, l), ZERO) + v * w
+        for i, w in g_cols.get(k, ()):
+            rhs[i, p, q] = rhs.get((i, p, q), ZERO) + w * v
+    differ = [t for t in lhs.keys() | rhs.keys() if lhs.get(t, ZERO) != rhs.get(t, ZERO)]
+    if not differ:
+        return Verdict(name, True)
+    t = min(differ)
+    left, right = format_scalar(lhs.get(t, ZERO)), format_scalar(rhs.get(t, ZERO))
+    return Verdict(
+        name,
+        False,
+        f"at (e{t[0]},e{t[1]},e{t[2]}): B(xy,z) = {left}, B(x,yz) = {right}",
+        {"tuple": list(t), "lhs": left, "rhs": right},
+    )
 
 
 def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:

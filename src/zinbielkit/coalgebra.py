@@ -36,7 +36,6 @@ from .identities import CLAIM_SIDES, difference, evaluate_by_output, parse_term_
 from .reports import Verdict, VerdictBundle, format_scalar, format_sum
 from .tensors import Frozen, Tensor3
 
-Pairs = dict[tuple[int, int], Fraction]
 Triples = dict[tuple[int, int, int], Fraction]
 
 
@@ -53,10 +52,6 @@ class CoalgebraTable(Frozen):
     def _dual(self) -> AlgebraTable:
         """dualize_co(self), built once for every check on this table."""
         return dualize_co(self)
-
-    def coproduct_basis(self, k: int) -> Pairs:
-        """Delta(e_k) as {(i, j): coefficient} over the nonzero entries."""
-        return {(i, j): v for (kk, i, j), v in self.d.entries.items() if kk == k}
 
     @property
     def is_zero(self) -> bool:

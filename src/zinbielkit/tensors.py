@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Mapping
 
 Scalar = Fraction
@@ -151,10 +150,6 @@ class Matrix(Frozen):
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, {})
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
     def get(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), ZERO)
 
@@ -189,52 +184,6 @@ class Matrix(Frozen):
 
     def scale(self, s: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: s * v for k, v in self.entries.items()})
-
-    @cached_property
-    def _columns(self) -> dict:
-        """col -> tuple of (row, coefficient) over the col's entries, rows ascending."""
-        return _index(((c, r), v) for (r, c), v in self.entries.items())
-
-    @cached_property
-    def _rows(self) -> dict:
-        """row -> tuple of (col, coefficient) over the row's entries, cols ascending."""
-        return _index(self.entries.items())
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        by_row = other._rows
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r, k), v1 in self.entries.items():
-            for c, v2 in by_row.get(k, ()):
-                key = (r, c)
-                out[key] = out.get(key, ZERO) + v1 * v2
-        return Matrix(self.rows, other.cols, out)
-
-    def apply(self, v: Vector) -> Vector:
-        if self.cols != v.dim:
-            raise DimensionMismatch("matrix/vector dims differ")
-        return Vector(self.rows, self.apply_raw(v.entries))
-
-    def apply_raw(self, coeffs: Mapping[int, Fraction]) -> dict:
-        """The matrix times a raw coefficient dict; reads only the columns it touches."""
-        columns = self._columns
-        out: dict[int, Fraction] = {}
-        for c, x in coeffs.items():
-            for r, v in columns.get(c, ()):
-                out[r] = out.get(r, ZERO) + v * x
-        return {k: v for k, v in out.items() if v != 0}
-
-    def column(self, c: int) -> Vector:
-        return Vector(self.rows, dict(self._columns.get(c, ())))
-
-
-def _index(entries) -> dict:
-    """((outer, inner), value) pairs -> {outer: ((inner, value), ...)}, inner ascending."""
-    out: dict[int, list] = {}
-    for (outer, inner), v in entries:
-        out.setdefault(outer, []).append((inner, v))
-    return {key: tuple(sorted(val)) for key, val in out.items()}
 
 
 def rank(m: Matrix) -> int:

@@ -914,3 +914,8 @@ def catalog_source(name: str) -> str:
 def pair_basis(form, i: int, j: int) -> Fraction:
     """B(e_i, e_j) of a bilinear form table."""
     return form.g.get(i, j)
+
+
+def coproduct_basis(coalgebra, k: int) -> dict:
+    """Delta(e_k) as {(i, j): coefficient} over the nonzero entries."""
+    return {(i, j): v for (kk, i, j), v in coalgebra.d.entries.items() if kk == k}

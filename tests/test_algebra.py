@@ -125,8 +125,8 @@ def test_mult_matrices_are_adjoint_views(t3):
         L = t3.left_mult_matrix(i)
         R = t3.right_mult_matrix(i)
         for j in range(t3.dim):
-            assert dict(L.column(j).items()) == dict(t3.product_basis(i, j))
-            assert dict(R.column(j).items()) == dict(t3.product_basis(j, i))
+            assert {r: v for (r, c), v in L.entries.items() if c == j} == t3.product_basis(i, j)
+            assert {r: v for (r, c), v in R.entries.items() if c == j} == t3.product_basis(j, i)
 
 
 def test_direct_sum_blocks(t3):

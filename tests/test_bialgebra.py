@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 import oracles
-from zinbielkit import fuzz
+from zinbielkit import fuzz, trunc_integration
 from zinbielkit.algebra import AlgebraTable, algebra_from_entries
 from zinbielkit.bialgebra import (
     BialgebraCandidate,
@@ -27,14 +27,18 @@ from zinbielkit.tensors import Matrix
 
 @pytest.fixture(scope="module")
 def t2():
-    from zinbielkit import trunc_integration
-
     return trunc_integration(2, "right")
 
 
 @pytest.fixture(scope="module")
 def candidates():
     return fuzz.seeded_candidates()
+
+
+@pytest.fixture(scope="module")
+def pool_candidates():
+    """The benchmark's fixed pool of 16 dim-4 bialgebra candidates."""
+    return [(f"pool[{i}]", fuzz.random_candidate(random.Random(7919 + i), 4)) for i in range(16)]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -84,11 +88,12 @@ def test_drinfeld_double_layout(t2):
         assert d.c.entries[(i, j, k)] == v
 
 
-def test_pairing_invariant_on_every_seeded_double(candidates):
-    for name, bc in candidates:
+def test_pairing_invariant_on_every_seeded_double(candidates, pool_candidates):
+    for name, bc in candidates + pool_candidates:
         bundle = check_manin_triple(bc)
         assert bundle.verdict_for("pairing_invariant").holds, name
         assert bundle.verdict_for("isotropic_blocks").holds, name
+        assert bundle.verdict_for("blocks_are_subalgebras").holds, name
 
 
 def test_double_residual_json_entries_ascend(candidates):
@@ -186,13 +191,52 @@ def test_candidate_requires_equal_dimensions(t3, t2):
         BilinearFormTable(3, Matrix(2, 2, {}))
 
 
-def test_check_form_matches_reference_scan(candidates):
-    rng = random.Random(20183)
+def _sheared(a, form, n, m):
+    """The table and form in the basis e'_j = e_j + sum_r m[r, j] e_(n+r).
+
+    The change of basis p = I + N has N @ N = 0, so p^-1 = I - N."""
+    eye = {(i, i): Fraction(1) for i in range(a.dim)}
+    p = Matrix(a.dim, a.dim, {**eye, **{(n + r, c): v for (r, c), v in m.items()}})
+    p_inv = Matrix(a.dim, a.dim, {**eye, **{(n + r, c): -v for (r, c), v in m.items()}})
+    cols = [oracles.reference_apply(p, {j: Fraction(1)}) for j in range(a.dim)]
+    entries = []
+    for i, j in product(range(a.dim), repeat=2):
+        x = oracles.table_product(a, cols[i], cols[j])
+        entries += [(i, j, k, v) for k, v in oracles.reference_apply(p_inv, x).items()]
+    gp = Matrix(a.dim, a.dim, oracles.reference_matmul(form.g, p))
+    g = Matrix(a.dim, a.dim, oracles.reference_matmul(p.transpose(), gp))
+    return algebra_from_entries(a.dim, entries), BilinearFormTable(a.dim, g)
+
+
+def test_check_form_matches_reference_scan(candidates, pool_candidates):
+    rng, new_rng = random.Random(20183), random.Random(20185)
     cases = []
-    for _, bc in candidates:
-        d = drinfeld_double(bc)
-        cases.append((d, standard_pairing(bc.a.dim)))
+    for name, bc in candidates:
+        d, n = drinfeld_double(bc), bc.a.dim
+        want = oracles.reference_check_form(d, standard_pairing(n))
+        assert check_form(d, standard_pairing(n)) == want, name
+        got = check_manin_triple(bc).verdict_for("pairing_invariant")
+        assert got == want.verdict_for("invariant")._replace(name="pairing_invariant"), name
         cases.append((d, BilinearFormTable(d.dim, Matrix.zero(d.dim, d.dim))))
+        # a change of basis keeps the pairing invariant, and this one fills
+        # the pairing's A-block rows
+        m = fuzz.random_maps(new_rng, 1, n, 0.5)[0].entries
+        cases.append(_sheared(d, standard_pairing(n), n, m))
+    t12 = trunc_integration(12, "right")
+    doubles = [drinfeld_double(bc) for _, bc in pool_candidates]
+    for d in doubles:
+        # the dual block is a subalgebra, so e_last e_last has no e_0 term;
+        # planting one breaks the standard pairing's invariance only at
+        # (e_n,e_last,e_last) and (e_last,e_last,e_n), late in the scan
+        last = d.dim - 1
+        planted = [(*key, c) for key, c in d.c.entries.items()]
+        planted.append((last, last, 0, Fraction(new_rng.randint(1, 3))))
+        cases.append((algebra_from_entries(d.dim, planted), standard_pairing(d.dim // 2)))
+    doubles.append(drinfeld_double(BialgebraCandidate(t12, t12)))
+    for d in doubles:
+        # non-symmetric; the sparse ones put some witnesses past (e0,e0,-)
+        g = fuzz.random_maps(new_rng, 1, d.dim, new_rng.choice((0.02, 0.1, 0.3)))[0]
+        cases.append((d, BilinearFormTable(d.dim, g)))
     for _ in range(150):
         n = rng.randint(0, 5)
         a = fuzz.random_algebra(rng, n, rng.choice((0.1, 0.3)))

@@ -229,8 +229,8 @@ def test_semidirect_sum_layout(t3):
     # mixed blocks are the two actions, shifted into the module slots
     for i in range(n):
         for beta in range(n):
-            left = {n + k: v for k, v in b.left_maps[i].column(beta).entries.items()}
-            right = {n + k: v for k, v in b.right_maps[i].column(beta).entries.items()}
+            left = {n + k: v for (k, c), v in b.left_maps[i].entries.items() if c == beta}
+            right = {n + k: v for (k, c), v in b.right_maps[i].entries.items() if c == beta}
             assert s.product_basis(i, n + beta) == left
             assert s.product_basis(n + beta, i) == right
 

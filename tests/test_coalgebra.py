@@ -90,13 +90,13 @@ def test_sym_antisym_parts(dim, seed):
     c = fuzz.random_coalgebra(random.Random(seed), dim)
     sym, anti = sym_coproduct(c), antisym_coproduct(c)
     for k in range(dim):
-        base = c.coproduct_basis(k)
+        base = oracles.coproduct_basis(c, k)
         flipped = {(j, i): v for (i, j), v in base.items()}
         for key in set(base) | set(flipped):
             s = base.get(key, Fraction(0)) + flipped.get(key, Fraction(0))
             d = base.get(key, Fraction(0)) - flipped.get(key, Fraction(0))
-            assert sym.coproduct_basis(k).get(key, Fraction(0)) == s
-            assert anti.coproduct_basis(k).get(key, Fraction(0)) == d
+            assert oracles.coproduct_basis(sym, k).get(key, Fraction(0)) == s
+            assert oracles.coproduct_basis(anti, k).get(key, Fraction(0)) == d
     assert antisym_coproduct(sym).is_zero
     assert sym_coproduct(anti).is_zero
 
@@ -156,8 +156,8 @@ def test_aux_identities_on_dual_of_right_model(t3):
 
 def test_integration_dual_coproduct_values(t3):
     c = dualize(t3)
-    assert c.coproduct_basis(0) == {}
-    assert c.coproduct_basis(2) == {(0, 1): Fraction(1), (1, 0): Fraction(1, 2)}
+    assert oracles.coproduct_basis(c, 0) == {}
+    assert oracles.coproduct_basis(c, 2) == {(0, 1): Fraction(1), (1, 0): Fraction(1, 2)}
 
 
 def test_first_only_stops_at_first_violation(t3):
@@ -191,8 +191,8 @@ def test_indexed_coproducts_match_full_scan():
     for c in tables:
         op = opposite_coproduct(c)
         for k in range(c.dim):
-            assert c.coproduct_basis(k) == oracles.reference_delta(c, k)
-            assert op.coproduct_basis(k) == oracles.reference_delta(c, k, swap=True)
+            assert oracles.coproduct_basis(c, k) == oracles.reference_delta(c, k)
+            assert oracles.coproduct_basis(op, k) == oracles.reference_delta(c, k, swap=True)
 
 
 def test_aux_joint_scan_matches_one_scan_per_identity():

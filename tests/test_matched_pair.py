@@ -120,6 +120,11 @@ def test_random_pair_check_matches_double(na, nb, seed):
     assert (not check_matched_pair(mp)) == (not right_zinbiel_residuals(double(mp)))
 
 
+def _column(matrix, c):
+    """Column ``c`` of a matrix as {row: coefficient}, filtered from its entries."""
+    return {r: v for (r, cc), v in matrix.entries.items() if cc == c}
+
+
 def test_double_mixed_blocks(t3, t2):
     rng = random.Random(7)
     mp = MatchedPair(
@@ -134,12 +139,12 @@ def test_double_mixed_blocks(t3, t2):
     n, p = t3.dim, t2.dim
     for i in range(n):
         for beta in range(p):
-            want = {m: v for m, v in mp.rb[beta].column(i).entries.items()}
-            for m, v in mp.la[i].column(beta).entries.items():
+            want = _column(mp.rb[beta], i)
+            for m, v in _column(mp.la[i], beta).items():
                 want[n + m] = want.get(n + m, Fraction(0)) + v
             assert d.product_basis(i, n + beta) == {k: v for k, v in want.items() if v}
-            want = {m: v for m, v in mp.lb[beta].column(i).entries.items()}
-            for m, v in mp.ra[i].column(beta).entries.items():
+            want = _column(mp.lb[beta], i)
+            for m, v in _column(mp.ra[i], beta).items():
                 want[n + m] = want.get(n + m, Fraction(0)) + v
             assert d.product_basis(n + beta, i) == {k: v for k, v in want.items() if v}
 

@@ -15,7 +15,7 @@ from zinbielkit.bimodule import (
     DerivedRelationsReport,
     SubadjacentReport,
 )
-from zinbielkit.coalgebra import CoalgebraTable, CoalgebraViolation
+from zinbielkit.coalgebra import CoalgebraTable, CoalgebraViolation, dualize
 from zinbielkit.identities import Identity, Residual
 from zinbielkit.matched_pair import MatchedPair, MatchedPairViolation
 from zinbielkit.models import trunc_integration
@@ -103,9 +103,9 @@ def test_cached_indexes_survive_and_do_not_change_equality():
     rows = table._factor_rows
     assert table._factor_rows is rows
     assert table == trunc_integration(3, "right")
-    matrix = table.left_mult_matrix(1)
-    columns = matrix._columns
-    assert matrix._columns is columns
-    assert matrix == table.left_mult_matrix(1)
+    coalgebra = dualize(table)
+    dual = coalgebra._dual
+    assert coalgebra._dual is dual
+    assert coalgebra == dualize(table)
     with pytest.raises(AttributeError):
         del table.dim
