@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, Tensor3, Vector
+from .tensors import ZERO, DimensionMismatch, Frozen, Matrix, Tensor3
 
 
 class AlgebraTable(Frozen):
@@ -73,29 +73,6 @@ class AlgebraTable(Frozen):
     def product_basis(self, i: int, j: int) -> dict:
         """Raw coefficient dict of e_i * e_j."""
         return {k: v for k, v in self._pair_products.get((i, j), ())}
-
-    def multiply_raw(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict:
-        """Bilinear extension of the product on raw coefficient dicts."""
-        pair = self._pair_products
-        out: dict[int, Fraction] = {}
-        for i, xv in x.items():
-            for j, yv in y.items():
-                terms = pair.get((i, j))
-                if not terms:
-                    continue
-                s = xv * yv
-                for k, cv in terms:
-                    acc = out.get(k, ZERO) + s * cv
-                    if acc:
-                        out[k] = acc
-                    elif k in out:
-                        del out[k]
-        return out
-
-    def multiply(self, x: Vector, y: Vector) -> Vector:
-        if x.dim != self.dim or y.dim != self.dim:
-            raise DimensionMismatch("vector dim != algebra dim")
-        return Vector(self.dim, self.multiply_raw(x.entries, y.entries))
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of v -> e_i * v."""

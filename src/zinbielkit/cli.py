@@ -180,13 +180,13 @@ def _check_algebra(a: AlgebraTable, name: str):
     residuals = evaluate(a, ident)
     if not residuals:
         return Verdict(name, True), 0
-    first = residuals[0]
+    assignment, residual = residuals[0]
     witness = {
-        "tuple": list(first.assignment),
+        "tuple": list(assignment),
         "variables": list(ident.variables),
-        "residual": vector_jsonable(first.value),
+        "residual": vector_jsonable(residual),
     }
-    text = f"at {format_assignment(first.assignment)}: residual = {format_vector(first.value)}"
+    text = f"at {format_assignment(assignment)}: residual = {format_vector(residual)}"
     return Verdict(name, False, text, witness), len(residuals)
 
 

@@ -46,7 +46,6 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .algebra import AlgebraTable
-from .tensors import Vector
 
 Tree = Union[str, tuple]
 
@@ -85,13 +84,6 @@ class Identity(NamedTuple):
 
     variables: tuple[str, ...]
     terms: tuple[tuple[Fraction, Tree], ...]
-
-
-class Residual(NamedTuple):
-    """A basis assignment where the identity fails, with its exact value."""
-
-    assignment: tuple[int, ...]
-    value: Vector
 
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "+": "PLUS", "-": "MINUS",
@@ -600,20 +592,17 @@ def evaluate(
     identity: Identity,
     *,
     first_only: bool = False,
-) -> list[Residual]:
-    """All residuals of the identity on basis tuples, in lexicographic order.
+) -> list[tuple[tuple[int, ...], dict]]:
+    """All residuals of the identity on basis tuples: ``[(assignment,
+    {index: Fraction})]`` in lexicographic order of the assignments.
 
     The sparse join of ``evaluate_sides`` visits only assignments on which
     some product tree is nonzero, never the whole ``dim^vars`` tuple space;
     ``check``, the claim audit and the Zinbiel scans all run on it.
     ``first_only`` stops at the first violation (the deterministic witness).
+    The join's hits are converted in place, so that a long scan's residuals
+    are not held twice.
     """
-    return [Residual(a, Vector(algebra.dim, r)) for a, r in _exact(algebra, identity, first_only)]
-
-
-def _exact(algebra: AlgebraTable, identity: Identity, first_only: bool) -> list:
-    """[(assignment, residual dict of Fractions)] of ``evaluate_sides``,
-    converted in place, so that a long scan's residuals are not held twice."""
     variables, terms = identity
     domains = (range(algebra.dim),) * len(variables)
     scale, hits = evaluate_sides(algebra, variables, domains, (terms,), first_only=first_only)
@@ -628,16 +617,15 @@ def holds(algebra: AlgebraTable, identity: Identity) -> bool:
 
 
 def right_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
-    """Check of x*(y*z) = (x*y)*z + (y*x)*z on all basis triples.
-
-    Returns [(triple, residual dict), ...] in lexicographic triple order.
+    """Check of x*(y*z) = (x*y)*z + (y*x)*z on all basis triples; the shape
+    of ``evaluate``: [(triple, residual dict), ...] in lexicographic order.
     """
-    return _exact(a, _catalog()["right_zinbiel"], first_only)
+    return evaluate(a, _catalog()["right_zinbiel"], first_only=first_only)
 
 
 def left_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
     """Check of (x*y)*z = x*(y*z) + x*(z*y); same shape as the right scan."""
-    return _exact(a, _catalog()["left_zinbiel"], first_only)
+    return evaluate(a, _catalog()["left_zinbiel"], first_only=first_only)
 
 
 # Claim sides, name -> (lhs, rhs), with rhs "" for 0.  The catalog identity of

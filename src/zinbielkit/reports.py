@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Mapping, NamedTuple
 
-from .tensors import Matrix, Vector, format_scalar
+from .tensors import Matrix, format_scalar
 
 
 class Verdict(NamedTuple):
@@ -89,21 +89,20 @@ def format_sum(entries, name, scale: int = 1) -> str:
     return " ".join(parts)
 
 
-def format_vector(v: Vector | Mapping[int, Fraction], symbol: str = "e", scale: int = 1) -> str:
-    """Render a sparse vector as e.g. ``e1 + (1/2)e3 - (1/30)e5``; a mapping
-    may hold ``scale`` times the exact coefficients, as ints."""
-    entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
-    return format_sum(entries, lambda k: f"{symbol}{k}", scale)
+def format_vector(v: Mapping[int, Fraction], symbol: str = "e", scale: int = 1) -> str:
+    """Render a sparse vector ``{index: coefficient}`` as e.g.
+    ``e1 + (1/2)e3 - (1/30)e5``; it may hold ``scale`` times the exact
+    coefficients, as ints."""
+    return format_sum(sorted(v.items()), lambda k: f"{symbol}{k}", scale)
 
 
 def format_assignment(assignment: tuple[int, ...], symbol: str = "e") -> str:
     return "(" + ",".join(f"{symbol}{i}" for i in assignment) + ")"
 
 
-def vector_jsonable(v: Vector | Mapping[int, Fraction], scale: int = 1) -> list:
+def vector_jsonable(v: Mapping[int, Fraction], scale: int = 1) -> list:
     """[[index, "p/q"], ...] of a sparse vector, ``scale`` as in format_vector."""
-    entries = sorted(v.entries.items()) if isinstance(v, Vector) else sorted(v.items())
-    return [[k, scaled_scalar(val, scale)] for k, val in entries]
+    return [[k, scaled_scalar(val, scale)] for k, val in sorted(v.items())]
 
 
 def format_matrix(m: Matrix) -> str:

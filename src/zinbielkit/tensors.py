@@ -16,7 +16,6 @@ from typing import Iterator, Mapping
 Scalar = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -92,44 +91,6 @@ class Vector(Frozen):
             if not 0 <= i < self.dim:
                 raise DimensionMismatch(f"index {i} out of range for dim {self.dim}")
 
-    @classmethod
-    def zero(cls, dim: int) -> "Vector":
-        return cls(dim, {})
-
-    @classmethod
-    def basis(cls, dim: int, k: int) -> "Vector":
-        return cls(dim, {k: ONE})
-
-    def get(self, i: int) -> Fraction:
-        return self.entries.get(i, ZERO)
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self.entries.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def _check(self, other: "Vector"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} != {other.dim}")
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            out[i] = out.get(i, ZERO) + v
-        return Vector(self.dim, out)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + (-other)
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.dim, {i: -v for i, v in self.entries.items()})
-
-    def scale(self, s: Fraction) -> "Vector":
-        return Vector(self.dim, {i: s * v for i, v in self.entries.items()})
-
 
 class Matrix(Frozen):
     """Sparse matrix; ``entries`` maps (row, col) -> coefficient."""
@@ -178,9 +139,6 @@ class Matrix(Frozen):
         for k, v in other.entries.items():
             out[k] = out.get(k, ZERO) - v
         return Matrix(self.rows, self.cols, out)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, s: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: s * v for k, v in self.entries.items()})
@@ -237,17 +195,3 @@ class Tensor3(Frozen):
                     f"entry ({i},{j},{k}) out of range for "
                     f"{self.d0}x{self.d1}x{self.d2}"
                 )
-
-    @classmethod
-    def zero(cls, d0: int, d1: int, d2: int) -> "Tensor3":
-        return cls(d0, d1, d2, {})
-
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        return self.entries.get((i, j, k), ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-        return iter(sorted(self.entries.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from zinbielkit.algebra import AlgebraTable, algebra_from_entries, direct_sum
 from zinbielkit.audit import audit_claims
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
-from zinbielkit.tensors import Vector
 
 import oracles
 
@@ -35,14 +34,6 @@ def tables(draw):
 def test_duplicate_entries_rejected():
     with pytest.raises(ValueError):
         algebra_from_entries(2, [(0, 0, 1, Fraction(1)), (0, 0, 1, Fraction(2))])
-
-
-def test_multiply_matches_raw_oracle(t5):
-    x = Vector(t5.dim, {0: Fraction(2), 3: Fraction(-1, 2)})
-    y = Vector(t5.dim, {1: Fraction(1), 2: Fraction(3)})
-    got = t5.multiply(x, y)
-    want = oracles.table_product(t5, dict(x.items()), dict(y.items()))
-    assert dict(got.items()) == want
 
 
 def test_known_right_products(t3):
@@ -110,14 +101,6 @@ def test_audit_failures_match_defect_oracles(a):
             if value:
                 want[triple] = value
         assert got == want, name
-
-
-def test_associator_method(t5):
-    x = Vector(t5.dim, {0: Fraction(1)})
-    y = Vector(t5.dim, {1: Fraction(1)})
-    z = Vector(t5.dim, {2: Fraction(1)})
-    got = oracles.vector_associator(t5, x, y, z)
-    assert dict(got.items()) == oracles.associator(t5, 0, 1, 2)
 
 
 def test_mult_matrices_are_adjoint_views(t3):

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -142,6 +142,39 @@ def test_equivalence_positive_controls_on_small_right_zinbiel_pairs():
         if all(b) and (a.c.entries or astar.c.entries):
             outcomes["non-zero"] += 1
     assert outcomes == {(True,) * 4: 33, (False, True, False, False): 48, "non-zero": 32}
+
+
+def test_equivalence_positive_controls_on_sparse_dim_3_right_zinbiel_tables():
+    # The dim-3 right-Zinbiel tables with at most two structure constants,
+    # each -1 or 1, every non-zero one paired with the zero table and with
+    # itself; then the one dim-1 pair, as right Zinbiel forces c = 0 there.
+    keys = list(product(range(3), repeat=3))
+    tables = []
+    for n in range(3):
+        for support in combinations(keys, n):
+            for signs in product((-1, 1), repeat=n):
+                table = algebra_from_entries(3, [(*k, Fraction(s)) for k, s in zip(support, signs)])
+                if not right_zinbiel_residuals(table, first_only=True):
+                    tables.append(table)
+    assert len(tables) == 109
+    zero, *nonzero = tables
+    assert not zero.c.entries
+    lines = [algebra_from_entries(1, [(0, 0, 0, Fraction(c))]) for c in (-1, 1)]
+    assert all(right_zinbiel_residuals(line, first_only=True) for line in lines)
+    z1 = algebra_from_entries(1, [])
+    pairs = [(a, astar) for a in nonzero for astar in (zero, a)] + [(z1, z1)]
+    outcomes = Counter()
+    for a, astar in pairs:
+        b = equivalence_audit(BialgebraCandidate(a, astar)).booleans
+        assert b[0] == b[2] == b[3], (a.c, astar.c, b)
+        assert b[1] or not b[0], (a.c, astar.c, b)  # condition 1 implies 2
+        outcomes[a.dim, b] += 1
+    assert outcomes == {
+        (3, (True,) * 4): 108,
+        (3, (False, True, False, False)): 42,
+        (3, (False,) * 4): 66,
+        (1, (True,) * 4): 1,
+    }
 
 
 def test_equivalence_quadruple_with_trivial_dual(t2):

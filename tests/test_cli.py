@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -279,6 +280,23 @@ def test_check_stdout(capsys):
     assert capsys.readouterr().out == "right_zinbiel: HOLDS (trunc-int:right:2)\n"
 
 
+def test_readme_quick_start_checks(request, capsys):
+    # Each `$ zinbielkit check` line of the README's quick start, with the
+    # lines up to the next blank one as its output.
+    readme = (request.config.rootpath / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("\n\n"):
+        command, _, output = chunk.partition("\n")
+        if command.startswith("$ zinbielkit check "):
+            examples.append((shlex.split(command)[2:], output + "\n"))
+    codes = []
+    for argv, want in examples:
+        codes.append(main(argv))
+        assert capsys.readouterr().out == want, argv
+    assert codes == [0, 1, 0]
+
+
 def test_opposite_is_a_cli_involution(tmp_path, corpus_dir):
     once = tmp_path / "once.json"
     twice = tmp_path / "twice.json"
@@ -497,6 +515,7 @@ def test_start_up_loads_no_dataclasses_inspect_or_logging(request):
     for modules in (cli, script):
         assert not {"dataclasses", "inspect", "logging"} & (modules - bare)
     assert CLI_MODULES <= cli
+    assert "zinbielkit.fuzz" not in cli
 
 
 def test_logging_configured_after_import_gets_the_debug_record(request):

@@ -33,15 +33,12 @@ def test_parse_scalar_rejects_junk():
 
 def test_vector_zero_entries_are_dropped():
     v = Vector(3, {0: Fraction(1), 2: Fraction(0)})
-    assert dict(v.items()) == {0: Fraction(1)}
-    assert (v - v).is_zero
+    assert v.entries == {0: Fraction(1)}
 
 
 def test_vector_dim_guard():
     with pytest.raises(DimensionMismatch):
         Vector(2, {5: Fraction(1)})
-    with pytest.raises(DimensionMismatch):
-        Vector(2, {0: Fraction(1)}) + Vector(3, {0: Fraction(1)})
 
 
 @st.composite

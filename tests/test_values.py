@@ -16,7 +16,7 @@ from zinbielkit.bimodule import (
     SubadjacentReport,
 )
 from zinbielkit.coalgebra import CoalgebraTable, CoalgebraViolation, dualize
-from zinbielkit.identities import Identity, Residual
+from zinbielkit.identities import Identity
 from zinbielkit.matched_pair import MatchedPair, MatchedPairViolation
 from zinbielkit.models import trunc_integration
 from zinbielkit.reports import Verdict, VerdictBundle
@@ -66,7 +66,6 @@ CASES = [
      None, None),
     (Identity, (("x",), ((ONE, "x"),)), (("x",), ()),
      "Identity(variables=('x',), terms=((Fraction(1, 1), 'x'),))", None, None),
-    (Residual, ((0,), V), ((1,), V), f"Residual(assignment=(0,), value={V_TEXT})", None, None),
     (BimoduleViolation, ("left_composition", (0, 0), M), ("left_composition", (0, 0), M0),
      f"BimoduleViolation(axiom='left_composition', pair=(0, 0), residual={M_TEXT})", None, None),
     (DerivedRelationsReport, ([], (OK,)), ([], ()),
