@@ -22,7 +22,7 @@ from zinbielkit import cli
 from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.bialgebra import BialgebraCandidate, dual_reps, equivalence_audit
 from zinbielkit.bimodule import Bimodule, regular_bimodule
-from zinbielkit.fuzz import DEFAULT_SEED, seeded_candidates
+from zinbielkit.fuzz import DEFAULT_SEED, bimodule_as_pair, seeded_candidates
 from zinbielkit.matched_pair import MatchedPair, zero_matched_pair
 from zinbielkit.models import trunc_integration
 from zinbielkit.reports import JsonEncoder
@@ -70,11 +70,7 @@ def _broken_bimodule() -> Bimodule:
 
 def _regular_pair(n: int) -> MatchedPair:
     """The regular bimodule of trunc-int:right:n against the zero product."""
-    b = regular_bimodule(trunc_integration(n, "right"))
-    zero = (Matrix.zero(b.base.dim, b.base.dim),) * b.v_dim
-    return MatchedPair(
-        b.base, algebra_from_entries(b.v_dim, []), b.left_maps, b.right_maps, zero, zero
-    )
+    return bimodule_as_pair(regular_bimodule(trunc_integration(n, "right")))
 
 
 def write_corpus(corpus: Path):
@@ -93,6 +89,14 @@ def write_corpus(corpus: Path):
     dump_path(
         corpus / "candidate_t2_zero.json",
         BialgebraCandidate(t2, algebra_from_entries(3, [])),
+    )
+    # a positive control of the equivalence: e0 e0 = e1 on A, e1 e1 = e0 on A*
+    dump_path(
+        corpus / "candidate_dim2_positive.json",
+        BialgebraCandidate(
+            algebra_from_entries(2, [(0, 0, 1, Fraction(1))]),
+            algebra_from_entries(2, [(1, 1, 0, Fraction(1))]),
+        ),
     )
     (corpus / "malformed.json").write_text("{ this is not json\n", encoding="utf-8")
     (corpus / "bad_kind.json").write_text('{"kind": "mystery"}\n', encoding="utf-8")
@@ -146,6 +150,14 @@ def write_goldens(goldens: Path, seed: int):
         ("tests/corpus/candidate_t2_zero.json", "candidate_t2_zero"),
     ):
         _cli(["audit", src, "--format", "json", "--out", str(goldens / f"audit_{name}.json")])
+
+    # the positive control: all four conditions hold, and the double is a Manin triple
+    positive = "tests/corpus/candidate_dim2_positive.json"
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        _cli(["audit", positive, "--format", fmt,
+              "--out", str(goldens / f"audit_candidate_dim2_positive.{ext}")])
+    _cli(["check", positive, "manin_triple",
+          "--out", str(goldens / "check_manin_triple_dim2_positive.txt")])
 
     # structural checks that fail: each pins its first witness
     for src, check, name in (

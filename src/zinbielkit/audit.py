@@ -24,9 +24,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .algebra import AlgebraTable
-from .identities import (
-    CLAIM_SIDES, catalog, difference, evaluate_pass, evaluate_sides, holds, parse_term_sum,
-)
+from .identities import CLAIM_SIDES, catalog, difference, evaluate_pass, holds, parse_term_sum
 from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 
 
@@ -103,7 +101,7 @@ def evaluate_claim(
     """
     variables = _claim_sides(spec.lhs, spec.rhs)[0]
     if evaluated is None:
-        evaluated = (*evaluate_sides(table, *_claim_scan(table, spec)), ({}, {}))
+        evaluated = (*evaluate_pass(table, [_claim_scan(table, spec)])[0], ({}, {}))
     scale, hits, (by_scale, places) = evaluated
     if not hits:
         return Verdict(spec.name, True)

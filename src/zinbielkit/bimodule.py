@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import ExactValues, evaluate_pass, evaluate_sides, parse_term_sum
+from .identities import ExactValues, evaluate_pass, parse_term_sum
 from .reports import Verdict, failed_verdict
 from .tensors import DimensionMismatch, Frozen, Matrix
 
@@ -163,7 +163,7 @@ def first_witness_verdict(
     start, names the variables ``shown`` (``variables`` if None) and carries
     the residual only with ``residual``."""
     terms = tuple(parse_term_sum(side) for side in sides)
-    scale, hits = evaluate_sides(table, variables, domains, terms, first_only=True)
+    scale, hits = evaluate_pass(table, [(variables, domains, terms)], first_only=True)[0]
     if not hits:
         return Verdict(name, True)
     assignment, diff, values = hits[0]

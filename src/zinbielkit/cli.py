@@ -4,9 +4,10 @@ Exit codes: 0 = checks pass (or an audit completed), 1 = a violation was
 found, 2 = input error, or an ``--out`` that cannot be written.  All reports
 are deterministic.  ``check`` and ``audit`` share one engine, the sparse join
 of ``identities``: identities and claims on an algebra read it by basis
-assignment (``evaluate_sides``), and the coalgebra checks read it by output
-index on the dual product table (``evaluate_by_output``).  It runs
-sequentially; --parallel N is accepted for compatibility and ignored.
+assignment through its one entry (``evaluate_pass``), and the coalgebra
+checks read it by output index on the dual product table
+(``evaluate_by_output``).  It runs sequentially; --parallel N is accepted for
+compatibility and ignored.
 
 Every check gives one ``reports.Verdict`` and a violation count: ``check``
 prints the verdict's witness text as its detail line, and in JSON its

@@ -99,8 +99,8 @@ class CoalgebraViolation(NamedTuple):
     residual: Triples
 
 
-def format_triples(t: Triples, symbol: str = "e") -> str:
-    return format_sum(sorted(t.items()), lambda key: "*".join(f"{symbol}{i}" for i in key))
+def format_triples(t: Triples) -> str:
+    return format_sum(sorted(t.items()), lambda key: "*".join(f"e{i}" for i in key))
 
 
 def triples_jsonable(t: Triples) -> list:

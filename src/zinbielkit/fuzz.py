@@ -147,8 +147,8 @@ def matched_pair_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
         ("zero-pair:T3,T3", zero_matched_pair(t3, t3)),
         ("zero-pair:T2,T2", zero_matched_pair(t2, t2)),
         ("zero-pair:T3,zero2", zero_matched_pair(t3, zero2)),
-        ("regular-as-pair:T3", _bimodule_as_pair(regular_bimodule(t3))),
-        ("regular-as-pair:T2", _bimodule_as_pair(regular_bimodule(t2))),
+        ("regular-as-pair:T3", bimodule_as_pair(regular_bimodule(t3))),
+        ("regular-as-pair:T2", bimodule_as_pair(regular_bimodule(t2))),
     ]
     rng = random.Random(seed)
     out = list(base)
@@ -158,7 +158,7 @@ def matched_pair_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
     return out
 
 
-def _bimodule_as_pair(b: Bimodule) -> MatchedPair:
+def bimodule_as_pair(b: Bimodule) -> MatchedPair:
     """A bimodule is a matched pair against the zero product on the module."""
     zero_b = algebra_from_entries(b.v_dim, [])
     zn = Matrix.zero(b.base.dim, b.base.dim)

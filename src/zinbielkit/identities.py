@@ -457,17 +457,33 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
 def evaluate_pass(
     algebra: AlgebraTable, scans, *, first_only: bool = False
 ) -> list[tuple[int, list[tuple[tuple[int, ...], dict, tuple[dict, ...]]]]]:
-    """``evaluate_sides`` of each ``(variables, domains, sides)`` in ``scans``,
-    all read in one pass over the slices of their common first range:
-    ``[(scale, hits)]`` in the order of ``scans``.
+    """Residuals of ``sides[0] - sides[1] - ...`` for each ``(variables,
+    domains, sides)`` in ``scans``, each with every side's value:
+    ``[(scale, [(assignment, residual, side values)])]`` in the order of
+    ``scans``.  This is the one entry to the join by basis assignment.
 
-    Every identity reads a slice before the pass moves to the next one, so
-    identities that share a sliced shape join its tensor once, and the
-    pass then drops every sliced tensor: memory grows by at most one slice's
-    tensors beside the slice-free shapes of the table's memo.  Each identity
-    logs its own DEBUG record, with the entries it joined itself; with
-    ``first_only`` each stops at its own first residual, and the pass at
-    the last of them.
+    ``sides`` holds term sums over ``variables``, every term using each
+    variable exactly once, and each variable ranges over its ``domains``
+    entry, an index range of the basis (``range(algebra.dim)`` for an
+    untyped identity).  The hits are the assignments in the product of the
+    domains with a nonzero residual, in lexicographic order.  Values are
+    integer coefficient dicts, ``scale`` times the exact ones: every tree
+    has ``len(variables) - 1`` products, so with the structure constants
+    scaled by their common denominator ``d`` and the term coefficients by
+    theirs, all tensors hold integers.  Side values may hold zeros; one
+    side's value is its residual, the same dict, so a long scan keeps one
+    dict per hit.
+
+    Multilinearity means only assignments on which some product tree is
+    nonzero can fail, so nothing walks the ``dim^vars`` tuples.  All scans
+    share one first range, and read it one slice at a time, in index order:
+    every identity reads a slice before the pass moves to the next one, so
+    identities that share a sliced shape join its tensor once, and the pass
+    then drops every sliced tensor.  Memory grows by at most one slice's
+    tensors beside the slice-free shapes of the table's memo.  Each
+    identity logs its own DEBUG record, with the entries it joined itself.
+    With ``first_only`` each stops at its own first residual, and the pass
+    at the last of them, so later slices are never joined.
     """
     joiner = _Joiner(algebra)
     first = scans[0][1][0] if scans[0][1] else range(algebra.dim)
@@ -496,44 +512,6 @@ def evaluate_pass(
     for (_, domains, _), (_, _, _, hits), n_joined, n_visited in zip(scans, plans, joined, visited):
         joiner.log("sparse join", domains, n_visited, len(first), "slices", n_joined, len(hits))
     return [(scale, hits) for _, _, scale, hits in plans]
-
-
-def evaluate_sides(
-    algebra: AlgebraTable,
-    variables: tuple[str, ...],
-    domains: tuple[range, ...],
-    sides,
-    *,
-    first_only: bool = False,
-) -> tuple[int, list[tuple[tuple[int, ...], dict, tuple[dict, ...]]]]:
-    """Residuals of ``sides[0] - sides[1] - ...``, each with every side's value.
-
-    ``sides`` holds term sums over ``variables``, every term using each
-    variable exactly once, and each variable ranges over its ``domains``
-    entry, an index range of the basis (``range(algebra.dim)`` for an
-    untyped identity).  Returns ``(scale, [(assignment, residual, side
-    values)])`` for the assignments in the product of the domains with a
-    nonzero residual, in lexicographic order.  Values are integer coefficient
-    dicts, ``scale`` times the exact ones (side values may hold zeros; one
-    side's value is its residual, the same dict, so a long scan keeps one
-    dict per hit).  This is the one-identity case of ``evaluate_pass``.
-
-    Multilinearity means only assignments on which some product tree is
-    nonzero can fail, so nothing walks the ``dim^vars`` tuples.  Each tree
-    is read as its shape's sparse tensor (``_Joiner``).  Assignments are
-    taken one slice of the first variable at a time, in index order.  A
-    shape without that variable is the same in every slice; it is joined
-    once per table and kept in the table's memo for every later evaluation.
-    A shape with it is kept only while its slice is read.  ``first_only``
-    stops at the first residual of the first slice that has one, so later
-    slices are never joined.
-
-    Every tree has ``len(variables) - 1`` products, so with the structure
-    constants scaled by their common denominator ``d`` and the term
-    coefficients by theirs, all tensors hold integers and every value is
-    the same multiple ``scale`` of the exact one.
-    """
-    return evaluate_pass(algebra, ((variables, domains, sides),), first_only=first_only)[0]
 
 
 def evaluate_by_output(
@@ -596,7 +574,7 @@ def evaluate(
     """All residuals of the identity on basis tuples: ``[(assignment,
     {index: Fraction})]`` in lexicographic order of the assignments.
 
-    The sparse join of ``evaluate_sides`` visits only assignments on which
+    The sparse join of ``evaluate_pass`` visits only assignments on which
     some product tree is nonzero, never the whole ``dim^vars`` tuple space;
     ``check``, the claim audit and the Zinbiel scans all run on it.
     ``first_only`` stops at the first violation (the deterministic witness).
@@ -605,7 +583,8 @@ def evaluate(
     """
     variables, terms = identity
     domains = (range(algebra.dim),) * len(variables)
-    scale, hits = evaluate_sides(algebra, variables, domains, (terms,), first_only=first_only)
+    scale, hits = evaluate_pass(
+        algebra, [(variables, domains, (terms,))], first_only=first_only)[0]
     exact = ExactValues(scale)
     for i, (a, r, _) in enumerate(hits):
         hits[i] = (a, {k: exact[v] for k, v in r.items()})

@@ -89,15 +89,15 @@ def format_sum(entries, name, scale: int = 1) -> str:
     return " ".join(parts)
 
 
-def format_vector(v: Mapping[int, Fraction], symbol: str = "e", scale: int = 1) -> str:
+def format_vector(v: Mapping[int, Fraction], scale: int = 1) -> str:
     """Render a sparse vector ``{index: coefficient}`` as e.g.
     ``e1 + (1/2)e3 - (1/30)e5``; it may hold ``scale`` times the exact
     coefficients, as ints."""
-    return format_sum(sorted(v.items()), lambda k: f"{symbol}{k}", scale)
+    return format_sum(sorted(v.items()), lambda k: f"e{k}", scale)
 
 
-def format_assignment(assignment: tuple[int, ...], symbol: str = "e") -> str:
-    return "(" + ",".join(f"{symbol}{i}" for i in assignment) + ")"
+def format_assignment(assignment: tuple[int, ...]) -> str:
+    return "(" + ",".join(f"e{i}" for i in assignment) + ")"
 
 
 def vector_jsonable(v: Mapping[int, Fraction], scale: int = 1) -> list:

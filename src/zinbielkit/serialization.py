@@ -7,7 +7,9 @@ from ``reports.JsonEncoder``, the one encoder of every JSON output, byte-
 identical to ``json.dumps(indent=2, sort_keys=True)``.
 
 All readers validate: unknown kinds, missing fields, out-of-range indices,
-malformed scalars, and duplicate entries raise InputFormatError.
+malformed scalars, and duplicate entries raise InputFormatError.  One reader
+(``_index_rows``) takes every index-row list, so a repeated index triple is
+rejected in any order and with any values, zero or not.
 """
 
 from __future__ import annotations
@@ -60,12 +62,21 @@ def _as_scalar(obj: Any, field: str):
         raise InputFormatError(f"{field}: {exc}") from None
 
 
-def _entry_rows(obj: Any, field: str, width: int):
+def _index_rows(obj: Any, field: str, bounds: tuple, names: tuple) -> dict:
+    """The ``[i, j, k, "p/q"]`` rows of the list ``field`` as ``{(i, j, k):
+    value}``, zeros kept; each index is checked against its entry of
+    ``bounds`` and named by its entry of ``names``.  Any repeated index
+    triple is an error, whatever its values."""
     _require(isinstance(obj, list), "{} must be a list", field)
+    (b0, b1, b2), (n0, n1, n2), value = bounds, names, f"{field} value"
+    entries = {}
     for row in obj:
-        _require(isinstance(row, list) and len(row) == width,
-                 "{} rows must be {}-element lists", field, width)
-        yield row
+        _require(isinstance(row, list) and len(row) == 4, "{} rows must be 4-element lists", field)
+        key = (_as_index(row[0], b0, n0), _as_index(row[1], b1, n1), _as_index(row[2], b2, n2))
+        v = _as_scalar(row[3], value)
+        _require(key not in entries, "duplicate {} entry ({},{},{})", field, *key)
+        entries[key] = v
+    return entries
 
 
 def algebra_jsonable(a: AlgebraTable) -> dict:
@@ -86,15 +97,7 @@ def algebra_from_jsonable(obj: Any) -> AlgebraTable:
     basis = obj.get("basis")
     _require(isinstance(basis, list) and len(basis) == dim, "basis must list dim labels")
     _require(all(isinstance(b, str) for b in basis), "basis labels must be strings")
-    entries = {}
-    for row in _entry_rows(obj.get("structure"), "structure", 4):
-        i = _as_index(row[0], dim, "structure index")
-        j = _as_index(row[1], dim, "structure index")
-        k = _as_index(row[2], dim, "structure index")
-        v = _as_scalar(row[3], "structure value")
-        _require((i, j, k) not in entries, "duplicate structure entry ({},{},{})", i, j, k)
-        if v:
-            entries[(i, j, k)] = v
+    entries = _index_rows(obj.get("structure"), "structure", (dim,) * 3, ("structure index",) * 3)
     return AlgebraTable(dim, tuple(basis), Tensor3(dim, dim, dim, entries))
 
 
@@ -112,15 +115,7 @@ def coalgebra_from_jsonable(obj: Any) -> CoalgebraTable:
     _require(isinstance(obj, dict), "coalgebra payload must be an object")
     _require(obj.get("kind") == "coalgebra", "expected kind \"coalgebra\"")
     dim = _as_dim(obj.get("dim"), "dim")
-    entries = {}
-    for row in _entry_rows(obj.get("coproduct"), "coproduct", 4):
-        k = _as_index(row[0], dim, "coproduct index")
-        i = _as_index(row[1], dim, "coproduct index")
-        j = _as_index(row[2], dim, "coproduct index")
-        v = _as_scalar(row[3], "coproduct value")
-        _require((k, i, j) not in entries, "duplicate coproduct entry ({},{},{})", k, i, j)
-        if v:
-            entries[(k, i, j)] = v
+    entries = _index_rows(obj.get("coproduct"), "coproduct", (dim,) * 3, ("coproduct index",) * 3)
     return CoalgebraTable(dim, Tensor3(dim, dim, dim, entries))
 
 
@@ -133,19 +128,10 @@ def _maps_jsonable(maps: tuple[Matrix, ...]) -> list:
 
 
 def _maps_from_jsonable(obj: Any, count: int, rows: int, field: str) -> tuple[Matrix, ...]:
+    names = (f"{field} family index", f"{field} row", f"{field} column")
     acc: list[dict] = [{} for _ in range(count)]
-    seen = set()
-    family, row_field = f"{field} family index", f"{field} row"
-    column, value = f"{field} column", f"{field} value"
-    for row in _entry_rows(obj, field, 4):
-        idx = _as_index(row[0], count, family)
-        r = _as_index(row[1], rows, row_field)
-        c = _as_index(row[2], rows, column)
-        v = _as_scalar(row[3], value)
-        _require((idx, r, c) not in seen, "duplicate {} entry ({},{},{})", field, idx, r, c)
-        seen.add((idx, r, c))
-        if v:
-            acc[idx][(r, c)] = v
+    for (idx, r, c), v in _index_rows(obj, field, (count, rows, rows), names).items():
+        acc[idx][r, c] = v
     return tuple(Matrix(rows, rows, entries) for entries in acc)
 
 

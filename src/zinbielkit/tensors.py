@@ -140,9 +140,6 @@ class Matrix(Frozen):
             out[k] = out.get(k, ZERO) - v
         return Matrix(self.rows, self.cols, out)
 
-    def scale(self, s: Fraction) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: s * v for k, v in self.entries.items()})
-
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals by Bareiss fraction-free elimination.

@@ -699,6 +699,18 @@ def reference_induced_lie_pair(mp) -> VerdictBundle:
     )
 
 
+def reference_lie_difference_actions(table) -> tuple:
+    """-(L_i - R_i)^T for each basis vector e_i, entrywise from the structure
+    constants: with L_i e_j = e_i e_j and R_i e_j = e_j e_i, its (j, k)
+    entry is c_ji^k - c_ij^k.  No matrix arithmetic."""
+    c, n = table.c.entries, table.dim
+    return tuple(
+        Matrix(n, n, {(j, k): c.get((j, i, k), 0) - c.get((i, j, k), 0)
+                      for j in range(n) for k in range(n)})
+        for i in range(n)
+    )
+
+
 def reference_induced_subadjacent_map(b) -> SubadjacentReport:
     n = b.base.dim
     maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))

@@ -21,7 +21,7 @@ from zinbielkit.bialgebra import (
     standard_pairing,
 )
 from zinbielkit.identities import right_zinbiel_residuals
-from zinbielkit.matched_pair import check_matched_pair
+from zinbielkit.matched_pair import check_matched_pair, induced_lie_pair
 from zinbielkit.tensors import Matrix
 
 
@@ -77,6 +77,21 @@ def test_dual_reps_are_transposed_multiplications(t3):
         assert mp.ra[i].entries == bc.a.left_mult_matrix(i).transpose().entries
         assert mp.lb[i].entries == bc.astar.right_mult_matrix(i).transpose().entries
         assert mp.rb[i].entries == bc.astar.left_mult_matrix(i).transpose().entries
+
+
+def test_induced_lie_pair_of_dual_reps_is_the_minus_ad_transpose_pair(
+    candidates, pool_candidates
+):
+    # The equivalence audit's condition 2 reads the Lie pair off condition 3's
+    # pair: la - ra = R^T - L^T = -(L - R)^T, and likewise lb - rb on A*.
+    t12 = trunc_integration(12, "right")
+    for name, bc in candidates + pool_candidates + [("T12,T12", BialgebraCandidate(t12, t12))]:
+        reps = dual_reps(bc)
+        rho, mu = (oracles.reference_lie_difference_actions(t) for t in (bc.a, bc.astar))
+        assert tuple(l - r for l, r in zip(reps.la, reps.ra)) == rho, name
+        assert tuple(l - r for l, r in zip(reps.lb, reps.rb)) == mu, name
+        want = oracles.reference_lie_matched_pair(bc.a.commutator(), bc.astar.commutator(), rho, mu)
+        assert induced_lie_pair(reps) == want, name
 
 
 def test_drinfeld_double_layout(t2):

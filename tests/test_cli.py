@@ -149,6 +149,21 @@ GOLDEN_CASES = [
     ),
     (["audit", "tests/corpus/dual_t3.json"], "audit_coalgebra_dual_t3.txt", 0),
     (["audit", "tests/corpus/candidate_t2_zero.json"], "audit_candidate_t2_zero.txt", 0),
+    (
+        ["audit", "tests/corpus/candidate_dim2_positive.json"],
+        "audit_candidate_dim2_positive.txt",
+        0,
+    ),
+    (
+        ["audit", "tests/corpus/candidate_dim2_positive.json", "--format", "json"],
+        "audit_candidate_dim2_positive.json",
+        0,
+    ),
+    (
+        ["check", "tests/corpus/candidate_dim2_positive.json", "manin_triple"],
+        "check_manin_triple_dim2_positive.txt",
+        0,
+    ),
     (["audit", "tests/corpus/pair_regular_t5.json"], "audit_pair_regular_t5.txt", 0),
     (
         ["audit", "tests/corpus/pair_regular_t5.json", "--format", "json"],

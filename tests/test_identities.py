@@ -20,7 +20,6 @@ from zinbielkit.identities import (
     difference,
     evaluate,
     evaluate_pass,
-    evaluate_sides,
     holds,
     left_zinbiel_residuals,
     parse_identity,
@@ -179,9 +178,9 @@ def test_sparse_join_matches_reference_scan():
 
 
 def _typed(table, ident, domains, first_only=False):
-    scale, hits = evaluate_sides(
-        table, ident.variables, domains, (ident.terms,), first_only=first_only
-    )
+    scale, hits = evaluate_pass(
+        table, [(ident.variables, domains, (ident.terms,))], first_only=first_only
+    )[0]
     return [(a, {k: Fraction(v, scale) for k, v in r.items()}) for a, r, _ in hits]
 
 
@@ -299,7 +298,7 @@ def test_the_table_memo_holds_no_sliced_shape_and_no_partial_tensor():
     runs = [
         lambda t: evaluate(t, ident, first_only=True),
         lambda t: evaluate(t, ident),
-        lambda t: evaluate_sides(t, ident.variables, typed, (ident.terms,), first_only=True),
+        lambda t: evaluate_pass(t, [(ident.variables, typed, (ident.terms,))], first_only=True),
         lambda t: evaluate_pass(t, [(ident.variables, typed, (ident.terms,))] * 2),
         lambda t: audit_claims(t, "left"),
         lambda t: holds(t, catalog()["jacobi"]),
@@ -323,7 +322,7 @@ def test_one_pass_reads_every_scan_as_its_own_evaluation():
         for ident in catalog().values()
     ]
     for first_only in (False, True):
-        want = [evaluate_sides(table, *scan, first_only=first_only) for scan in scans]
+        want = [evaluate_pass(table, [scan], first_only=first_only)[0] for scan in scans]
         assert evaluate_pass(table, scans, first_only=first_only) == want
     with pytest.raises(ValueError):
         evaluate_pass(table, [scans[0], (scans[0][0], (range(1),) * 3, scans[0][2])])
@@ -358,7 +357,7 @@ def test_debug_record_per_evaluate_call(caplog, t5):
     with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
         evaluate(t5, ident)
         evaluate(t5, ident, first_only=True)
-        _, hits = evaluate_sides(t5, ident.variables, typed, (ident.terms,))
+        _, hits = evaluate_pass(t5, [(ident.variables, typed, (ident.terms,))])[0]
     records = [r for r in caplog.records if r.name == "zinbielkit.identities"]
     assert len(records) == 3
     assert "6^3 = 216 basis tuples" in records[0].getMessage()

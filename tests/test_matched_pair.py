@@ -40,9 +40,7 @@ def t2():
 
 def _regular_as_pair(a):
     b = regular_bimodule(a)
-    zero_table = algebra_from_entries(a.dim, [])
-    zn = Matrix.zero(a.dim, a.dim)
-    return b, MatchedPair(a, zero_table, b.left_maps, b.right_maps, (zn,) * a.dim, (zn,) * a.dim)
+    return b, fuzz.bimodule_as_pair(b)
 
 
 def test_zero_pair_passes_and_doubles_to_direct_sum(t3, t2):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbielkit import fuzz
+from zinbielkit import cli, fuzz
 from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.serialization import (
     InputFormatError,
@@ -117,6 +117,17 @@ BAD_PAYLOADS = [
     ("not json at all", "not valid JSON"),
     ('{"kind": ["algebra"]}', "unknown kind ['algebra']"),
     ('{"kind": {"algebra": 1}}', "unknown kind {'algebra': 1}"),
+    # a repeated index triple is rejected whatever the value of its first row
+    (
+        '{"kind": "algebra", "dim": 1, "basis": ["a"],'
+        ' "structure": [[0, 0, 0, "0"], [0, 0, 0, "1"]]}',
+        "duplicate structure entry (0,0,0)",
+    ),
+    (
+        '{"kind": "coalgebra", "dim": 1,'
+        ' "coproduct": [[0, 0, 0, "0"], [0, 0, 0, "1"]]}',
+        "duplicate coproduct entry (0,0,0)",
+    ),
 ]
 
 
@@ -125,6 +136,18 @@ def test_malformed_inputs_are_rejected(text, fragment):
     with pytest.raises(InputFormatError) as err:
         loads(text)
     assert fragment in str(err.value)
+
+
+def test_cli_rejects_a_repeated_structure_entry_in_either_order(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    for values in (("0", "1"), ("1", "0"), ("0", "0")):
+        rows = [[0, 0, 0, v] for v in values]
+        payload = {"kind": "algebra", "dim": 1, "basis": ["a"], "structure": rows}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["check", str(path), "right_zinbiel"]) == 2, values
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate structure entry (0,0,0)\n", values
 
 
 def test_dimension_mismatch_in_candidate_surfaces_as_value_error():
