@@ -19,6 +19,19 @@ equivalence section of a bialgebra candidate is its report's own lines.
 
 Inputs are JSON files, or inline model specs: trunc-int:right:N,
 trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
+
+Each command is a fresh interpreter, so this module imports at load time
+only what every algebra command runs: ``algebra``, ``identities``,
+``models`` and ``reports``.  The rest is imported by the subcommand and
+input kind that run it: an algebra ``audit`` loads ``audit``; ``model``,
+``construct`` and every JSON input load ``serialization``; and a JSON input
+loads the module of its kind with what that imports: ``coalgebra``;
+``bimodule``; ``matched_pair`` with ``audit`` and ``bimodule``; or, for a
+bialgebra candidate, all of these and ``bialgebra``.  The library functions
+that a command looks up here by name when it runs are still bound here at
+load time, as ``_deferred`` stand-ins, so a wrapper bound over one of these
+names (a profiler's, say) finds it and is what runs.  Any other name is
+imported where it is used.
 """
 
 from __future__ import annotations
@@ -26,30 +39,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraTable
-from .audit import audit_claims, audit_report_jsonable, audit_report_text
-from .bialgebra import BialgebraCandidate, check_manin_triple, equivalence_audit
-from .bimodule import (
-    Bimodule,
-    check_bimodule,
-    check_derived_relations,
-    induced_subadjacent_map,
-    regular_bimodule,
-    semidirect_sum,
-)
-from .coalgebra import (
-    CoalgebraTable,
-    check_aux_coalgebra_identities,
-    check_co_left,
-    check_co_right,
-    check_cocomm_coassoc,
-    check_lie_coalgebra,
-    coalgebra_verdict,
-    dualize,
-    dualize_co,
-    opposite_coproduct,
-)
 from .identities import (
     catalog,
     evaluate,
@@ -57,18 +50,66 @@ from .identities import (
     parse_identity,
     right_zinbiel_residuals,
 )
-from .matched_pair import (
-    MatchedPair,
-    check_matched_pair,
-    double,
-    format_violation,
-    induced_commassoc_pair,
-    induced_lie_pair,
-    matched_pair_verdict,
-)
 from .models import free_halfshuffle, trunc_integration
 from .reports import JsonEncoder, Verdict, format_assignment, format_vector, vector_jsonable
-from .serialization import InputFormatError, dumps, load_path
+from .tensors import InputFormatError
+
+if TYPE_CHECKING:
+    from .bimodule import Bimodule
+
+
+def _deferred(module: str, *names: str):
+    """Stand-ins for ``names`` of ``zinbielkit.<module>``, one per name.
+
+    A stand-in imports the module on its first call and keeps the function
+    it finds there for every later call.  So a wrapper bound over this
+    module's name (a profiler's, say) wraps the library function once, and
+    one bound over the library module's attribute after that first call is
+    never reached from here.
+    """
+
+    def stand_in(name: str):
+        target = None
+
+        def call(*args, **kwargs):
+            nonlocal target
+            if target is None:
+                target = getattr(import_module(f"{__package__}.{module}"), name)
+            return target(*args, **kwargs)
+
+        call.__name__ = call.__qualname__ = name
+        return call
+
+    return tuple(stand_in(name) for name in names)
+
+
+audit_report_jsonable, audit_report_text = _deferred(
+    "audit", "audit_report_jsonable", "audit_report_text")
+check_manin_triple, equivalence_audit = _deferred(
+    "bialgebra", "check_manin_triple", "equivalence_audit")
+check_bimodule, check_derived_relations, induced_subadjacent_map = _deferred(
+    "bimodule", "check_bimodule", "check_derived_relations", "induced_subadjacent_map")
+(
+    check_aux_coalgebra_identities,
+    check_co_left,
+    check_co_right,
+    check_cocomm_coassoc,
+    check_lie_coalgebra,
+    dualize,
+    dualize_co,
+) = _deferred(
+    "coalgebra",
+    "check_aux_coalgebra_identities",
+    "check_co_left",
+    "check_co_right",
+    "check_cocomm_coassoc",
+    "check_lie_coalgebra",
+    "dualize",
+    "dualize_co",
+)
+check_matched_pair, double, induced_commassoc_pair, induced_lie_pair = _deferred(
+    "matched_pair", "check_matched_pair", "double", "induced_commassoc_pair", "induced_lie_pair")
+dumps, load_path = _deferred("serialization", "dumps", "load_path")
 
 
 def _build_model(spec: str):
@@ -108,6 +149,8 @@ def _resolve_input(text: str):
         base = _resolve_input(text[len("regular-bimodule:"):])
         if not isinstance(base, AlgebraTable):
             raise InputFormatError("regular-bimodule: needs an algebra input")
+        from .bimodule import regular_bimodule
+
         return regular_bimodule(base)
     if text.startswith(_MODEL_PREFIXES):
         return _build_model(text)
@@ -135,6 +178,18 @@ def _emit_json(payload: dict, out_path: str | None):
 def _counted(verdict_of, name: str, violations: list):
     """(Verdict, count) of a violation list, witnessed by its first entry."""
     return verdict_of(name, violations), len(violations)
+
+
+def _coalgebra_counted(name: str, violations: list):
+    from .coalgebra import coalgebra_verdict
+
+    return _counted(coalgebra_verdict, name, violations)
+
+
+def _matched_pair_counted(name: str, violations: list):
+    from .matched_pair import matched_pair_verdict
+
+    return _counted(matched_pair_verdict, name, violations)
 
 
 def _first_failing(name: str, verdicts):
@@ -191,27 +246,28 @@ def _check_algebra(a: AlgebraTable, name: str):
     return Verdict(name, False, text, witness), len(residuals)
 
 
-# input type -> (kind, {check name: check(obj, name) -> (Verdict, count)}).
+# input class name -> (kind, {check name: check(obj, name) -> (Verdict, count)}).
+# Keyed by name, so that choosing a check imports no input kind's module.
 # Each entry looks its library function up in this module when it is called,
 # so a wrapper bound over that name here (a profiler's, say) is what runs.
 _CHECKS = {
-    CoalgebraTable: ("coalgebra", {
-        "co_right": lambda c, name: _counted(coalgebra_verdict, name, check_co_right(c)),
-        "co_left": lambda c, name: _counted(coalgebra_verdict, name, check_co_left(c)),
+    "CoalgebraTable": ("coalgebra", {
+        "co_right": lambda c, name: _coalgebra_counted(name, check_co_right(c)),
+        "co_left": lambda c, name: _coalgebra_counted(name, check_co_left(c)),
         "cocomm_coassoc": lambda c, name: _first_failing(name, check_cocomm_coassoc(c).verdicts),
         "lie_coalgebra": lambda c, name: _first_failing(name, check_lie_coalgebra(c).verdicts),
         "aux": lambda c, name: _first_failing(name, check_aux_coalgebra_identities(c).verdicts),
     }),
-    Bimodule: ("bimodule", {
+    "Bimodule": ("bimodule", {
         "axioms": lambda b, name: _counted(_axioms_verdict, name, check_bimodule(b)),
         "derived_relations": _derived_relations,
         "subadjacent": _subadjacent,
     }),
-    MatchedPair: ("matched-pair", dict.fromkeys(
+    "MatchedPair": ("matched-pair", dict.fromkeys(
         ("matched_pair", "compatibility"),
-        lambda mp, name: _counted(matched_pair_verdict, name, check_matched_pair(mp)),
+        lambda mp, name: _matched_pair_counted(name, check_matched_pair(mp)),
     )),
-    BialgebraCandidate: ("bialgebra-candidate", {
+    "BialgebraCandidate": ("bialgebra-candidate", {
         "manin_triple": lambda bc, name: _first_failing(name, check_manin_triple(bc).verdicts),
     }),
 }
@@ -223,7 +279,7 @@ def cmd_check(args) -> int:
     if isinstance(obj, AlgebraTable):
         verdict, count = _check_algebra(obj, name)
     else:
-        kind, checks = _CHECKS[type(obj)]
+        kind, checks = _CHECKS[type(obj).__name__]
         if name not in checks:
             raise InputFormatError(f"unknown {kind} check {name!r}")
         verdict, count = checks[name](obj, name)
@@ -286,7 +342,8 @@ def _audit_sections(obj) -> list:
     def bundle(title, b):
         return _verdicts_section(title, b.verdicts, b.jsonable())
 
-    if isinstance(obj, Bimodule):
+    kind = type(obj).__name__
+    if kind == "Bimodule":
         derived = check_derived_relations(obj)
         if derived.vacuous:
             relations = (
@@ -304,13 +361,17 @@ def _audit_sections(obj) -> list:
             relations,
             _verdicts_section("subadjacent", (rep,), rep.jsonable()),
         ]
-    if isinstance(obj, MatchedPair):
+    if kind == "MatchedPair":
+        from .matched_pair import format_violation
+
         return [
             _violations_section("compatibility", check_matched_pair(obj), format_violation),
             bundle("induced_commassoc_pair", induced_commassoc_pair(obj)),
             bundle("induced_lie_pair", induced_lie_pair(obj)),
         ]
-    if isinstance(obj, CoalgebraTable):
+    if kind == "CoalgebraTable":
+        from .coalgebra import opposite_coproduct
+
         return [
             bundle("as_given:aux", check_aux_coalgebra_identities(obj)),
             bundle("as_given:cocomm_coassoc", check_cocomm_coassoc(obj)),
@@ -329,6 +390,8 @@ def cmd_audit(args) -> int:
     claims = args.claims.split(",") if args.claims else None
 
     if isinstance(obj, AlgebraTable):
+        from .audit import audit_claims
+
         orientation = _pick_orientation(obj, args.orientation)
         report = audit_claims(obj, orientation, claims=claims, subject=subject)
         if args.format == "json":
@@ -359,14 +422,20 @@ def cmd_construct(args) -> int:
             raise InputFormatError(f"{kind} needs an algebra input")
         built = getattr(obj, kind)()
     elif kind == "semidirect":
+        from .bimodule import Bimodule, semidirect_sum
+
         if not isinstance(obj, Bimodule):
             raise InputFormatError("semidirect needs a bimodule input")
         built = semidirect_sum(obj)
     elif kind == "double":
+        from .matched_pair import MatchedPair
+
         if not isinstance(obj, MatchedPair):
             raise InputFormatError("double needs a matched-pair input")
         built = double(obj)
     elif kind == "dual":
+        from .coalgebra import CoalgebraTable
+
         if isinstance(obj, AlgebraTable):
             built = dualize(obj)
         elif isinstance(obj, CoalgebraTable):
@@ -374,10 +443,10 @@ def cmd_construct(args) -> int:
         else:
             raise InputFormatError("dual needs an algebra or coalgebra input")
     elif kind == "bialgebra-double":
+        from .bialgebra import BialgebraCandidate, drinfeld_double
+
         if not isinstance(obj, BialgebraCandidate):
             raise InputFormatError("bialgebra-double needs a bialgebra_candidate input")
-        from .bialgebra import drinfeld_double
-
         built = drinfeld_double(obj)
     else:
         raise InputFormatError(f"unknown construction {kind!r}")

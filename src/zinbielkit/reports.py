@@ -145,7 +145,7 @@ _SCALARS = {
 }
 
 
-def _write(o, parts: list, depth: int, memo: dict) -> int:
+def _write(o, parts: list, depth: int, memo: dict, orders: dict) -> int:
     """Append the indent-2 text of ``o`` at nesting ``depth`` to ``parts``.
 
     Returns the value's level: 0 for a scalar, one more than its deepest item
@@ -153,6 +153,8 @@ def _write(o, parts: list, depth: int, memo: dict) -> int:
     items lists of scalars, the rest scalars) is joined into one part and kept
     in ``memo`` by ``(id, depth)``, so a list object met again costs one
     append.  A scalar item is written in place, any other by a recursive call.
+    A dict's keys are checked to be str, sorted and encoded once per key
+    sequence, kept in ``orders``: an audit's witnesses all share one.
     """
     t = type(o)
     if t is list:
@@ -172,7 +174,7 @@ def _write(o, parts: list, depth: int, memo: dict) -> int:
                 parts.append(head + text(item))
             else:
                 parts.append(head)
-                level = max(level, _write(item, parts, depth + 1, memo))
+                level = max(level, _write(item, parts, depth + 1, memo, orders))
             head = sep
         parts.append("\n" + "  " * depth + "]")
         level += 1
@@ -186,18 +188,22 @@ def _write(o, parts: list, depth: int, memo: dict) -> int:
         if not o:
             parts.append("{}")
             return _NESTED
-        if any(type(k) is not str for k in o):
-            raise _Unsupported
+        keys = tuple(o)
+        order = orders.get(keys)
+        if order is None:
+            if any(type(k) is not str for k in keys):
+                raise _Unsupported
+            order = orders[keys] = [(k, encode_basestring_ascii(k)) for k in sorted(keys)]
         inner = "\n" + "  " * (depth + 1)
         head, sep = "{" + inner, "," + inner
-        for k in sorted(o):
+        for k, name in order:
             item = o[k]
             text = _SCALARS.get(type(item))
             if text is not None:
-                parts.append(f"{head}{encode_basestring_ascii(k)}: {text(item)}")
+                parts.append(f"{head}{name}: {text(item)}")
             else:
-                parts.append(f"{head}{encode_basestring_ascii(k)}: ")
-                _write(item, parts, depth + 1, memo)
+                parts.append(f"{head}{name}: ")
+                _write(item, parts, depth + 1, memo, orders)
             head = sep
         parts.append("\n" + "  " * depth + "}")
         return _NESTED
@@ -232,7 +238,7 @@ class JsonEncoder(json.JSONEncoder):
             return super().encode(o)
         parts: list[str] = []
         try:
-            _write(o, parts, 0, {})
+            _write(o, parts, 0, {}, {})
         except (_Unsupported, RecursionError):
             return super().encode(o)
         return "".join(parts)

@@ -10,25 +10,29 @@ All readers validate: unknown kinds, missing fields, out-of-range indices,
 malformed scalars, and duplicate entries raise InputFormatError.  One reader
 (``_index_rows``) takes every index-row list, so a repeated index triple is
 rejected in any order and with any values, zero or not.
+
+A kind's module (``coalgebra``, ``bimodule``, ``matched_pair``,
+``bialgebra``) is imported only when a table of that kind is read; writers
+are chosen by class name, so writing needs no class imported here.
+``InputFormatError`` is defined in ``tensors``, which every command loads,
+and is importable from here as well.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .algebra import AlgebraTable
-from .bialgebra import BialgebraCandidate
-from .bimodule import Bimodule
-from .coalgebra import CoalgebraTable
-from .matched_pair import MatchedPair
 from .reports import JsonEncoder
-from .tensors import Matrix, Tensor3, format_scalar, parse_scalar
+from .tensors import InputFormatError, Matrix, Tensor3, format_scalar, parse_scalar
 
-
-class InputFormatError(ValueError):
-    pass
+if TYPE_CHECKING:
+    from .bialgebra import BialgebraCandidate
+    from .bimodule import Bimodule
+    from .coalgebra import CoalgebraTable
+    from .matched_pair import MatchedPair
 
 
 def _require(cond: bool, message: str, *args):
@@ -112,6 +116,8 @@ def coalgebra_jsonable(c: CoalgebraTable) -> dict:
 
 
 def coalgebra_from_jsonable(obj: Any) -> CoalgebraTable:
+    from .coalgebra import CoalgebraTable
+
     _require(isinstance(obj, dict), "coalgebra payload must be an object")
     _require(obj.get("kind") == "coalgebra", "expected kind \"coalgebra\"")
     dim = _as_dim(obj.get("dim"), "dim")
@@ -146,6 +152,8 @@ def bimodule_jsonable(b: Bimodule) -> dict:
 
 
 def bimodule_from_jsonable(obj: Any) -> Bimodule:
+    from .bimodule import Bimodule
+
     _require(isinstance(obj, dict), "bimodule payload must be an object")
     _require(obj.get("kind") == "bimodule", "expected kind \"bimodule\"")
     base = algebra_from_jsonable(obj.get("algebra"))
@@ -168,6 +176,8 @@ def matched_pair_jsonable(mp: MatchedPair) -> dict:
 
 
 def matched_pair_from_jsonable(obj: Any) -> MatchedPair:
+    from .matched_pair import MatchedPair
+
     _require(isinstance(obj, dict), "matched_pair payload must be an object")
     _require(obj.get("kind") == "matched_pair", "expected kind \"matched_pair\"")
     a = algebra_from_jsonable(obj.get("A"))
@@ -188,6 +198,8 @@ def bialgebra_candidate_jsonable(bc: BialgebraCandidate) -> dict:
 
 
 def bialgebra_candidate_from_jsonable(obj: Any) -> BialgebraCandidate:
+    from .bialgebra import BialgebraCandidate
+
     _require(isinstance(obj, dict), "bialgebra_candidate payload must be an object")
     _require(obj.get("kind") == "bialgebra_candidate", "expected kind \"bialgebra_candidate\"")
     return BialgebraCandidate(
@@ -195,12 +207,13 @@ def bialgebra_candidate_from_jsonable(obj: Any) -> BialgebraCandidate:
     )
 
 
+# Keyed by class name, so that no kind's module is imported to write another.
 _WRITERS = {
-    AlgebraTable: algebra_jsonable,
-    CoalgebraTable: coalgebra_jsonable,
-    Bimodule: bimodule_jsonable,
-    MatchedPair: matched_pair_jsonable,
-    BialgebraCandidate: bialgebra_candidate_jsonable,
+    "AlgebraTable": algebra_jsonable,
+    "CoalgebraTable": coalgebra_jsonable,
+    "Bimodule": bimodule_jsonable,
+    "MatchedPair": matched_pair_jsonable,
+    "BialgebraCandidate": bialgebra_candidate_jsonable,
 }
 
 _READERS = {
@@ -213,7 +226,7 @@ _READERS = {
 
 
 def to_jsonable(obj) -> dict:
-    writer = _WRITERS.get(type(obj))
+    writer = _WRITERS.get(type(obj).__name__)
     if writer is None:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
     return writer(obj)

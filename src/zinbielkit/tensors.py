@@ -24,6 +24,11 @@ class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class InputFormatError(ValueError):
+    """Raised for an input the program cannot read: a malformed payload or
+    model spec, an unknown name, an unreadable or unwritable path."""
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact rational.
 

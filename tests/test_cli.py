@@ -509,16 +509,17 @@ def test_claim_audit_script_input_errors_exit_2(request, args, message):
     assert run.stderr.startswith(message) and run.stderr.count("\n") == 1, run.stderr
 
 
-CLI_MODULES = {
+# Modules that no algebra check runs: a subcommand or input kind imports the
+# ones it needs.
+_STRUCTURAL = {
     f"zinbielkit.{name}"
-    for name in ("algebra", "audit", "bialgebra", "bimodule", "cli", "coalgebra", "identities",
-                 "matched_pair", "models", "reports", "serialization", "tensors")
-} | {"zinbielkit"}
+    for name in ("audit", "bialgebra", "bimodule", "coalgebra", "matched_pair", "serialization")
+}
 
 
 def test_start_up_loads_no_dataclasses_inspect_or_logging(request):
     # Each command is a fresh interpreter, so these imports would be paid by
-    # every one of them; the package loads as a whole all the same.
+    # every one of them.
     def loaded(code):
         run = _python(request, "-c", f"import sys; {code}; print(*sorted(sys.modules))")
         assert run.returncode == 0, run.stderr
@@ -529,8 +530,32 @@ def test_start_up_loads_no_dataclasses_inspect_or_logging(request):
     script = loaded("sys.path.insert(0, 'scripts'); import run_claim_audit")
     for modules in (cli, script):
         assert not {"dataclasses", "inspect", "logging"} & (modules - bare)
-    assert CLI_MODULES <= cli
-    assert "zinbielkit.fuzz" not in cli
+    assert not (_STRUCTURAL | {"zinbielkit.fuzz"}) & cli
+
+
+def _zinbielkit_modules_after(request, argv) -> set[str]:
+    code = (
+        "import contextlib, io, sys, zinbielkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    zinbielkit.cli.main({list(argv)!r})\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('zinbielkit')))"
+    )
+    run = _python(request, "-c", code)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs(request):
+    base = _zinbielkit_modules_after(request, ["check", "trunc-int:right:3", "right_zinbiel"])
+    assert not base & _STRUCTURAL
+    assert {"zinbielkit.cli", "zinbielkit.identities", "zinbielkit.models"} <= base
+    audit = _zinbielkit_modules_after(request, ["audit", "--model", "free:2:2"])
+    assert audit - base == {"zinbielkit.audit"}
+    model = _zinbielkit_modules_after(request, ["model", "trunc-int:right:3"])
+    assert model - base == {"zinbielkit.serialization"}
+    co_left = _zinbielkit_modules_after(request, ["check", "tests/corpus/dual_t3.json", "co_left"])
+    assert not {"zinbielkit.bialgebra", "zinbielkit.bimodule", "zinbielkit.matched_pair"} & co_left
+    assert {"zinbielkit.coalgebra", "zinbielkit.serialization"} <= co_left
 
 
 def test_logging_configured_after_import_gets_the_debug_record(request):

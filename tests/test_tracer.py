@@ -5,6 +5,8 @@ patched name or moves an output byte or count fails here, not only in a
 benchmark run."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -40,6 +42,45 @@ def test_every_tracer_patch_resolves(perfbench):
     assert tracer.incomplete == set()
     for (module, attr), original in originals.items():
         assert getattr(spans._resolve(modules, module), attr.partition(".")[0]) is original
+
+
+# run.py's own sequence in a fresh interpreter, where a module that only a
+# deferred import loads is not already in ``sys.modules`` from other tests.
+_FRESH_REPLAY = """
+import json, sys
+sys.path[:0] = ["perfbench"]
+import zinbielkit.cli
+import run, spans, workloads
+
+script = run._load_script()
+modules = run.zinbielkit_modules(script)
+tracer = spans.Tracer()
+tracer.install(modules)
+tracer.remove()
+cmd = workloads.Command("check", ("check", "tests/corpus/candidate_t2_zero.json", "manin_triple"))
+entries = {"cli": zinbielkit.cli.main, "script": script.main}
+plain = run.replay([cmd], entries, lambda i, entry, argv: run._invoke(entry, argv))
+_, traced, span_list, incomplete = run.traced_pass([cmd], entries, modules)
+print(json.dumps({
+    "install_incomplete": sorted(tracer.incomplete),
+    "pass_incomplete": sorted(incomplete),
+    "same_output": plain == traced,
+    "rc": traced[0][0],
+    "manin_spans": sum(s.layer == "bialgebra.manin" for s in span_list),
+}))
+"""
+
+
+def test_tracer_patches_resolve_in_a_fresh_interpreter(request):
+    root = request.config.rootpath
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-c", _FRESH_REPLAY], capture_output=True, text=True,
+                         env=env, cwd=root, timeout=60)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result == {"install_incomplete": [], "pass_incomplete": [], "same_output": True,
+                      "rc": 1, "manin_spans": 1}
 
 
 def test_traced_json_audit_times_emission_in_its_own_layers(perfbench, capsys):
