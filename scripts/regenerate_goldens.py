@@ -40,17 +40,56 @@ REQUIRED_WITNESSES = {
     ),
 }
 
-# (input, check, golden stem, exit code, formats): one check per witness
-# shape, so every verdict shape ``check`` prints is pinned
-WITNESS_SHAPE_CHECKS = (
-    ("tests/corpus/broken_bimodule.json", "axioms", "axioms_broken", 1, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "co_right", "co_right_dual_t3", 0, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "co_left", "co_left_dual_t3", 1, ("text", "json")),
-    ("tests/corpus/dual_t3.json", "cocomm_coassoc", "cocomm_coassoc_dual_t3", 1, ("json",)),
-    ("tests/corpus/dual_t3.json", "lie_coalgebra", "lie_coalgebra_dual_t3", 1, ("json",)),
-    ("tests/corpus/dual_reps_t3.json", "matched_pair", "matched_pair_dual_reps_t3", 1, ("json",)),
-    ("trunc-int:left:3", "right_zinbiel", "right_zinbiel_l3", 1, ("json",)),
-)
+
+def _text_and_json(argv: list[str], stem: str, code: int) -> list:
+    """The rows of one command's text and JSON goldens."""
+    return [(argv, f"{stem}.txt", code), ([*argv, "--format", "json"], f"{stem}.json", code)]
+
+
+# (argv, golden, exit code): each CLI golden is the output of one command,
+# written with --out; tests/test_cli.py runs every row as a golden case
+CLI_GOLDENS = [
+    *_text_and_json(["audit", "--model", "trunc-int:right:5", "--orientation", "right"],
+                    "audit_trunc_right_5", 0),
+    *_text_and_json(["audit", "--model", "trunc-int:left:3", "--orientation", "left"],
+                    "audit_trunc_left_3", 0),
+    # the audit of each non-algebra input kind, and of the positive candidate
+    *_text_and_json(["audit", "regular-bimodule:trunc-int:right:5"], "audit_bimodule_regular_t5", 0),
+    *_text_and_json(["audit", "tests/corpus/broken_bimodule.json"], "audit_bimodule_broken", 0),
+    *_text_and_json(["audit", "tests/corpus/dual_t3.json"], "audit_coalgebra_dual_t3", 0),
+    *_text_and_json(["audit", "tests/corpus/candidate_t2_zero.json"], "audit_candidate_t2_zero", 0),
+    *_text_and_json(["audit", "tests/corpus/candidate_dim2_positive.json"],
+                    "audit_candidate_dim2_positive", 0),
+    *_text_and_json(["audit", "tests/corpus/pair_regular_t5.json"], "audit_pair_regular_t5", 0),
+    *_text_and_json(["audit", "tests/corpus/dual_reps_t3.json"], "audit_dual_reps_t3", 0),
+    # checks: each failing one pins its first witness, and every verdict
+    # shape that ``check`` prints is pinned
+    (["check", "tests/corpus/candidate_dim2_positive.json", "manin_triple"],
+     "check_manin_triple_dim2_positive.txt", 0),
+    *_text_and_json(["check", "regular-bimodule:trunc-int:right:5", "subadjacent"],
+                    "check_subadjacent_regular_t5", 1),
+    *_text_and_json(["check", "tests/corpus/broken_bimodule.json", "derived_relations"],
+                    "check_derived_relations_broken", 1),
+    *_text_and_json(["check", "tests/corpus/broken_bimodule.json", "axioms"],
+                    "check_axioms_broken", 1),
+    *_text_and_json(["check", "tests/corpus/dual_t3.json", "aux"], "check_aux_dual_t3", 1),
+    *_text_and_json(["check", "tests/corpus/dual_t3.json", "co_right"], "check_co_right_dual_t3", 0),
+    *_text_and_json(["check", "tests/corpus/dual_t3.json", "co_left"], "check_co_left_dual_t3", 1),
+    (["check", "tests/corpus/dual_t3.json", "cocomm_coassoc", "--format", "json"],
+     "check_cocomm_coassoc_dual_t3.json", 1),
+    (["check", "tests/corpus/dual_t3.json", "lie_coalgebra", "--format", "json"],
+     "check_lie_coalgebra_dual_t3.json", 1),
+    *_text_and_json(["check", "tests/corpus/candidate_t2_zero.json", "manin_triple"],
+                    "check_manin_triple_t2_zero", 1),
+    (["check", "tests/corpus/pair_regular_t5.json", "matched_pair"],
+     "check_matched_pair_pair_regular_t5.txt", 0),
+    *_text_and_json(["check", "tests/corpus/dual_reps_t3.json", "matched_pair"],
+                    "check_matched_pair_dual_reps_t3", 1),
+    (["check", "trunc-int:right:3", "right_zinbiel"], "check_right_zinbiel_t3.txt", 0),
+    *_text_and_json(["check", "trunc-int:left:3", "right_zinbiel"], "check_right_zinbiel_l3", 1),
+    (["construct", "semidirect", "regular-bimodule:trunc-int:right:3"],
+     "construct_semidirect_t3.json", 0),
+]
 
 
 def _cli(argv: list[str], expect: int = 0):
@@ -106,17 +145,8 @@ def write_corpus(corpus: Path):
 
 def write_goldens(goldens: Path, seed: int):
     goldens.mkdir(parents=True, exist_ok=True)
-
-    for fmt in ("text", "json"):
-        ext = "txt" if fmt == "text" else "json"
-        _cli(
-            ["audit", "--model", "trunc-int:right:5", "--orientation", "right",
-             "--format", fmt, "--out", str(goldens / f"audit_trunc_right_5.{ext}")]
-        )
-        _cli(
-            ["audit", "--model", "trunc-int:left:3", "--orientation", "left",
-             "--format", fmt, "--out", str(goldens / f"audit_trunc_left_3.{ext}")]
-        )
+    for argv, golden, code in CLI_GOLDENS:
+        _cli([*argv, "--out", str(goldens / golden)], expect=code)
 
     reports = [
         json.loads((goldens / "audit_trunc_right_5.json").read_text(encoding="utf-8")),
@@ -125,88 +155,6 @@ def write_goldens(goldens: Path, seed: int):
     combined = {"kind": "claim_audit_collection", "reports": reports}
     (goldens / "claim_audit.json").write_text(
         json.dumps(combined, indent=2, sort_keys=True, cls=JsonEncoder) + "\n", encoding="utf-8"
-    )
-
-    _cli(
-        ["audit", "regular-bimodule:trunc-int:right:5",
-         "--out", str(goldens / "audit_bimodule_regular_t5.txt")]
-    )
-    _cli(
-        ["audit", "tests/corpus/dual_t3.json",
-         "--out", str(goldens / "audit_coalgebra_dual_t3.txt")]
-    )
-    _cli(
-        ["audit", "tests/corpus/candidate_t2_zero.json",
-         "--out", str(goldens / "audit_candidate_t2_zero.txt")]
-    )
-    _cli(
-        ["audit", "tests/corpus/broken_bimodule.json",
-         "--out", str(goldens / "audit_bimodule_broken.txt")]
-    )
-    for src, name in (
-        ("regular-bimodule:trunc-int:right:5", "bimodule_regular_t5"),
-        ("tests/corpus/broken_bimodule.json", "bimodule_broken"),
-        ("tests/corpus/dual_t3.json", "coalgebra_dual_t3"),
-        ("tests/corpus/candidate_t2_zero.json", "candidate_t2_zero"),
-    ):
-        _cli(["audit", src, "--format", "json", "--out", str(goldens / f"audit_{name}.json")])
-
-    # the positive control: all four conditions hold, and the double is a Manin triple
-    positive = "tests/corpus/candidate_dim2_positive.json"
-    for fmt, ext in (("text", "txt"), ("json", "json")):
-        _cli(["audit", positive, "--format", fmt,
-              "--out", str(goldens / f"audit_candidate_dim2_positive.{ext}")])
-    _cli(["check", positive, "manin_triple",
-          "--out", str(goldens / "check_manin_triple_dim2_positive.txt")])
-
-    # structural checks that fail: each pins its first witness
-    for src, check, name in (
-        ("regular-bimodule:trunc-int:right:5", "subadjacent", "subadjacent_regular_t5"),
-        ("tests/corpus/broken_bimodule.json", "derived_relations", "derived_relations_broken"),
-        ("tests/corpus/dual_t3.json", "aux", "aux_dual_t3"),
-        ("tests/corpus/candidate_t2_zero.json", "manin_triple", "manin_triple_t2_zero"),
-    ):
-        for fmt, ext in (("text", "txt"), ("json", "json")):
-            _cli(
-                ["check", src, check, "--format", fmt,
-                 "--out", str(goldens / f"check_{name}.{ext}")],
-                expect=1,
-            )
-
-    for src, check, name, code, formats in WITNESS_SHAPE_CHECKS:
-        for fmt in formats:
-            ext = "txt" if fmt == "text" else "json"
-            _cli(
-                ["check", src, check, "--format", fmt,
-                 "--out", str(goldens / f"check_{name}.{ext}")],
-                expect=code,
-            )
-
-    for pair, code in (("pair_regular_t5", 0), ("dual_reps_t3", 1)):
-        src = f"tests/corpus/{pair}.json"
-        for fmt, ext in (("text", "txt"), ("json", "json")):
-            _cli(
-                ["audit", src, "--format", fmt,
-                 "--out", str(goldens / f"audit_{pair}.{ext}")]
-            )
-        _cli(
-            ["check", src, "matched_pair",
-             "--out", str(goldens / f"check_matched_pair_{pair}.txt")],
-            expect=code,
-        )
-
-    _cli(
-        ["check", "trunc-int:right:3", "right_zinbiel",
-         "--out", str(goldens / "check_right_zinbiel_t3.txt")]
-    )
-    _cli(
-        ["check", "trunc-int:left:3", "right_zinbiel",
-         "--out", str(goldens / "check_right_zinbiel_l3.txt")],
-        expect=1,
-    )
-    _cli(
-        ["construct", "semidirect", "regular-bimodule:trunc-int:right:3",
-         "--out", str(goldens / "construct_semidirect_t3.json")]
     )
 
     lines = [f"candidate equivalence quadruples (seed {seed}, 20 candidates)"]

@@ -70,6 +70,7 @@ _EXPORTS = {
     "tensors": ("Matrix", "Scalar", "Tensor3", "Vector", "format_scalar", "parse_scalar", "rank"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -83,71 +84,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | _MODULE_OF.keys())
-
-
-__all__ = [
-    "AlgebraTable",
-    "BialgebraCandidate",
-    "BilinearFormTable",
-    "Bimodule",
-    "CLAIMS",
-    "CoalgebraTable",
-    "Identity",
-    "MatchedPair",
-    "Matrix",
-    "Scalar",
-    "Tensor3",
-    "Vector",
-    "algebra_from_entries",
-    "antisym_coproduct",
-    "audit_claims",
-    "audit_report_jsonable",
-    "audit_report_text",
-    "catalog",
-    "check_aux_coalgebra_identities",
-    "check_bimodule",
-    "check_co_left",
-    "check_co_right",
-    "check_cocomm_coassoc",
-    "check_commassoc_matched_pair",
-    "check_derived_relations",
-    "check_form",
-    "check_lie_coalgebra",
-    "check_lie_matched_pair",
-    "check_manin_triple",
-    "check_matched_pair",
-    "coalgebra_from_entries",
-    "direct_sum",
-    "double",
-    "drinfeld_double",
-    "dual_reps",
-    "dualize",
-    "dualize_co",
-    "dumps",
-    "equivalence_audit",
-    "evaluate",
-    "format_scalar",
-    "free_halfshuffle",
-    "from_jsonable",
-    "holds",
-    "induced_commassoc_pair",
-    "induced_lie_pair",
-    "induced_subadjacent_map",
-    "left_zinbiel_residuals",
-    "load_path",
-    "loads",
-    "opposite_coproduct",
-    "parse_identity",
-    "parse_scalar",
-    "rank",
-    "regular_bimodule",
-    "right_zinbiel_residuals",
-    "semidirect_sum",
-    "standard_pairing",
-    "sym_coproduct",
-    "to_jsonable",
-    "trivial_models",
-    "trunc_integration",
-    "zero_bimodule",
-    "zero_matched_pair",
-]

@@ -414,43 +414,30 @@ def cmd_audit(args) -> int:
 # -- construct / model -------------------------------------------------------
 
 
+# kind -> (input class names, the input it needs in words, build(obj)).  Keyed
+# by class name, as ``_CHECKS`` is.  The builders look ``double``, ``dualize``
+# and ``dualize_co`` up in this module when they run, so a wrapper bound over
+# one of those names here is what runs.
+_CONSTRUCTIONS = {
+    "opposite": (("AlgebraTable",), "an algebra", lambda a: a.opposite()),
+    "symmetrize": (("AlgebraTable",), "an algebra", lambda a: a.symmetrize()),
+    "commutator": (("AlgebraTable",), "an algebra", lambda a: a.commutator()),
+    "semidirect": (("Bimodule",), "a bimodule",
+                   lambda b: import_module(".bimodule", __package__).semidirect_sum(b)),
+    "double": (("MatchedPair",), "a matched-pair", lambda mp: double(mp)),
+    "dual": (("AlgebraTable", "CoalgebraTable"), "an algebra or coalgebra",
+             lambda x: dualize(x) if isinstance(x, AlgebraTable) else dualize_co(x)),
+    "bialgebra-double": (("BialgebraCandidate",), "a bialgebra_candidate",
+                         lambda bc: import_module(".bialgebra", __package__).drinfeld_double(bc)),
+}
+
+
 def cmd_construct(args) -> int:
     obj = _resolve_input(args.input)
-    kind = args.kind
-    if kind in ("opposite", "symmetrize", "commutator"):
-        if not isinstance(obj, AlgebraTable):
-            raise InputFormatError(f"{kind} needs an algebra input")
-        built = getattr(obj, kind)()
-    elif kind == "semidirect":
-        from .bimodule import Bimodule, semidirect_sum
-
-        if not isinstance(obj, Bimodule):
-            raise InputFormatError("semidirect needs a bimodule input")
-        built = semidirect_sum(obj)
-    elif kind == "double":
-        from .matched_pair import MatchedPair
-
-        if not isinstance(obj, MatchedPair):
-            raise InputFormatError("double needs a matched-pair input")
-        built = double(obj)
-    elif kind == "dual":
-        from .coalgebra import CoalgebraTable
-
-        if isinstance(obj, AlgebraTable):
-            built = dualize(obj)
-        elif isinstance(obj, CoalgebraTable):
-            built = dualize_co(obj)
-        else:
-            raise InputFormatError("dual needs an algebra or coalgebra input")
-    elif kind == "bialgebra-double":
-        from .bialgebra import BialgebraCandidate, drinfeld_double
-
-        if not isinstance(obj, BialgebraCandidate):
-            raise InputFormatError("bialgebra-double needs a bialgebra_candidate input")
-        built = drinfeld_double(obj)
-    else:
-        raise InputFormatError(f"unknown construction {kind!r}")
-    _emit(dumps(built), args.out)
+    kinds, needs, build = _CONSTRUCTIONS[args.kind]
+    if type(obj).__name__ not in kinds:
+        raise InputFormatError(f"{args.kind} needs {needs} input")
+    _emit(dumps(build(obj)), args.out)
     return 0
 
 
@@ -491,18 +478,7 @@ def _parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_audit)
 
     k = sub.add_parser("construct", help="derive a new table and print its JSON")
-    k.add_argument(
-        "kind",
-        choices=(
-            "opposite",
-            "symmetrize",
-            "commutator",
-            "semidirect",
-            "double",
-            "dual",
-            "bialgebra-double",
-        ),
-    )
+    k.add_argument("kind", choices=tuple(_CONSTRUCTIONS))
     k.add_argument("input", help="JSON file or model spec")
     k.add_argument("--out", default=None, metavar="FILE")
     k.set_defaults(func=cmd_construct)

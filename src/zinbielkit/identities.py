@@ -102,9 +102,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append((_PUNCT[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; isdigit() also takes '²'
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tokens.append(("INT", src[i:j], i))
             i = j

@@ -249,6 +249,8 @@ def loads(text: str):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputFormatError("JSON nested too deeply") from None
     return from_jsonable(payload)
 
 

@@ -51,6 +51,9 @@ def _case_id(value):
     return text
 
 
+# stands for a 6 KB file of 3,000 nested lists, which test_exit_codes writes
+_DEEP_JSON = "deeply_nested.json"
+
 EXIT_CASES = [
     (["check", "tests/corpus/model_t3.json", "right_zinbiel"], 0),
     (["check", "tests/corpus/model_l3.json", "right_zinbiel"], 1),
@@ -93,9 +96,16 @@ EXIT_CASES = [
     (["model", "trunc-int:right:3", "--out", "tests"], 2),
     (["model", "trunc-int:right:3", "--out", "tests/no_such_dir/model.json"], 2),
     (["construct", "dual", "trunc-int:right:3"], 0),
+    (["construct", "opposite", "tests/corpus/dual_t3.json"], 2),
+    (["construct", "symmetrize", "tests/corpus/zero_pair.json"], 2),
+    (["construct", "commutator", "tests/corpus/candidate_t2_zero.json"], 2),
     (["construct", "semidirect", "tests/corpus/model_t3.json"], 2),
+    (["construct", "double", "tests/corpus/model_t3.json"], 2),
     (["construct", "double", "tests/corpus/zero_pair.json"], 0),
+    (["construct", "dual", "tests/corpus/regular_t3_bimodule.json"], 2),
+    (["construct", "bialgebra-double", "tests/corpus/zero_pair.json"], 2),
     (["construct", "bialgebra-double", "tests/corpus/candidate_t2_zero.json"], 0),
+    (["check", _DEEP_JSON, "right_zinbiel"], 2),
 ]
 
 
@@ -108,8 +118,24 @@ UNKNOWN_CHECK_KINDS = {
 }
 
 
+# the error of each construction given an input of another kind
+CONSTRUCT_ERRORS = {
+    "opposite": "error: opposite needs an algebra input\n",
+    "symmetrize": "error: symmetrize needs an algebra input\n",
+    "commutator": "error: commutator needs an algebra input\n",
+    "semidirect": "error: semidirect needs a bimodule input\n",
+    "double": "error: double needs a matched-pair input\n",
+    "dual": "error: dual needs an algebra or coalgebra input\n",
+    "bialgebra-double": "error: bialgebra-double needs a bialgebra_candidate input\n",
+}
+
+
 @pytest.mark.parametrize("argv,code", EXIT_CASES, ids=_case_id)
-def test_exit_codes(argv, code, capsys):
+def test_exit_codes(argv, code, capsys, tmp_path):
+    if _DEEP_JSON in argv:
+        deep = tmp_path / _DEEP_JSON
+        deep.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+        argv = [str(deep) if arg == _DEEP_JSON else arg for arg in argv]
     assert main(argv) == code
     captured = capsys.readouterr()
     err = captured.err
@@ -119,111 +145,14 @@ def test_exit_codes(argv, code, capsys):
         if kind is not None:
             assert captured.out == ""
             assert err == f"error: unknown {kind} check {argv[2]!r}\n"
+        if argv[0] == "construct":
+            assert captured.out == ""
+            assert err == CONSTRUCT_ERRORS[argv[1]]
 
 
-GOLDEN_CASES = [
-    (
-        ["audit", "--model", "trunc-int:right:5", "--orientation", "right"],
-        "audit_trunc_right_5.txt",
-        0,
-    ),
-    (
-        ["audit", "--model", "trunc-int:right:5", "--orientation", "right", "--format", "json"],
-        "audit_trunc_right_5.json",
-        0,
-    ),
-    (
-        ["audit", "--model", "trunc-int:left:3", "--orientation", "left"],
-        "audit_trunc_left_3.txt",
-        0,
-    ),
-    (
-        ["audit", "--model", "trunc-int:left:3", "--orientation", "left", "--format", "json"],
-        "audit_trunc_left_3.json",
-        0,
-    ),
-    (
-        ["audit", "regular-bimodule:trunc-int:right:5"],
-        "audit_bimodule_regular_t5.txt",
-        0,
-    ),
-    (["audit", "tests/corpus/dual_t3.json"], "audit_coalgebra_dual_t3.txt", 0),
-    (["audit", "tests/corpus/candidate_t2_zero.json"], "audit_candidate_t2_zero.txt", 0),
-    (
-        ["audit", "tests/corpus/candidate_dim2_positive.json"],
-        "audit_candidate_dim2_positive.txt",
-        0,
-    ),
-    (
-        ["audit", "tests/corpus/candidate_dim2_positive.json", "--format", "json"],
-        "audit_candidate_dim2_positive.json",
-        0,
-    ),
-    (
-        ["check", "tests/corpus/candidate_dim2_positive.json", "manin_triple"],
-        "check_manin_triple_dim2_positive.txt",
-        0,
-    ),
-    (["audit", "tests/corpus/pair_regular_t5.json"], "audit_pair_regular_t5.txt", 0),
-    (
-        ["audit", "tests/corpus/pair_regular_t5.json", "--format", "json"],
-        "audit_pair_regular_t5.json",
-        0,
-    ),
-    (
-        ["check", "tests/corpus/pair_regular_t5.json", "matched_pair"],
-        "check_matched_pair_pair_regular_t5.txt",
-        0,
-    ),
-    (["audit", "tests/corpus/dual_reps_t3.json"], "audit_dual_reps_t3.txt", 0),
-    (
-        ["audit", "tests/corpus/dual_reps_t3.json", "--format", "json"],
-        "audit_dual_reps_t3.json",
-        0,
-    ),
-    (
-        ["check", "tests/corpus/dual_reps_t3.json", "matched_pair"],
-        "check_matched_pair_dual_reps_t3.txt",
-        1,
-    ),
-    (["check", "trunc-int:right:3", "right_zinbiel"], "check_right_zinbiel_t3.txt", 0),
-    (["check", "trunc-int:left:3", "right_zinbiel"], "check_right_zinbiel_l3.txt", 1),
-    (
-        ["construct", "semidirect", "regular-bimodule:trunc-int:right:3"],
-        "construct_semidirect_t3.json",
-        0,
-    ),
-]
-
-for _src, _name in (
-    ("regular-bimodule:trunc-int:right:5", "bimodule_regular_t5"),
-    ("tests/corpus/broken_bimodule.json", "bimodule_broken"),
-    ("tests/corpus/dual_t3.json", "coalgebra_dual_t3"),
-    ("tests/corpus/candidate_t2_zero.json", "candidate_t2_zero"),
-):
-    GOLDEN_CASES.append((["audit", _src, "--format", "json"], f"audit_{_name}.json", 0))
-
-for _src, _check, _name in (
-    ("regular-bimodule:trunc-int:right:5", "subadjacent", "subadjacent_regular_t5"),
-    ("tests/corpus/broken_bimodule.json", "derived_relations", "derived_relations_broken"),
-    ("tests/corpus/dual_t3.json", "aux", "aux_dual_t3"),
-    ("tests/corpus/candidate_t2_zero.json", "manin_triple", "manin_triple_t2_zero"),
-):
-    GOLDEN_CASES.append((["check", _src, _check], f"check_{_name}.txt", 1))
-    GOLDEN_CASES.append((["check", _src, _check, "--format", "json"], f"check_{_name}.json", 1))
-
-
-GOLDEN_CASES.append(
-    (["audit", "tests/corpus/broken_bimodule.json"], "audit_bimodule_broken.txt", 0)
-)
-
-# one check per witness shape, as scripts/regenerate_goldens.py writes them
-for _src, _check, _name, _code, _formats in load_generator().WITNESS_SHAPE_CHECKS:
-    for _fmt in _formats:
-        _ext = "txt" if _fmt == "text" else "json"
-        GOLDEN_CASES.append(
-            (["check", _src, _check, "--format", _fmt], f"check_{_name}.{_ext}", _code)
-        )
+# (argv, golden, exit code): the commands scripts/regenerate_goldens.py writes
+# the CLI goldens with
+GOLDEN_CASES = load_generator().CLI_GOLDENS
 
 
 @pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=[g for _, g, _ in GOLDEN_CASES])

@@ -1,8 +1,10 @@
 """Identity DSL: parser, arity rule, evaluator, catalog."""
 
+import itertools
 import logging
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -73,7 +75,8 @@ def test_catalog_round_trips():
 
 
 def test_syntax_errors_carry_position():
-    for src, pos in [("(x y", 4), ("x + ", 4), ("1/0 * x", 2), ("x = 1", 4), ("x )", 2)]:
+    for src, pos in [("(x y", 4), ("x + ", 4), ("1/0 * x", 2), ("x = 1", 4), ("x )", 2),
+                     ("²*(x y)", 0)]:
         with pytest.raises(IdentitySyntaxError) as err:
             parse_identity(src)
         assert err.value.position == pos
@@ -131,6 +134,25 @@ def test_public_api_names_resolve():
     assert [name for name in zinbielkit.__all__ if not hasattr(zinbielkit, name)] == []
 
 
+def test_public_api_names_are_pinned():
+    assert zinbielkit.__all__ == [
+        "AlgebraTable", "BialgebraCandidate", "BilinearFormTable", "Bimodule", "CLAIMS",
+        "CoalgebraTable", "Identity", "MatchedPair", "Matrix", "Scalar", "Tensor3", "Vector",
+        "algebra_from_entries", "antisym_coproduct", "audit_claims", "audit_report_jsonable",
+        "audit_report_text", "catalog", "check_aux_coalgebra_identities", "check_bimodule",
+        "check_co_left", "check_co_right", "check_cocomm_coassoc", "check_commassoc_matched_pair",
+        "check_derived_relations", "check_form", "check_lie_coalgebra", "check_lie_matched_pair",
+        "check_manin_triple", "check_matched_pair", "coalgebra_from_entries", "direct_sum",
+        "double", "drinfeld_double", "dual_reps", "dualize", "dualize_co", "dumps",
+        "equivalence_audit", "evaluate", "format_scalar", "free_halfshuffle", "from_jsonable",
+        "holds", "induced_commassoc_pair", "induced_lie_pair", "induced_subadjacent_map",
+        "left_zinbiel_residuals", "load_path", "loads", "opposite_coproduct", "parse_identity",
+        "parse_scalar", "rank", "regular_bimodule", "right_zinbiel_residuals", "semidirect_sum",
+        "standard_pairing", "sym_coproduct", "to_jsonable", "trivial_models", "trunc_integration",
+        "zero_bimodule", "zero_matched_pair",
+    ]
+
+
 def _random_table(rng, dim):
     """A table of dimension ``dim`` whose density is drawn too; 0 gives the zero table."""
     density = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
@@ -175,6 +197,44 @@ def test_sparse_join_matches_reference_scan():
             want = oracles.reference_evaluate(table, ident)
             assert evaluate(table, ident) == want, render_identity(ident)
             assert evaluate(table, ident, first_only=True) == want[:1]
+
+
+# (claim, [(sign, identity, order)]): at each basis tuple t, the claim's
+# residual is the signed sum of each identity's residual at t permuted by its
+# order.  The first row is the exact form of "center-symmetric, therefore
+# Lie-admissible"; the second reads the left relation off the Zinbiel law.
+_SYZYGIES = (
+    ("lie_admissible", ((-1, "center_symmetric", (0, 1, 2)), (1, "center_symmetric", (1, 0, 2)),
+                        (-1, "center_symmetric", (1, 2, 0)))),
+    ("left_relation", ((1, "right_zinbiel", (0, 1, 2)), (-1, "right_zinbiel", (1, 0, 2)))),
+)
+
+
+def test_lie_admissible_and_left_relation_are_signed_sums_of_residuals(standard_models):
+    # Exact on every table, Zinbiel or not.  The standard models include
+    # trunc-int:left:4 and free:2:3.
+    cat = catalog()
+    names = {claim for claim, _ in _SYZYGIES}
+    names |= {name for _, parts in _SYZYGIES for _, name, _ in parts}
+    assert {cat[name].variables for name in names} == {("x", "y", "z")}
+    rng = random.Random(2011)
+    tables = [table for _, table in standard_models] + [_random_table(rng, 3) for _ in range(10)]
+    failing = dict.fromkeys(names, 0)
+    for table in tables:
+        residuals = {name: dict(evaluate(table, cat[name])) for name in names}
+        for claim, parts in _SYZYGIES:
+            want = {}
+            for t in itertools.product(range(table.dim), repeat=3):
+                total = Counter()
+                for sign, name, order in parts:
+                    for k, v in residuals[name].get(tuple(t[i] for i in order), {}).items():
+                        total[k] += sign * v
+                if any(total.values()):
+                    want[t] = {k: v for k, v in total.items() if v}
+            assert residuals[claim] == want, claim
+        for name in names:
+            failing[name] += bool(residuals[name])
+    assert min(failing.values()) > 0, failing
 
 
 def _typed(table, ident, domains, first_only=False):
