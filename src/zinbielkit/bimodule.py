@@ -21,10 +21,10 @@ No check multiplies an action matrix.  A family F is a representation,
 F_{x.y} = F_x F_y, iff ``((x y) v) = (x (y v))`` holds on a table where x
 acts on v by F from the left alone; for a bracket table, [F_x, F_y] is
 ``(x (y v)) - (y (x v))`` (``_REPRESENTATION``, ``_BRACKET_REPRESENTATION``).
-The sub-adjacent map x -> l_x - r_x is checked on the semidirect sum of the
-base's commutator table with left maps l - r and zero right maps.  Every
-verdict that stops at its first witness, here and in the pair checks of
-``matched_pair``, comes from one typed scan (``first_witness_verdict``).
+The sub-adjacent map x -> l_x - r_x is checked on the sum table of the
+base's commutator table and V, on which the base acts by l - r from the left
+alone.  Every verdict that stops at its first witness, here and in the pair
+checks of ``matched_pair``, comes from one typed scan (``first_witness_verdict``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import AlgebraTable, algebra_from_entries
+from .algebra import AlgebraTable, sum_table
 from .identities import ExactValues, evaluate_pass, parse_term_sum
 from .reports import Verdict, failed_verdict
 from .tensors import DimensionMismatch, Frozen, Matrix
@@ -201,15 +201,8 @@ def check_derived_relations(b: Bimodule) -> DerivedRelationsReport:
 
 def semidirect_sum(b: Bimodule) -> AlgebraTable:
     """Product table on base + V; (x+u)*(y+v) = x.y + (l_x v + r_y u)."""
-    n, m = b.base.dim, b.v_dim
-    entries = list((i, j, k, v) for (i, j, k), v in b.base.c.entries.items())
-    for i in range(n):
-        for (alpha, beta), v in b.left_maps[i].entries.items():
-            entries.append((i, n + beta, n + alpha, v))
-        for (alpha, beta), v in b.right_maps[i].entries.items():
-            entries.append((n + beta, i, n + alpha, v))
-    labels = b.base.basis_labels + tuple(f"v{k}" for k in range(m))
-    return algebra_from_entries(n + m, entries, labels)
+    labels = tuple(f"v{k}" for k in range(b.v_dim))
+    return sum_table(b.base, b.v_dim, {}, labels, b.left_maps, b.right_maps)
 
 
 class SubadjacentReport(NamedTuple):
@@ -234,8 +227,7 @@ def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     """
     n = b.base.dim
     maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))
-    zeros = (Matrix.zero(b.v_dim, b.v_dim),) * n
-    table = semidirect_sum(Bimodule(b.base.commutator(), b.v_dim, maps, zeros))
+    table = sum_table(b.base.commutator(), b.v_dim, {}, (f"v{k}" for k in range(b.v_dim)), maps)
     domains = (range(n), range(n), range(n, table.dim))
     return SubadjacentReport(maps, first_witness_verdict(
         "bracket_representation", table, _BRACKET_REPRESENTATION, _XYV, domains))

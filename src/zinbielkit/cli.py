@@ -400,6 +400,9 @@ def cmd_audit(args) -> int:
             _emit(audit_report_text(report), args.out)
         return 0
 
+    if args.claims is not None or args.orientation != "auto":
+        flag = "--claims" if args.claims is not None else "--orientation"
+        raise InputFormatError(f"{flag} needs an algebra input")
     sections = _audit_sections(obj)
     if args.format == "json":
         payload = {"kind": "audit_report", "subject": subject,

@@ -57,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import AlgebraTable, algebra_from_entries
+from .algebra import AlgebraTable, sum_table
 from .audit import ClaimSpec, evaluate_claim
 from .bimodule import (
     _AXIOMS,
@@ -167,25 +167,8 @@ def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
 
 def double(mp: MatchedPair) -> AlgebraTable:
     """Product table on A + B from the matched-pair data."""
-    n, p = mp.a.dim, mp.b.dim
-    entries = list((i, j, k, v) for (i, j, k), v in mp.a.c.entries.items())
-    for (alpha, beta, gamma), v in mp.b.c.entries.items():
-        entries.append((n + alpha, n + beta, n + gamma, v))
-    # e_i * f_beta = rb(f_beta)e_i + la(e_i)f_beta,
-    # f_alpha * e_j = lb(f_alpha)e_j + ra(e_j)f_alpha
-    for beta in range(p):
-        for (m, i), v in mp.rb[beta].entries.items():
-            entries.append((i, n + beta, m, v))
-        for (m, j), v in mp.lb[beta].entries.items():
-            entries.append((n + beta, j, m, v))
-    for i in range(n):
-        for (row, col), v in mp.la[i].entries.items():
-            entries.append((i, n + col, n + row, v))
-    for j in range(n):
-        for (row, col), v in mp.ra[j].entries.items():
-            entries.append((n + col, j, n + row, v))
-    labels = mp.a.basis_labels + tuple(f"f{k}" for k in range(p))
-    return algebra_from_entries(n + p, entries, labels)
+    labels = tuple(f"f{k}" for k in range(mp.b.dim))
+    return sum_table(mp.a, mp.b.dim, mp.b.c.entries, labels, mp.la, mp.ra, mp.lb, mp.rb)
 
 
 # The two identities of one half of a pair check on the action table, x and y

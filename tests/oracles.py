@@ -19,6 +19,7 @@ from itertools import permutations, product
 
 import sympy
 
+from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.audit import ClaimSpec, evaluate_claim
 from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
 from zinbielkit.coalgebra import (
@@ -138,6 +139,26 @@ def indexed_product(products: dict, x: dict, y: dict) -> dict:
                 else:
                     del out[k]
     return out
+
+
+def algebra_powers(table, top: int) -> list[int]:
+    """dim A^k for k = 1..top, where A^1 = A and A^k is the span of the
+    products A^i A^j over i + j = k.  Each power is reduced to a basis by
+    sympy's row echelon form; the products are read from the raw entries."""
+    products = basis_products(table)
+    spans = {1: [_basis(i) for i in range(table.dim)]}
+    for k in range(2, top + 1):
+        rows = [indexed_product(products, x, y)
+                for i in range(1, k) for x in spans[i] for y in spans[k - i]]
+        rows = [row for row in rows if row]
+        if not rows:
+            spans[k] = []
+            continue
+        echelon, pivots = sympy.Matrix([[row.get(c, 0) for c in range(table.dim)]
+                                        for row in rows]).rref()
+        spans[k] = [{c: Fraction(int(v.p), int(v.q)) for c, v in enumerate(echelon.row(r)) if v}
+                    for r in range(len(pivots))]
+    return [len(spans[k]) for k in range(1, top + 1)]
 
 
 def _basis(i: int) -> dict:
@@ -425,6 +446,32 @@ def _apply_family(family, coeffs: dict, vec: dict) -> dict:
             elif m in out:
                 del out[m]
     return out
+
+
+def reference_sum_table(a, b, labels, la=(), ra=(), lb=(), rb=()):
+    """The table on A + B whose product is
+
+        (x+a)(y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a),
+
+    written out on every pair of basis vectors by full scans.  la and ra are
+    indexed by A's basis and act on B, lb and rb the other way; an empty
+    family is zero.  ``labels`` name B's basis."""
+    n = a.dim
+
+    def split(s):
+        return (_basis(s), {}) if s < n else ({}, _basis(s - n))
+
+    def act(family, coeffs, vec):
+        return _apply_family(family, coeffs, vec) if family else {}
+
+    entries = []
+    for s, t in product(range(n + b.dim), repeat=2):
+        (x, u), (y, w) = split(s), split(t)
+        on_a = _add(_add(table_product(a, x, y), act(lb, u, y)), act(rb, w, x))
+        on_b = _add(_add(table_product(b, u, w), act(la, x, w)), act(ra, y, u))
+        entries += [(s, t, k, v) for k, v in on_a.items()]
+        entries += [(s, t, n + k, v) for k, v in on_b.items()]
+    return algebra_from_entries(n + b.dim, entries, a.basis_labels + tuple(labels))
 
 
 def _sub_all(lhs: dict, *others: dict) -> dict:

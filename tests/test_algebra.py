@@ -1,5 +1,6 @@
 """Structure-constant tables: products, derived tables, residual scans."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from zinbielkit.algebra import AlgebraTable, algebra_from_entries, direct_sum
 from zinbielkit.audit import audit_claims
+from zinbielkit.fuzz import random_algebra
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
+from zinbielkit.models import free_halfshuffle, trunc_integration
 
 import oracles
 
@@ -101,6 +104,21 @@ def test_audit_failures_match_defect_oracles(a):
             if value:
                 want[triple] = value
         assert got == want, name
+
+
+def test_tables_that_pass_as_right_zinbiel_are_nilpotent():
+    # A finite-dimensional Zinbiel algebra in characteristic 0 is nilpotent
+    # (Dzhumadil'daev and Tulenbaev, "Nilpotency of Zinbiel algebras", 2005),
+    # so A^(dim+1) = 0 on every table the engine passes.  A false HOLDS on a
+    # table that is not nilpotent would fail here.
+    passing = [trunc_integration(n, "right") for n in range(1, 8)]
+    passing += [free_halfshuffle(2, 3), free_halfshuffle(3, 2)]
+    for a in passing:
+        assert right_zinbiel_residuals(a) == []
+        assert oracles.algebra_powers(a, a.dim + 1)[-1] == 0
+    # not vacuous: none of these random tables is nilpotent
+    rng = random.Random(2005)
+    assert all(oracles.algebra_powers(random_algebra(rng, 3), 4)[-1] for _ in range(20))
 
 
 def test_mult_matrices_are_adjoint_views(t3):

@@ -54,6 +54,24 @@ def _case_id(value):
 # stands for a 6 KB file of 3,000 nested lists, which test_exit_codes writes
 _DEEP_JSON = "deeply_nested.json"
 
+# the one-line error of each audit whose flags its input cannot take, and of an
+# unknown claim on an algebra
+AUDIT_ERRORS = {
+    ("audit", "tests/corpus/zero_pair.json", "--claims", "x"):
+        "error: --claims needs an algebra input\n",
+    ("audit", "tests/corpus/dual_t3.json", "--claims", "right_zinbiel"):
+        "error: --claims needs an algebra input\n",
+    ("audit", "tests/corpus/regular_t3_bimodule.json", "--orientation", "left"):
+        "error: --orientation needs an algebra input\n",
+    ("audit", "--model", "regular-bimodule:trunc-int:right:3", "--orientation", "right"):
+        "error: --orientation needs an algebra input\n",
+    ("audit", "tests/corpus/candidate_t2_zero.json", "--claims", "", "--orientation", "right"):
+        "error: --claims needs an algebra input\n",
+    ("audit", "--model", "trunc-int:right:3", "--claims", "no_such_claim"):
+        "error: unknown claim(s): no_such_claim\n",
+}
+
+
 EXIT_CASES = [
     (["check", "tests/corpus/model_t3.json", "right_zinbiel"], 0),
     (["check", "tests/corpus/model_l3.json", "right_zinbiel"], 1),
@@ -89,7 +107,8 @@ EXIT_CASES = [
     (["audit", "--model", "no-such:spec"], 2),
     (["audit", "tests/corpus/model_t3.json", "--model", "trunc-int:right:3"], 2),
     (["audit"], 2),
-    (["audit", "--model", "trunc-int:right:3", "--claims", "no_such_claim"], 2),
+    *((list(argv), 2) for argv in AUDIT_ERRORS),
+    (["audit", "tests/corpus/zero_pair.json", "--orientation", "auto"], 0),
     (["model", "trunc-int:right:3"], 0),
     (["model", "trunc-int:sideways:3"], 2),
     (["model", "free:2"], 2),
@@ -148,6 +167,9 @@ def test_exit_codes(argv, code, capsys, tmp_path):
         if argv[0] == "construct":
             assert captured.out == ""
             assert err == CONSTRUCT_ERRORS[argv[1]]
+        if tuple(argv) in AUDIT_ERRORS:
+            assert captured.out == ""
+            assert err == AUDIT_ERRORS[tuple(argv)]
 
 
 # (argv, golden, exit code): the commands scripts/regenerate_goldens.py writes

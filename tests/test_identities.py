@@ -199,30 +199,52 @@ def test_sparse_join_matches_reference_scan():
             assert evaluate(table, ident, first_only=True) == want[:1]
 
 
-# (claim, [(sign, identity, order)]): at each basis tuple t, the claim's
-# residual is the signed sum of each identity's residual at t permuted by its
-# order.  The first row is the exact form of "center-symmetric, therefore
-# Lie-admissible"; the second reads the left relation off the Zinbiel law.
+# (claim, [(sign, identity, order)]): at each basis tuple t, read in the
+# audit claim's own variable order, the claim's residual is the signed sum of
+# each catalog identity's residual at t permuted by its order.  A claim on the
+# symmetrized product is evaluated there, and the identities on the product.
+# The first row is the exact form of "center-symmetric, therefore
+# Lie-admissible"; the second reads the left relation off the Zinbiel law;
+# derived_1..3 are the Zinbiel law with its variables renamed, so each equals
+# it at the same tuple; the last reads Aguiar's associativity of {x, y} off
+# the Zinbiel law of the product.
+_R = "right_zinbiel"
 _SYZYGIES = (
     ("lie_admissible", ((-1, "center_symmetric", (0, 1, 2)), (1, "center_symmetric", (1, 0, 2)),
                         (-1, "center_symmetric", (1, 2, 0)))),
-    ("left_relation", ((1, "right_zinbiel", (0, 1, 2)), (-1, "right_zinbiel", (1, 0, 2)))),
+    ("left_relation", ((1, _R, (0, 1, 2)), (-1, _R, (1, 0, 2)))),
+    ("derived_1", ((1, _R, (0, 1, 2)),)),
+    ("derived_2", ((1, _R, (0, 1, 2)),)),
+    ("derived_3", ((1, _R, (0, 1, 2)),)),
+    ("aguiar_associative", ((1, _R, (2, 0, 1)), (1, _R, (2, 1, 0)),
+                            (-1, _R, (0, 1, 2)), (-1, _R, (0, 2, 1)))),
 )
 
 
-def test_lie_admissible_and_left_relation_are_signed_sums_of_residuals(standard_models):
+def test_claims_are_signed_sums_of_residuals(standard_models):
     # Exact on every table, Zinbiel or not.  The standard models include
     # trunc-int:left:4 and free:2:3.
-    cat = catalog()
-    names = {claim for claim, _ in _SYZYGIES}
-    names |= {name for _, parts in _SYZYGIES for _, name, _ in parts}
+    cat, specs = catalog(), {spec.name: spec for spec in CLAIMS}
+    claims = {}
+    for claim, _ in _SYZYGIES:
+        spec = specs[claim]
+        rhs = parse_term_sum(spec.rhs) if spec.rhs else ()
+        claims[claim] = difference(parse_term_sum(spec.lhs), rhs), spec.target != "product"
+    assert {claim: ident.variables for claim, (ident, _) in claims.items()} == {
+        "lie_admissible": ("x", "y", "z"), "left_relation": ("x", "y", "z"),
+        "derived_1": ("x", "z", "y"), "derived_2": ("z", "x", "y"), "derived_3": ("z", "y", "x"),
+        "aguiar_associative": ("x", "y", "z"),
+    }
+    names = {name for _, parts in _SYZYGIES for _, name, _ in parts}
     assert {cat[name].variables for name in names} == {("x", "y", "z")}
     rng = random.Random(2011)
     tables = [table for _, table in standard_models] + [_random_table(rng, 3) for _ in range(10)]
-    failing = dict.fromkeys(names, 0)
+    failing = dict.fromkeys(claims, 0)
     for table in tables:
         residuals = {name: dict(evaluate(table, cat[name])) for name in names}
         for claim, parts in _SYZYGIES:
+            ident, symmetrized = claims[claim]
+            got = dict(evaluate(table.symmetrize() if symmetrized else table, ident))
             want = {}
             for t in itertools.product(range(table.dim), repeat=3):
                 total = Counter()
@@ -231,10 +253,36 @@ def test_lie_admissible_and_left_relation_are_signed_sums_of_residuals(standard_
                         total[k] += sign * v
                 if any(total.values()):
                     want[t] = {k: v for k, v in total.items() if v}
-            assert residuals[claim] == want, claim
-        for name in names:
-            failing[name] += bool(residuals[name])
+            assert got == want, claim
+            failing[claim] += bool(got)
     assert min(failing.values()) > 0, failing
+
+
+# The Tortkara identity (ab)(cb) = J(a, b, c)b, J the Jacobian, with b
+# linearized to b and d.  The commutator of a Zinbiel algebra satisfies it
+# though it is not Lie (Dzhumadildaev, "Zinbiel algebras under
+# q-commutators", 2007).  A control on the engine, outside the audit catalog.
+_TORTKARA = ("((a b) (c d)) + ((a d) (c b)) - (((a b) c) d) - (((b c) a) d) - (((c a) b) d)"
+             " - (((a d) c) b) - (((d c) a) b) - (((c a) d) b)")
+
+
+def test_zinbiel_commutators_are_tortkara_not_lie():
+    tortkara, jacobi = parse_identity(_TORTKARA), catalog()["jacobi"]
+    for a in (trunc_integration(6, "right"), trunc_integration(10, "right"),
+              free_halfshuffle(2, 4), free_halfshuffle(3, 3)):
+        assert right_zinbiel_residuals(a) == []
+        assert holds(a.commutator(), tortkara) and not holds(a.commutator(), jacobi)
+    # Not a characterisation: trunc-int:left:5 is neither right nor left
+    # Zinbiel, and its commutator is Tortkara too.
+    left = trunc_integration(5, "left")
+    assert right_zinbiel_residuals(left) and left_zinbiel_residuals(left)
+    assert holds(left.commutator(), tortkara)
+    # not vacuous: it fails on most random commutators
+    rng = random.Random(2007)
+    commutators = [_random_table(rng, 3).commutator() for _ in range(30)]
+    assert sum(not holds(c, tortkara) for c in commutators) == 18
+    for bracket in (*commutators, free_halfshuffle(2, 3).commutator()):
+        assert evaluate(bracket, tortkara) == oracles.reference_evaluate(bracket, tortkara)
 
 
 def _typed(table, ident, domains, first_only=False):

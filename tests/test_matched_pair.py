@@ -59,6 +59,23 @@ def test_regular_bimodule_as_pair_doubles_to_semidirect(t3):
     assert double(mp).c.entries == semidirect_sum(b).c.entries
 
 
+def test_sum_tables_match_the_written_out_product(standard_models, matched_pair_family,
+                                                   bimodule_family):
+    # every block of each sum table, and its labels, against the product
+    # (x+a)(y+b) written out on each pair of basis vectors
+    for _, mp in matched_pair_family[:40]:
+        labels = [f"f{k}" for k in range(mp.b.dim)]
+        want = oracles.reference_sum_table(mp.a, mp.b, labels, mp.la, mp.ra, mp.lb, mp.rb)
+        assert double(mp) == want
+    for _, b in bimodule_family[:40]:
+        zero, labels = algebra_from_entries(b.v_dim, []), [f"v{k}" for k in range(b.v_dim)]
+        want = oracles.reference_sum_table(b.base, zero, labels, b.left_maps, b.right_maps)
+        assert semidirect_sum(b) == want
+    models = [table for _, table in standard_models[:12]]
+    for a, b in zip(models, reversed(models)):
+        assert direct_sum(a, b) == oracles.reference_sum_table(a, b, b.basis_labels)
+
+
 def test_broken_base_reported_first(l3, t2):
     viols = check_matched_pair(zero_matched_pair(l3, t2))
     first = viols[0]
@@ -185,6 +202,17 @@ def test_constructor_rejects_bad_shapes(t3, t2):
         MatchedPair(t3, t2, (zn,) * t3.dim, (zp,) * t3.dim, (zn,) * t2.dim, (zn,) * t2.dim)
     with pytest.raises(DimensionMismatch):
         MatchedPair(t3, t2, (zp,) * t3.dim, (zp,) * t3.dim, (zp,) * t2.dim, (zn,) * t2.dim)
+
+
+@pytest.mark.parametrize("check", [check_commassoc_matched_pair, check_lie_matched_pair])
+def test_pair_checks_reject_bad_family_shapes(check, t3, t2):
+    # f acts on h = t2 per basis vector of g = t3, k on g per basis vector of h
+    f, k = (Matrix.zero(t2.dim, t2.dim),) * t3.dim, (Matrix.zero(t3.dim, t3.dim),) * t2.dim
+    wrong = Matrix.zero(t2.dim, t3.dim)
+    for bad in ((f[1:], k), (f, k[1:]), ((wrong, *f[1:]), k), (f, (*k[1:], wrong))):
+        with pytest.raises(DimensionMismatch):
+            check(t3, t2, *bad)
+    assert check(t3, t2, f, k).verdicts
 
 
 def _violation_rows(violations):
