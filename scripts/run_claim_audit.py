@@ -14,6 +14,11 @@ ignored.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # a short-lived process, as in zinbielkit/__main__.py
+    gc.disable()
+
 import argparse
 import json
 import sys
@@ -36,7 +41,7 @@ def pick_orientation(table, requested: str) -> str:
 
 
 def run(args: argparse.Namespace) -> str:
-    claims = args.claims.split(",") if args.claims else None
+    claims = args.claims.split(",") if args.claims is not None else None
     reports = [
         audit_claims(table, pick_orientation(table, args.orientation), claims=claims, subject=name)
         for name, table in fuzz.standard_models(args.max_n)

@@ -175,6 +175,8 @@ def audit_claims(
     selected = [c for c in CLAIMS if claims is None or c.name in claims]
     if claims is not None:
         unknown = set(claims) - {c.name for c in CLAIMS}
+        if "" in unknown:  # an empty filter, or a stray comma in one
+            raise ValueError("empty claim name in the claim filter")
         if unknown:
             raise ValueError(f"unknown claim(s): {', '.join(sorted(unknown))}")
     by_target: dict[str, list[ClaimSpec]] = {}

@@ -228,7 +228,8 @@ def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
     cond3 = matched_pair_verdict("zinbiel_matched_pair", check_matched_pair(reps))
 
     # The round trip compares labels too, so when it holds the rebuilt pair
-    # is ``reps`` itself, and condition 4 runs its own check of it.
+    # is ``reps`` itself, and condition 4 checks it again; the pair's memo
+    # (``MatchedPair._violations``) answers that call without a second scan.
     if dualize_co(dualize(bc.astar)) != bc.astar:
         cond4 = Verdict(
             "bialgebra",

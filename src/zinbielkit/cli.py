@@ -387,7 +387,7 @@ def cmd_audit(args) -> int:
         raise InputFormatError("audit needs exactly one of a file argument or --model SPEC")
     subject = args.model if args.model is not None else args.input
     obj = _resolve_input(subject)
-    claims = args.claims.split(",") if args.claims else None
+    claims = args.claims.split(",") if args.claims is not None else None
 
     if isinstance(obj, AlgebraTable):
         from .audit import audit_claims

@@ -282,11 +282,16 @@ class ExactValues(dict):
         return value
 
 
+def _same_order(a: tuple[int, ...]) -> tuple[int, ...]:
+    return a
+
+
 def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable:
-    """Map from an assignment in leaf order to one in ``variables`` order."""
+    """Map from an assignment in leaf order to one in ``variables`` order;
+    ``_same_order`` when the two orders agree, which a reader may skip."""
     positions = tuple(leaves.index(name) for name in variables)
     if positions == tuple(range(len(positions))):
-        return lambda a: a
+        return _same_order
     return itemgetter(*positions)
 
 
@@ -417,30 +422,37 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
     acc: dict = {}
     if width == 1:  # one integer dict per assignment: the residual
         for _, coeff, shape, reorder in compiled:
+            same = reorder is _same_order
             for k, rows in tensor(shape, s)[0].items():
                 for a, u in rows.items():
-                    full = reorder(a)
+                    full = a if same else reorder(a)
                     value = acc.get(full)
                     if value is None:
-                        value = acc[full] = {}
-                    value[k] = value.get(k, 0) + coeff * u
+                        acc[full] = {k: coeff * u}
+                    else:
+                        value[k] = value.get(k, 0) + coeff * u
+        failing = [full for full, value in acc.items() if any(value.values())]
     else:  # one dict per side and assignment
         for side, coeff, shape, reorder in compiled:
+            same = reorder is _same_order
             for k, rows in tensor(shape, s)[0].items():
                 for a, u in rows.items():
-                    full = reorder(a)
+                    full = a if same else reorder(a)
                     values = acc.get(full)
                     if values is None:
                         values = acc[full] = [{} for _ in range(width)]
                     value = values[side]
                     value[k] = value.get(k, 0) + coeff * u
-    for full in sorted(acc):
+        if width == 2:  # equal sides make a zero residual: one compare tells
+            failing = [full for full, (lhs, rhs) in acc.items() if lhs != rhs]
+        else:
+            failing = list(acc)
+    failing.sort()
+    for full in failing:
         values = acc[full]
         if width == 1:
             residual = {k: v for k, v in values.items() if v}
             values = (residual,)
-        elif width == 2 and values[0] == values[1]:
-            continue  # equal sides, so a zero residual: skipped in one compare
         else:
             residual = dict(values[0])
             for other in values[1:]:

@@ -55,6 +55,7 @@ multiplied.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, sum_table
@@ -96,6 +97,13 @@ class MatchedPair(Frozen):
             if (m.rows, m.cols) != (n, n):
                 raise DimensionMismatch("lb/rb matrices must be dim(A) x dim(A)")
 
+    @cached_property
+    def _violations(self) -> tuple:
+        """The violations ``check_matched_pair`` returns, found on first use
+        and kept for as long as the pair lives: the bialgebra audit checks
+        one pair for two of its conditions."""
+        return tuple(_scan_violations(self))
+
 
 def zero_matched_pair(a: AlgebraTable, b: AlgebraTable) -> MatchedPair:
     zp = Matrix.zero(b.dim, b.dim)
@@ -135,7 +143,14 @@ _P_SIGNS = {axiom: sign for axiom, (_, sign) in _ON_P.items()}
 
 
 def check_matched_pair(mp: MatchedPair) -> list[MatchedPairViolation]:
-    """Prerequisites plus the six mixed equalities; empty iff the double passes."""
+    """Prerequisites plus the six mixed equalities; empty iff the double passes.
+    The pair is scanned once (``MatchedPair._violations``); each call returns
+    a new list of the same violations, whose residuals are not to be changed."""
+    return list(mp._violations)
+
+
+def _scan_violations(mp: MatchedPair) -> list[MatchedPairViolation]:
+    """The base scans, then the axiom scans of the double, in report order."""
     out = [
         MatchedPairViolation(f"base_{p}_right_zinbiel", *hit)
         for p, table in (("a", mp.a), ("b", mp.b))

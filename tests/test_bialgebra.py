@@ -21,7 +21,7 @@ from zinbielkit.bialgebra import (
     standard_pairing,
 )
 from zinbielkit.identities import right_zinbiel_residuals
-from zinbielkit.matched_pair import check_matched_pair, induced_lie_pair
+from zinbielkit.matched_pair import check_matched_pair, induced_lie_pair, matched_pair_verdict
 from zinbielkit.tensors import Matrix
 
 
@@ -135,6 +135,20 @@ def test_equivalence_conditions_one_three_four_agree(candidates):
         assert b[0] == b[2] == b[3], (name, b)
         assert rep.agreement == (len(set(b)) == 1)
         assert bool(rep.findings) == (not rep.agreement)
+
+
+def test_equivalence_audit_matches_checks_of_a_fresh_pair(candidates, pool_candidates):
+    # Conditions 3 and 4 read one memoised check of the audit's pair; each
+    # must equal the verdict of a check of a pair built anew.
+    t12 = trunc_integration(12, "right")
+    read_twice = 0
+    for name, bc in candidates + pool_candidates + [("T12,T12", BialgebraCandidate(t12, t12))]:
+        cond3, cond4 = equivalence_audit(bc).conditions[2:]
+        assert cond3 == matched_pair_verdict(cond3.name, check_matched_pair(dual_reps(bc))), name
+        if cond4.witness_data != {"roundtrip": False}:
+            read_twice += 1
+            assert cond4 == matched_pair_verdict(cond4.name, check_matched_pair(dual_reps(bc))), name
+    assert read_twice == 34  # 18 of the 20 seeded candidates and all 16 of the pool
 
 
 def test_equivalence_positive_controls_on_small_right_zinbiel_pairs():

@@ -3,6 +3,7 @@
 import contextlib
 import filecmp
 import functools
+import gc
 import io
 import json
 import logging
@@ -69,6 +70,10 @@ AUDIT_ERRORS = {
         "error: --claims needs an algebra input\n",
     ("audit", "--model", "trunc-int:right:3", "--claims", "no_such_claim"):
         "error: unknown claim(s): no_such_claim\n",
+    ("audit", "--model", "trunc-int:right:3", "--claims", ""):
+        "error: empty claim name in the claim filter\n",
+    ("audit", "--model", "trunc-int:right:3", "--claims", "right_zinbiel,"):
+        "error: empty claim name in the claim filter\n",
 }
 
 
@@ -448,10 +453,13 @@ def test_any_mutated_payload_ends_in_an_exit_code_and_one_message(tmp_path, data
     "args,message",
     [
         (["--claims", "nope"], "error: unknown claim(s): nope\n"),
+        (["--claims", ""], "error: empty claim name in the claim filter\n"),
+        (["--claims", "lie_admissible,"], "error: empty claim name in the claim filter\n"),
         (["--max-n", "1", "--out", "tests"], "error: cannot write tests: "),
         (["--max-n", "1", "--out", "tests/no_such_dir/audit.txt"], "error: cannot write "),
     ],
-    ids=["unknown-claim", "out-is-a-directory", "out-in-missing-directory"],
+    ids=["unknown-claim", "empty-claims", "empty-claim-name", "out-is-a-directory",
+         "out-in-missing-directory"],
 )
 def test_claim_audit_script_input_errors_exit_2(request, args, message):
     run = _python(request, "scripts/run_claim_audit.py", *args)
@@ -519,6 +527,75 @@ def test_logging_configured_after_import_gets_the_debug_record(request):
     assert run.returncode == 0, run.stderr
     assert run.stdout == "right_zinbiel: HOLDS (trunc-int:right:3)\n"
     assert "zinbielkit.identities: sparse join: 4^3 = 64 basis tuples" in run.stderr
+
+
+def _cyclic_garbage_after(request, argv) -> int:
+    """What ``gc.collect()`` finds after ``cli.main(argv)`` in a fresh
+    interpreter that runs with the collector off, as ``python -m zinbielkit``
+    does."""
+    code = (
+        "import gc; gc.disable()\n"
+        "import contextlib, io, zinbielkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = zinbielkit.cli.main({list(argv)!r})\n"
+        "print(rc, gc.collect())"
+    )
+    run = _python(request, "-c", code)
+    assert run.returncode == 0, run.stderr
+    rc, found = map(int, run.stdout.split())
+    assert rc == 0, argv
+    return found
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(request, tmp_path):
+    from zinbielkit.bialgebra import BialgebraCandidate
+    from zinbielkit.serialization import dumps
+
+    t12 = trunc_integration(12, "right")
+    big = tmp_path / "candidate_t12.json"
+    big.write_text(dumps(BialgebraCandidate(t12, t12)), encoding="utf-8")
+    for small, large in (
+        (["audit", "--model", "trunc-int:right:3"], ["audit", "--model", "trunc-int:right:12"]),
+        (["audit", "tests/corpus/candidate_t2_zero.json"], ["audit", str(big)]),
+    ):
+        assert _cyclic_garbage_after(request, small) == _cyclic_garbage_after(request, large)
+
+
+def test_python_m_zinbielkit_runs_without_the_cyclic_collector(request):
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('collector on:', gc.isenabled()))\n"
+        "sys.argv = ['zinbielkit', 'check', 'trunc-int:right:2', 'right_zinbiel']\n"
+        "runpy.run_module('zinbielkit', run_name='__main__', alter_sys=True)"
+    )
+    run = _python(request, "-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "right_zinbiel: HOLDS (trunc-int:right:2)\ncollector on: False\n"
+
+
+def test_claim_audit_script_turns_the_collector_off_only_as_a_script(request):
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('collector on:', gc.isenabled()))\n"
+        "sys.argv = ['run_claim_audit.py', '--max-n', '1', '--claims', 'right_zinbiel']\n"
+        "runpy.run_path('scripts/run_claim_audit.py', run_name='__main__')"
+    )
+    module = ("import gc, sys; sys.path.insert(0, 'scripts'); import run_claim_audit; "
+              "print(gc.isenabled())")
+    run, loaded = _python(request, "-c", script), _python(request, "-c", module)
+    assert run.returncode == 0 and run.stdout.endswith("collector on: False\n"), run.stderr
+    assert loaded.stdout == "True\n", loaded.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_callers_collector_as_it_was(enabled, capsys):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["check", "trunc-int:right:2", "right_zinbiel"]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 _PAIR_INPUTS = ("tests/corpus/pair_regular_t5.json", "tests/corpus/dual_reps_t3.json")

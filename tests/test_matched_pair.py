@@ -234,6 +234,19 @@ def test_check_matches_reference_scan(t3, t5, matched_pair_family):
     for mp in pairs:
         got = _violation_rows(check_matched_pair(mp))
         assert got == _violation_rows(oracles.reference_check_matched_pair(mp))
+        assert _violation_rows(check_matched_pair(mp)) == got  # read off the pair's memo
+
+
+def test_a_pair_is_scanned_once(t3, caplog):
+    mp = dual_reps(BialgebraCandidate(t3, t3))
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        first = check_matched_pair(mp)
+        scanned = len(caplog.records)
+        second = check_matched_pair(mp)
+    assert scanned > 0 and len(caplog.records) == scanned
+    assert first == second and first is not second
+    first.clear()  # a caller's list is its own
+    assert check_matched_pair(mp) == second and len(second) == 220
 
 
 def _bundle_pairs(t3, t5, matched_pair_family):
