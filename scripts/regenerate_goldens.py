@@ -53,6 +53,11 @@ CLI_GOLDENS = [
                     "audit_trunc_right_5", 0),
     *_text_and_json(["audit", "--model", "trunc-int:left:3", "--orientation", "left"],
                     "audit_trunc_left_3", 0),
+    # the auto orientation: read off the claim pass, and scanned apart when
+    # the claim filter leaves the gates out
+    (["audit", "--model", "trunc-int:left:4"], "audit_trunc_left_4.txt", 0),
+    (["audit", "--model", "free:2:3", "--claims", "lie_admissible"],
+     "audit_free_2_3_lie_admissible.txt", 0),
     # the audit of each non-algebra input kind, and of the positive candidate
     *_text_and_json(["audit", "regular-bimodule:trunc-int:right:5"], "audit_bimodule_regular_t5", 0),
     *_text_and_json(["audit", "tests/corpus/broken_bimodule.json"], "audit_bimodule_broken", 0),

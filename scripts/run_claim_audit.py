@@ -3,9 +3,9 @@
 
 One report per model, in family order: truncated integration tables in both
 orientations, the free half-shuffle tables, and the trivial models.  The
-orientation gate is picked per table (right first) unless forced.  Claims
-are evaluated sequentially; --parallel N is accepted for compatibility and
-ignored.
+orientation gate is picked per table off its claim pass (right first) unless
+forced.  Claims are evaluated sequentially; --parallel N is accepted for
+compatibility and ignored.
 
     python scripts/run_claim_audit.py
     python scripts/run_claim_audit.py --max-n 5 --claims lie_admissible,center_symmetric
@@ -26,24 +26,15 @@ from pathlib import Path
 
 from zinbielkit import fuzz
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
-from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
+# unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
+from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
 from zinbielkit.reports import JsonEncoder
-
-
-def pick_orientation(table, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if not right_zinbiel_residuals(table, first_only=True):
-        return "right"
-    if not left_zinbiel_residuals(table, first_only=True):
-        return "left"
-    return "right"
 
 
 def run(args: argparse.Namespace) -> str:
     claims = args.claims.split(",") if args.claims is not None else None
     reports = [
-        audit_claims(table, pick_orientation(table, args.orientation), claims=claims, subject=name)
+        audit_claims(table, args.orientation, claims=claims, subject=name)
         for name, table in fuzz.standard_models(args.max_n)
     ]
     if args.format == "json":

@@ -6,12 +6,15 @@ reads every claim on a table and gives both side values and the residual
 at every basis tuple where they differ; the audit records that complete
 list of failing tuples in lexicographic order, and the first entry doubles
 as the headline witness.  The claims of a pass share their tree-shape
-tensors slice by slice; the orientation gate and pick share with them the
-shapes without the sliced variable, which the join memoizes on the table.
+tensors slice by slice, and claims equal up to renaming (``derived_1..3``
+and ``right_zinbiel``; ``derived_4`` and ``left_relation``) share one scan
+and one failure list: only the variables in their witness data differ.
 The text and JSON of each witness value and basis tuple are formatted once
-per audit, for every claim and both targets.  Claims whose usual statements
-assume a Zinbiel table are still evaluated when the table fails its
-orientation check; the report is then marked vacuous rather than suppressed.
+per audit, for every claim and both targets.  The orientation and the
+vacuous flag are read off the pass's own Zinbiel verdicts (see
+``audit_claims``).  Claims whose usual statements assume a Zinbiel table
+are still evaluated when the table fails its orientation check; the report
+is then marked vacuous rather than suppressed.
 
 Both orientation relations (left_relation, right_relation) are always
 evaluated side by side: their usual attribution to an orientation is
@@ -95,16 +98,35 @@ def evaluate_claim(
     visiting the tuples on which every product vanishes.  ``evaluated`` is
     the claim's ``(scale, hits)`` from a pass over ``table`` that read it,
     plus the witness memo of that audit (see ``audit_claims``): the (text,
-    JSON) of each value by scale and items, and the text of each tuple, so
-    each is formatted once per audit.  Without it the claim is scanned and
-    formatted on its own.
+    JSON) of each value by scale and items, the text of each tuple, and the
+    (headline, failures) of each hit list, so each is formatted once per
+    audit, and claims that share hits share failures.  Without it the claim
+    is scanned and formatted on its own.
     """
     variables = _claim_sides(spec.lhs, spec.rhs)[0]
     if evaluated is None:
-        evaluated = (*evaluate_pass(table, [_claim_scan(table, spec)])[0], ({}, {}))
-    scale, hits, (by_scale, places) = evaluated
+        evaluated = (*evaluate_pass(table, [_claim_scan(table, spec)])[0], ({}, {}, {}))
+    scale, hits, (by_scale, places, built) = evaluated
     if not hits:
         return Verdict(spec.name, True)
+    # The hits are kept with their witnesses, so no other list takes their id.
+    key = (id(hits), bool(spec.rhs))
+    if key not in built:
+        built[key] = (hits, *_witnesses(scale, hits, bool(spec.rhs), by_scale, places))
+    _, headline, failures = built[key]
+    data = {
+        "variables": list(variables),
+        "target": target_name,
+        "failure_count": len(failures),
+        "failures": failures,
+    }
+    return Verdict(spec.name, False, headline, data)
+
+
+def _witnesses(scale: int, hits: list, two_sided: bool, by_scale: dict, places: dict
+               ) -> tuple[str, list[dict]]:
+    """(headline, failures) of a claim's hits; ``by_scale`` and ``places``
+    are the witness memo of ``evaluate_claim``."""
     shown: dict[tuple, tuple[str, list]] = by_scale.setdefault(scale, {})
 
     def show(value: dict) -> tuple[str, list]:
@@ -136,19 +158,13 @@ def evaluate_claim(
         failures.append(
             {
                 "tuple": list(assignment),
-                "text": sides_text if spec.rhs else f"at {where}: residual = {res_text}",
+                "text": sides_text if two_sided else f"at {where}: residual = {res_text}",
                 "lhs": lhs_json,
                 "rhs": rhs_json,
                 "residual": res_json,
             }
         )
-    data = {
-        "variables": list(variables),
-        "target": target_name,
-        "failure_count": len(failures),
-        "failures": failures,
-    }
-    return Verdict(spec.name, False, headline, data)
+    return headline, failures
 
 
 def audit_claims(
@@ -160,18 +176,25 @@ def audit_claims(
 ) -> AuditReport:
     """Run the claim catalog against one table.
 
-    ``orientation`` selects which Zinbiel check gates the vacuous flag; when
-    a claim filter leaves the gate out of the report, a scan of the catalog
-    identity of that name decides it, stopping at its first residual.
+    ``orientation`` selects which Zinbiel check gates the vacuous flag:
+    ``right``, ``left``, or ``auto``, which picks right if the table passes
+    the right check, else left if it passes the left one, else right.  Each
+    check is read off its claim's verdict; a check whose claim the filter
+    leaves out is a scan of the catalog identity of that name, stopping at
+    its first residual, and ``auto`` scans the left one only when the right
+    one fails.
+
     The claims on one table are read in one pass of the sparse join
     (``identities.evaluate_pass``), so they share its tensors slice by
-    slice; each claim's verdict is then built, and its hits dropped, one
-    claim at a time.  The witness memo lives for this call: every claim of
-    both targets reads the values and tuples the earlier ones formatted.
-    The symmetrized table is built only when a selected claim targets it.
+    slice, and equal claims share one scan.  The verdicts are then built one
+    claim at a time, and the pass's hits dropped after its last verdict.
+    The witness memo lives for this call: every claim of both targets reads
+    the values and tuples the earlier ones formatted.  The symmetrized table
+    is built only when a selected claim targets it.
     """
-    if orientation not in _ORIENTATION_CLAIM:
-        raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
+    if orientation not in ("auto", *_ORIENTATION_CLAIM):
+        raise ValueError(
+            f"orientation must be 'auto', 'left' or 'right', got {orientation!r}")
     selected = [c for c in CLAIMS if claims is None or c.name in claims]
     if claims is not None:
         unknown = set(claims) - {c.name for c in CLAIMS}
@@ -183,18 +206,27 @@ def audit_claims(
     for spec in selected:
         by_target.setdefault(spec.target, []).append(spec)
     verdicts: dict[str, Verdict] = {}
-    memo: tuple[dict, dict] = ({}, {})
+    memo: tuple[dict, dict, dict] = ({}, {}, {})
     for target, specs in by_target.items():
         table = algebra.symmetrize() if target == "symmetrized product" else algebra
         evaluations = evaluate_pass(table, [_claim_scan(table, spec) for spec in specs])
-        evaluations.reverse()  # popped in turn, so hits go as each verdict is built
+        evaluations.reverse()  # popped in turn, so hits go with the pass's last verdict
         for spec in specs:
             verdicts[spec.name] = evaluate_claim(table, spec, target, (*evaluations.pop(), memo))
+        memo[2].clear()  # only the scans of one pass are shared
     results = [verdicts[spec.name] for spec in selected]
 
-    gate = _ORIENTATION_CLAIM[orientation]
-    verdict = next((v for v in results if v.name == gate), None)
-    vacuous = not (verdict.holds if verdict is not None else holds(algebra, catalog()[gate]))
+    def passes(side: str) -> bool:
+        gate = _ORIENTATION_CLAIM[side]
+        verdict = verdicts.get(gate)
+        return verdict.holds if verdict is not None else holds(algebra, catalog()[gate])
+
+    if orientation == "auto":
+        orientation = next((side for side in ("right", "left") if passes(side)), None)
+        vacuous = orientation is None
+        orientation = orientation or "right"
+    else:
+        vacuous = not passes(orientation)
     return AuditReport(subject, orientation, vacuous, tuple(results))
 
 

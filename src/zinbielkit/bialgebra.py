@@ -22,6 +22,7 @@ finding, never patched over.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import AlgebraTable
@@ -125,15 +126,23 @@ class BialgebraCandidate(Frozen):
         if self.a.dim != self.astar.dim:
             raise ValueError("candidate tables must have equal dimensions")
 
+    @cached_property
+    def _dual_reps(self) -> MatchedPair:
+        """The pair ``dual_reps`` returns, built on first use and kept for as
+        long as the candidate lives, so that the conditions of one audit read
+        one pair and one double."""
+        n = self.a.dim
+        la = tuple(self.a.right_mult_matrix(i).transpose() for i in range(n))
+        ra = tuple(self.a.left_mult_matrix(i).transpose() for i in range(n))
+        lb = tuple(self.astar.right_mult_matrix(i).transpose() for i in range(n))
+        rb = tuple(self.astar.left_mult_matrix(i).transpose() for i in range(n))
+        return MatchedPair(self.a, self.astar, la, ra, lb, rb)
+
 
 def dual_reps(bc: BialgebraCandidate) -> MatchedPair:
-    """Transpose actions against the natural pairing: <T^t f, v> = <f, T v>."""
-    n = bc.a.dim
-    la = tuple(bc.a.right_mult_matrix(i).transpose() for i in range(n))
-    ra = tuple(bc.a.left_mult_matrix(i).transpose() for i in range(n))
-    lb = tuple(bc.astar.right_mult_matrix(i).transpose() for i in range(n))
-    rb = tuple(bc.astar.left_mult_matrix(i).transpose() for i in range(n))
-    return MatchedPair(bc.a, bc.astar, la, ra, lb, rb)
+    """Transpose actions against the natural pairing: <T^t f, v> = <f, T v>;
+    one pair per candidate (``BialgebraCandidate._dual_reps``)."""
+    return bc._dual_reps
 
 
 def drinfeld_double(bc: BialgebraCandidate) -> AlgebraTable:

@@ -43,13 +43,9 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .algebra import AlgebraTable
-from .identities import (
-    catalog,
-    evaluate,
-    left_zinbiel_residuals,
-    parse_identity,
-    right_zinbiel_residuals,
-)
+from .identities import catalog, evaluate, parse_identity
+# unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
+from .identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
 from .models import free_halfshuffle, trunc_integration
 from .reports import JsonEncoder, Verdict, format_assignment, format_vector, vector_jsonable
 from .tensors import InputFormatError
@@ -310,16 +306,6 @@ def cmd_check(args) -> int:
 # -- audit -------------------------------------------------------------------
 
 
-def _pick_orientation(a: AlgebraTable, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if not right_zinbiel_residuals(a, first_only=True):
-        return "right"
-    if not left_zinbiel_residuals(a, first_only=True):
-        return "left"
-    return "right"
-
-
 def _violations_section(title: str, violations: list, describe):
     """(text lines, JSON section) of a violation list: its size, and its first
     entry as ``describe`` words it."""
@@ -392,8 +378,7 @@ def cmd_audit(args) -> int:
     if isinstance(obj, AlgebraTable):
         from .audit import audit_claims
 
-        orientation = _pick_orientation(obj, args.orientation)
-        report = audit_claims(obj, orientation, claims=claims, subject=subject)
+        report = audit_claims(obj, args.orientation, claims=claims, subject=subject)
         if args.format == "json":
             _emit_json(audit_report_jsonable(report), args.out)
         else:

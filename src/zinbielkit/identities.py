@@ -28,12 +28,15 @@ is kept for one slice only, so an evaluation's memory grows by at most one
 slice's tensors.  Identities still share those: a check reads all of its
 identities over one table and one first range in a single pass
 (``evaluate_pass``), every identity on a slice before the next slice, as
-the claims of an audit and the axioms of a bimodule do.  Residuals come out
+the claims of an audit and the axioms of a bimodule do.  Identities of one
+pass that are equal up to renaming their variables (on equal domains) are
+read once: the audit's ``derived_1..3`` are ``right_zinbiel`` renamed, and
+share its hit list, which no caller may then change.  Residuals come out
 in lexicographic order of their basis tuples, so the first reported
 residual is a deterministic witness.  Each identity logs one DEBUG record on
 the ``zinbielkit.identities`` logger with the size of the tuple space, the
 slices visited, the tensor entries it joined (not those it read from a
-store) and the residual count.
+store, nor an equal identity's hits) and the residual count.
 """
 
 from __future__ import annotations
@@ -389,30 +392,48 @@ class _Joiner:
         )
 
 
+def _renamed(tree: Tree, position: dict) -> Tree:
+    """The tree with each variable replaced by its position; one frame per level."""
+    if isinstance(tree, str):
+        return position[tree]
+    return (_renamed(tree[0], position), _renamed(tree[1], position))
+
+
 @lru_cache(maxsize=256)
-def _plan(variables: tuple[str, ...], sides: tuple) -> tuple[int, tuple]:
+def _plan(variables: tuple[str, ...], sides: tuple) -> tuple[int, tuple, tuple]:
     """The table-independent half of ``_compile``, once per identity: the
     arity check, then (coefficient denominator, ((side, scaled coefficient,
-    tree, reorder), ...))."""
+    tree, reorder), ...), canonical form).  The form holds each side's terms
+    as a sorted multiset of (scaled coefficient, tree with each variable
+    renamed to its position): two identities with equal forms have equal
+    hits on equal domains, side values included."""
     for terms in sides:
         _validate_arity(variables, terms)
     coeff_den = math.lcm(*(Fraction(c).denominator for terms in sides for c, _ in terms))
-    return coeff_den, tuple(
+    plan = tuple(
         (side, int(coeff * coeff_den), tree, _leaf_order(tuple(_leaves(tree)), variables))
         for side, terms in enumerate(sides)
         for coeff, tree in terms
         if coeff
     )
+    position = {name: i for i, name in enumerate(variables)}
+    form = tuple(
+        tuple(sorted(((c, _renamed(tree, position)) for s, c, tree, _ in plan if s == side),
+                     key=repr))
+        for side in range(len(sides))
+    )
+    return coeff_den, plan, (coeff_den, form)
 
 
-def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, list]:
-    """(coefficient denominator, [(side, scaled coefficient, shape, reorder)]),
-    with ``leaves[i]`` (``SLICED`` or a range) the leaf of ``variables[i]``."""
-    coeff_den, plan = _plan(variables, tuple(map(tuple, sides)))
+def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, list, tuple]:
+    """(coefficient denominator, [(side, scaled coefficient, shape, reorder)],
+    canonical form of ``_plan``), with ``leaves[i]`` (``SLICED`` or a range)
+    the leaf of ``variables[i]``."""
+    coeff_den, plan, form = _plan(variables, tuple(map(tuple, sides)))
     by_name = {v: leaf if leaf == SLICED else (leaf.start, leaf.stop)
                for v, leaf in zip(variables, leaves)}
     return coeff_den, [(side, coeff, _shape(tree, by_name), reorder)
-                       for side, coeff, tree, reorder in plan]
+                       for side, coeff, tree, reorder in plan], form
 
 
 def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list,
@@ -492,20 +513,32 @@ def evaluate_pass(
     every identity reads a slice before the pass moves to the next one, so
     identities that share a sliced shape join its tensor once, and the pass
     then drops every sliced tensor.  Memory grows by at most one slice's
-    tensors beside the slice-free shapes of the table's memo.  Each
-    identity logs its own DEBUG record, with the entries it joined itself.
-    With ``first_only`` each stops at its own first residual, and the pass
-    at the last of them, so later slices are never joined.
+    tensors beside the slice-free shapes of the table's memo.  With
+    ``first_only`` each stops at its own first residual, and the pass at the
+    last of them, so later slices are never joined.
+
+    A scan whose canonical form (see ``_plan``) and domains equal an earlier
+    one's is not read again: renamed variables, or terms in another order,
+    give the same hits.  Such equal scans share one hit list, so a caller
+    must not change a list that another scan of the same pass may hold
+    (``evaluate`` passes one scan, so its list is its own).  Each scan logs
+    its own DEBUG record, with the entries it joined itself: 0 for a scan
+    that read an earlier one's hits.
     """
     joiner = _Joiner(algebra)
     first = scans[0][1][0] if scans[0][1] else range(algebra.dim)
-    plans = []
+    plans = []  # one per distinct scan: (compiled, width, scale, hits)
+    by_form: dict[tuple, int] = {}
+    owners = []  # per scan: its plan, and whether it is that plan's first scan
     for variables, domains, sides in scans:
         if (domains[0] if domains else range(algebra.dim)) != first:
             raise ValueError("the scans of one pass need one first range")
-        coeff_den, compiled = _compile(variables, (SLICED, *domains[1:]), sides)
-        scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
-        plans.append((compiled, len(sides), scale, []))
+        coeff_den, compiled, form = _compile(variables, (SLICED, *domains[1:]), sides)
+        n = by_form.setdefault((form, tuple(domains)), len(plans))
+        owners.append((n, n == len(plans)))
+        if n == len(plans):
+            scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
+            plans.append((compiled, len(sides), scale, []))
     joined = [0] * len(plans)
     visited = [0] * len(plans)
     reading = list(range(len(plans)))
@@ -521,9 +554,10 @@ def evaluate_pass(
             reading = [n for n in reading if not plans[n][3]]
             if not reading:
                 break
-    for (_, domains, _), (_, _, _, hits), n_joined, n_visited in zip(scans, plans, joined, visited):
-        joiner.log("sparse join", domains, n_visited, len(first), "slices", n_joined, len(hits))
-    return [(scale, hits) for _, _, scale, hits in plans]
+    for (_, domains, _), (n, owner) in zip(scans, owners):
+        joiner.log("sparse join", domains, visited[n], len(first), "slices",
+                   joined[n] if owner else 0, len(plans[n][3]))
+    return [plans[n][2:] for n, _ in owners]
 
 
 def evaluate_by_output(
@@ -546,7 +580,7 @@ def evaluate_by_output(
     if len(variables) < 2:
         raise ValueError("an output read-out needs at least two variables")
     domains = (range(algebra.dim),) * len(variables)
-    coeff_den, compiled = _compile(variables, domains, (terms,))
+    coeff_den, compiled, _ = _compile(variables, domains, (terms,))
     joiner = _Joiner(algebra)
     roots = [
         (coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)

@@ -104,6 +104,15 @@ class MatchedPair(Frozen):
         one pair for two of its conditions."""
         return tuple(_scan_violations(self))
 
+    @cached_property
+    def _double(self) -> AlgebraTable:
+        """The table ``double`` returns, built on first use and kept for as
+        long as the pair lives: the bialgebra audit's Manin-triple check and
+        its matched-pair scan read one double, with one set of factor rows."""
+        labels = tuple(f"f{k}" for k in range(self.b.dim))
+        return sum_table(self.a, self.b.dim, self.b.c.entries, labels,
+                         self.la, self.ra, self.lb, self.rb)
+
 
 def zero_matched_pair(a: AlgebraTable, b: AlgebraTable) -> MatchedPair:
     zp = Matrix.zero(b.dim, b.dim)
@@ -181,9 +190,9 @@ def _scan_violations(mp: MatchedPair) -> list[MatchedPairViolation]:
 
 
 def double(mp: MatchedPair) -> AlgebraTable:
-    """Product table on A + B from the matched-pair data."""
-    labels = tuple(f"f{k}" for k in range(mp.b.dim))
-    return sum_table(mp.a, mp.b.dim, mp.b.c.entries, labels, mp.la, mp.ra, mp.lb, mp.rb)
+    """Product table on A + B from the matched-pair data; one table per pair
+    (``MatchedPair._double``)."""
+    return mp._double
 
 
 # The two identities of one half of a pair check on the action table, x and y

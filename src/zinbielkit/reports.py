@@ -131,8 +131,8 @@ class _Unsupported(Exception):
     """A value that JsonEncoder leaves to the stdlib encoder."""
 
 
-# Levels _write reports: a list of lists of scalars is memoized; a dict is
-# above any list that is.
+# Levels _write reports: a list of lists of scalars is memoized as one text;
+# a dict is above any list that is.
 _MEMOIZED, _NESTED = 2, 3
 
 # JSON text of each scalar type, looked up by exact type: a subclass such as
@@ -152,7 +152,12 @@ def _write(o, parts: list, depth: int, memo: dict, orders: dict) -> int:
     for a list, ``_NESTED`` for a dict.  A list of level ``_MEMOIZED`` (some
     items lists of scalars, the rest scalars) is joined into one part and kept
     in ``memo`` by ``(id, depth)``, so a list object met again costs one
-    append.  A scalar item is written in place, any other by a recursive call.
+    append.  A list of a higher level is kept there as the span of ``parts``
+    it wrote, with its level: met again at the same depth, it appends those
+    parts again, the same str objects, so its text is not held twice.  No
+    part of a finished span is later joined or removed, since only a list of
+    level ``_MEMOIZED`` joins, and it holds no such list.  A scalar item is
+    written in place, any other by a recursive call.
     A dict's keys are checked to be str, sorted and encoded once per key
     sequence, kept in ``orders``: an audit's witnesses all share one.
     """
@@ -163,9 +168,13 @@ def _write(o, parts: list, depth: int, memo: dict, orders: dict) -> int:
             return 1
         key = (id(o), depth)
         hit = memo.get(key)
-        if hit is not None:
+        if type(hit) is str:
             parts.append(hit)
             return _MEMOIZED
+        if hit is not None:
+            start, stop, level = hit
+            parts += parts[start:stop]
+            return level
         start, inner = len(parts), "\n" + "  " * (depth + 1)
         head, sep, level = "[" + inner, "," + inner, 0
         for item in o:
@@ -183,6 +192,8 @@ def _write(o, parts: list, depth: int, memo: dict, orders: dict) -> int:
             del parts[start:]
             parts.append(joined)
             memo[key] = joined
+        elif level > _MEMOIZED:
+            memo[key] = (start, len(parts), level)
         return level
     if t is dict:
         if not o:
@@ -224,12 +235,14 @@ class JsonEncoder(json.JSONEncoder):
     same text to one list of parts instead.  It knows dicts with str keys,
     lists, str, int, bool and None.  Any other value (a float, a tuple, an
     int key), or any other setting, hands the whole object to the stdlib.
-    Only lists of lists of scalars are memoized (see ``_write``): an audit
-    shares each such value list among many witnesses.  The text of larger
-    containers would hold most of the output twice.  Lists of scalars are
-    mostly unique (a witness's tuple), and a memo entry for each kept tens of
-    thousands of tuples alive, whose garbage-collector passes cost more than
-    the memo saved.
+    A list met again at the same depth is written once (see ``_write``): a
+    list of lists of scalars is kept as one text, since an audit shares each
+    such value list among many witnesses; a larger list, such as the failure
+    list that equal claims of an audit share, as the span of parts it wrote,
+    which are appended again without a copy of their text.  Lists of scalars
+    are not memoized: they are mostly unique (a witness's tuple), and a memo
+    entry for each kept tens of thousands of tuples alive, whose
+    garbage-collector passes cost more than the memo saved.
     """
 
     def encode(self, o) -> str:

@@ -288,6 +288,19 @@ def reference_evaluate(algebra, identity, first_only=False) -> list:
     return out
 
 
+def reference_pick_orientation(algebra, requested: str) -> str:
+    """The audit orientation as the command line picked it before the audit
+    read it off its own claims: ``requested`` unless it is ``auto``, else a
+    first-witness scan per Zinbiel check, right first, and right if both
+    fail."""
+    if requested != "auto":
+        return requested
+    for orientation in ("right", "left"):
+        if not reference_evaluate(algebra, catalog()[f"{orientation}_zinbiel"], first_only=True):
+            return orientation
+    return "right"
+
+
 # -- reference structural kernels ------------------------------------------------
 #
 # The full-table scans the structural checkers used before they read matrices

@@ -1,12 +1,13 @@
 """Claim audit: verdicts, complete failure lists, gating, determinism."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from zinbielkit import audit
+from zinbielkit import audit, fuzz
 from zinbielkit.audit import CLAIMS, audit_claims, audit_report_text, evaluate_claim
-from zinbielkit.identities import evaluate_pass
+from zinbielkit.identities import catalog, evaluate_pass
 from zinbielkit.models import free_halfshuffle, trunc_integration
 
 import oracles
@@ -118,6 +119,61 @@ def test_filtered_out_gate_is_decided_without_a_claim_run(orientation, l3, t3, m
         assert run == selected
         assert report.vacuous == full.vacuous
         assert report.claims == tuple(v for v in full.claims if v.name in selected)
+
+
+def _random_dim3_tables(count: int = 20) -> list:
+    rng = random.Random(2418)
+    return [(f"random[{i}]", fuzz.random_algebra(rng, 3)) for i in range(count)]
+
+
+def test_auto_orientation_matches_the_two_scan_pick(algebra_family):
+    # auto reads both Zinbiel checks off the claim pass, and scans only a
+    # check the filter leaves out; orientation, vacuous and every verdict
+    # must be those of the old pick, two first-witness scans before the audit
+    others = [c.name for c in CLAIMS if c.name not in ("right_zinbiel", "left_zinbiel")]
+    filters = [None, others + ["left_zinbiel"], others + ["right_zinbiel"], others]
+    seen = set()
+    opposites = [(f"opposite:{name}", table.opposite()) for name, table in fuzz.standard_models()]
+    for name, table in algebra_family + opposites + _random_dim3_tables():
+        want = audit_claims(table, oracles.reference_pick_orientation(table, "auto"))
+        for claims in filters:
+            report = audit_claims(table, "auto", claims=claims)
+            kept = tuple(v for v in want.claims if claims is None or v.name in claims)
+            assert report == want._replace(claims=kept), (name, claims)
+            seen.add((report.orientation, report.vacuous))
+    assert seen == {("right", False), ("left", False), ("right", True)}
+
+
+@pytest.mark.parametrize(
+    "claims, scans",
+    [(None, []), (["lie_admissible", "left_zinbiel"], ["right_zinbiel"]),
+     (["lie_admissible"], ["right_zinbiel", "left_zinbiel"])],
+)
+def test_auto_orientation_scans_only_a_filtered_out_gate(claims, scans, t5, monkeypatch):
+    # on the opposite of T5 the right check fails and the left one holds
+    run = []
+    holds = audit.holds
+
+    def counting(table, identity):
+        run.append(next(n for n, i in catalog().items() if i == identity))
+        return holds(table, identity)
+
+    monkeypatch.setattr(audit, "holds", counting)
+    report = audit_claims(t5.opposite(), "auto", claims=claims)
+    assert (report.orientation, report.vacuous) == ("left", False)
+    assert run == scans
+
+
+def test_equal_claims_share_one_failure_list():
+    report = audit_claims(trunc_integration(6, "left"), "auto")
+    data = {v.name: v.witness_data for v in report.claims}
+    for name, source in (("derived_1", "right_zinbiel"), ("derived_2", "right_zinbiel"),
+                         ("derived_3", "right_zinbiel"), ("derived_4", "left_relation")):
+        assert data[name]["failures"] is data[source]["failures"], name
+        assert report.verdict_for(name).witness_text == report.verdict_for(source).witness_text
+    assert data["right_zinbiel"]["failures"] and data["left_relation"]["failures"]
+    assert [data[n]["variables"] for n in ("derived_1", "derived_2", "derived_3")] == [
+        ["x", "z", "y"], ["z", "x", "y"], ["z", "y", "x"]]
 
 
 def _memo_tables(algebra_family):

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from zinbielkit import fuzz, trunc_integration
+from zinbielkit import fuzz, matched_pair, trunc_integration
 from zinbielkit.algebra import AlgebraTable, algebra_from_entries
 from zinbielkit.bialgebra import (
     BialgebraCandidate,
@@ -21,7 +21,12 @@ from zinbielkit.bialgebra import (
     standard_pairing,
 )
 from zinbielkit.identities import right_zinbiel_residuals
-from zinbielkit.matched_pair import check_matched_pair, induced_lie_pair, matched_pair_verdict
+from zinbielkit.matched_pair import (
+    check_matched_pair,
+    double,
+    induced_lie_pair,
+    matched_pair_verdict,
+)
 from zinbielkit.tensors import Matrix
 
 
@@ -135,6 +140,22 @@ def test_equivalence_conditions_one_three_four_agree(candidates):
         assert b[0] == b[2] == b[3], (name, b)
         assert rep.agreement == (len(set(b)) == 1)
         assert bool(rep.findings) == (not rep.agreement)
+
+
+def test_equivalence_audit_builds_one_drinfeld_double(monkeypatch):
+    # The Manin-triple check and the matched-pair scan read one memoised
+    # double; the induced Lie pair builds the only other sum table.
+    built = []
+    sum_table = matched_pair.sum_table
+    monkeypatch.setattr(matched_pair, "sum_table",
+                        lambda *args: built.append(args) or sum_table(*args))
+    t12 = trunc_integration(12, "right")
+    bc = BialgebraCandidate(t12, t12)
+    equivalence_audit(bc)
+    assert len(built) == 2
+    assert dual_reps(bc) is dual_reps(bc)
+    assert drinfeld_double(bc) is double(dual_reps(bc))
+    assert len(built) == 2
 
 
 def test_equivalence_audit_matches_checks_of_a_fresh_pair(candidates, pool_candidates):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zinbielkit
+from zinbielkit import audit
 from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.audit import CLAIMS, audit_claims, evaluate_claim
 from zinbielkit.identities import (
@@ -434,6 +435,62 @@ def test_one_pass_reads_every_scan_as_its_own_evaluation():
         assert evaluate_pass(table, scans, first_only=first_only) == want
     with pytest.raises(ValueError):
         evaluate_pass(table, [scans[0], (scans[0][0], (range(1),) * 3, scans[0][2])])
+
+
+def test_claims_equal_up_to_renaming_share_one_scan(caplog):
+    # derived_1..3 are right_zinbiel renamed and derived_4 is left_relation:
+    # in one pass they read the earlier scan's hits, and join nothing
+    table = trunc_integration(6, "left")
+    scans = {spec.name: audit._claim_scan(table, spec)
+             for spec in CLAIMS if spec.target == "product"}
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        results = dict(zip(scans, evaluate_pass(table, list(scans.values()))))
+    records = _joined(caplog.records)
+    assert len(records) == len(scans)  # one record per scan
+    joined = dict(zip(scans, records))
+    sharing = {"derived_1": "right_zinbiel", "derived_2": "right_zinbiel",
+               "derived_3": "right_zinbiel", "derived_4": "left_relation"}
+    for name, source in sharing.items():
+        assert results[name][1] is results[source][1], name
+        assert results[name] == results[source], name
+        assert joined[name] == 0 < joined[source], name
+        assert evaluate_pass(table, [scans[name]])[0] == results[name], name
+    assert results["right_zinbiel"][1] and results["left_relation"][1]
+    own = [hits for name, (_, hits) in results.items() if name not in sharing]
+    assert len({id(hits) for hits in own}) == len(own)
+
+
+def test_scans_share_only_an_equal_canonical_form(t5):
+    variables, domains = ("x", "y", "z"), (range(6),) * 3
+    lhs, rhs = parse_term_sum("(x (y z))"), parse_term_sum("((x y) z) + ((y x) z)")
+    base = (variables, domains, (lhs, rhs))
+    table = t5.opposite()  # fails the right check, so every scan below has hits
+    reordered = (variables, domains, (lhs, parse_term_sum("((y x) z) + ((x y) z)")))
+    renamed = (("a", "c", "b"), domains, (parse_term_sum("(a (c b))"),
+                                          parse_term_sum("((a c) b) + ((c a) b)")))
+    for same in (reordered, renamed):
+        (_, base_hits), (_, hits) = evaluate_pass(table, [base, same])
+        assert base_hits and hits is base_hits
+    different = [
+        (variables, domains, (lhs, parse_term_sum("((x y) z) + 2 * ((y x) z)"))),
+        (variables, (range(6), range(6), range(1, 6)), (lhs, rhs)),
+        (variables, domains, (parse_term_sum("(x (y z)) - ((y x) z)"),
+                              parse_term_sum("((x y) z)"))),
+    ]
+    for scan in different:
+        (_, base_hits), got = evaluate_pass(table, [base, scan])
+        assert got[1] is not base_hits
+        assert got == evaluate_pass(table, [scan])[0]
+        assert got[1] and got[1] != base_hits
+
+
+def test_arity_errors_stand_after_an_earlier_scan(t3):
+    ident = catalog()["right_zinbiel"]
+    valid = (ident.variables, (range(t3.dim),) * 3, (ident.terms,))
+    for src in ("(x (x z))", "(x y) + (x (y z))"):
+        bad = (ident.variables, (range(t3.dim),) * 3, (parse_term_sum(src),))
+        with pytest.raises(ArityError):
+            evaluate_pass(t3, [valid, bad])
 
 
 def test_joined_counts_are_pinned(caplog):

@@ -67,6 +67,18 @@ def test_encoder_matches_stdlib_on_a_list_shared_at_two_depths():
     assert ours([inner, inner, [inner]]) == stdlib([inner, inner, [inner]])
 
 
+def test_encoder_matches_stdlib_on_a_list_of_dicts_written_again():
+    # An audit's equal claims share one failure list: the writer appends the
+    # parts it wrote for it again, which holds only at the same depth.
+    value = [[0, "1/2"]]
+    failures = [{"tuple": [0, 1], "lhs": value, "rhs": []}, {"tuple": [1, 0], "lhs": value}]
+    equal = [dict(f) for f in failures]
+    claims = [{"failures": failures}, {"failures": failures}, {"failures": equal}]
+    tree = {"claims": claims, "nested": [[{"failures": failures}]], "top": failures}
+    assert ours(tree) == stdlib(tree)
+    assert ours([failures, failures, [failures]]) == stdlib([failures, failures, [failures]])
+
+
 @pytest.mark.parametrize(
     "tree",
     [
