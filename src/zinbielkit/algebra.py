@@ -12,6 +12,7 @@ checking, bimodules, doubles, dualization -- reads ``c`` through this module.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -74,21 +75,19 @@ class AlgebraTable(Frozen):
         """Raw coefficient dict of e_i * e_j."""
         return {k: v for k, v in self._pair_products.get((i, j), ())}
 
+    def _mult_matrix(self, i: int, side: int) -> Matrix:
+        """Matrix of v -> e_i * v for ``side`` 0, of v -> v * e_i for 1."""
+        return Matrix(self.dim, self.dim, {
+            (key[2], key[1 - side]): v for key, v in self.c.entries.items() if key[side] == i
+        })
+
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of v -> e_i * v."""
-        return Matrix(
-            self.dim,
-            self.dim,
-            {(k, j): v for (ii, j, k), v in self.c.entries.items() if ii == i},
-        )
+        return self._mult_matrix(i, 0)
 
     def right_mult_matrix(self, i: int) -> Matrix:
         """Matrix of v -> v * e_i."""
-        return Matrix(
-            self.dim,
-            self.dim,
-            {(k, j): v for (j, ii, k), v in self.c.entries.items() if ii == i},
-        )
+        return self._mult_matrix(i, 1)
 
     def opposite(self) -> "AlgebraTable":
         """Arguments swapped: x *' y = y * x."""
@@ -103,21 +102,22 @@ class AlgebraTable(Frozen):
             ),
         )
 
-    def symmetrize(self) -> "AlgebraTable":
-        """{x, y} = x*y + y*x."""
+    def _with_swapped(self, op) -> "AlgebraTable":
+        """x*y op y*x, for ``op`` ``operator.add`` or ``sub``.  ``symmetrize`` and
+        ``commutator`` call it, never each other: a wrapper of one never nests the other."""
         out: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), v in self.c.entries.items():
             out[(i, j, k)] = out.get((i, j, k), ZERO) + v
-            out[(j, i, k)] = out.get((j, i, k), ZERO) + v
+            out[(j, i, k)] = op(out.get((j, i, k), ZERO), v)
         return AlgebraTable(self.dim, self.basis_labels, Tensor3(self.dim, self.dim, self.dim, out))
+
+    def symmetrize(self) -> "AlgebraTable":
+        """{x, y} = x*y + y*x."""
+        return self._with_swapped(operator.add)
 
     def commutator(self) -> "AlgebraTable":
         """[x, y] = x*y - y*x."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), v in self.c.entries.items():
-            out[(i, j, k)] = out.get((i, j, k), ZERO) + v
-            out[(j, i, k)] = out.get((j, i, k), ZERO) - v
-        return AlgebraTable(self.dim, self.basis_labels, Tensor3(self.dim, self.dim, self.dim, out))
+        return self._with_swapped(operator.sub)
 
 
 def algebra_from_entries(

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraTable
 from .identities import CLAIM_SIDES, catalog, difference, evaluate_pass, holds, parse_term_sum
-from .reports import Verdict, format_assignment, format_vector, vector_jsonable
+from .reports import Verdict, format_assignment, format_vector, vector_jsonable, verdict_named
 
 
 class ClaimSpec(NamedTuple):
@@ -67,10 +67,7 @@ class AuditReport(NamedTuple):
     claims: tuple[Verdict, ...]
 
     def verdict_for(self, name: str) -> Verdict:
-        for v in self.claims:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        return verdict_named(self.claims, name)
 
 
 @cache

@@ -249,10 +249,8 @@ def equivalence_audit(bc: BialgebraCandidate) -> EquivalenceReport:
     else:
         cond4 = matched_pair_verdict("bialgebra", check_matched_pair(reps))
 
-    conditions = (cond1, cond2, cond3, cond4)
-    findings = []
-    flags = [v.holds for v in conditions]
-    if len(set(flags)) != 1:
-        per = ", ".join(f"{v.name}={v.holds}" for v in conditions)
-        findings.append(f"conditions disagree: {per}")
-    return EquivalenceReport(conditions, tuple(findings))
+    report = EquivalenceReport((cond1, cond2, cond3, cond4), ())
+    if report.agreement:
+        return report
+    per = ", ".join(f"{v.name}={v.holds}" for v in report.conditions)
+    return report._replace(findings=(f"conditions disagree: {per}",))

@@ -42,7 +42,7 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .algebra import AlgebraTable
+from .algebra import AlgebraTable, algebra_from_entries
 from .identities import catalog, evaluate, parse_identity
 # unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
 from .identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
@@ -124,8 +124,6 @@ def _build_model(spec: str):
             n = int(parts[1])
             if n < 0:
                 raise ValueError(spec)
-            from .algebra import algebra_from_entries
-
             return algebra_from_entries(n, [])
     except ValueError:
         raise InputFormatError(f"bad model spec: {spec!r}") from None

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .identities import CLAIM_SIDES, difference, evaluate_by_output, parse_term_sum
-from .reports import Verdict, VerdictBundle, format_scalar, format_sum
+from .reports import Verdict, VerdictBundle, format_sum, sorted_rows
 from .tensors import Frozen, Tensor3
 
 Triples = dict[tuple[int, int, int], Fraction]
@@ -103,10 +103,6 @@ def format_triples(t: Triples) -> str:
     return format_sum(sorted(t.items()), lambda key: "*".join(f"e{i}" for i in key))
 
 
-def triples_jsonable(t: Triples) -> list:
-    return [[i, j, l, format_scalar(v)] for (i, j, l), v in sorted(t.items())]
-
-
 # -- the co-checks as identities on the dual table -------------------------------
 
 _XY, _XYZ = ("x", "y"), ("x", "y", "z")
@@ -172,7 +168,7 @@ def coalgebra_verdict(name: str, violations) -> Verdict:
         return Verdict(name, True)
     k, r = violations[0]
     return Verdict(name, False, f"at e{k}: residual = {format_triples(r)}",
-                   {"basis_index": k, "residual": triples_jsonable(r)})
+                   {"basis_index": k, "residual": sorted_rows(r)})
 
 
 def _bundle(c: CoalgebraTable, kind: str, names: tuple[str, ...]) -> VerdictBundle:

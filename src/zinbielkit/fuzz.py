@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraTable, algebra_from_entries
 from .bialgebra import BialgebraCandidate
@@ -50,19 +51,19 @@ def _scalar(rng: random.Random, span: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
+def _bumped(entries: dict, key: tuple, rng: random.Random) -> dict:
+    """``entries`` with a nonzero delta added at ``key``; a sum of zero is
+    left for the table's constructor to drop."""
+    return {**entries, key: entries.get(key, Fraction(0)) + _nonzero_scalar(rng)}
+
+
 def perturb_algebra(a: AlgebraTable, rng: random.Random) -> AlgebraTable:
     """Add a nonzero delta to one structure constant."""
     if a.dim == 0:
         return a
-    i, j, k = (rng.randrange(a.dim) for _ in range(3))
-    entries = dict(a.c.entries)
-    key = (i, j, k)
-    value = entries.get(key, Fraction(0)) + _nonzero_scalar(rng)
-    if value:
-        entries[key] = value
-    else:
-        entries.pop(key, None)
-    return AlgebraTable(a.dim, a.basis_labels, Tensor3(a.dim, a.dim, a.dim, entries))
+    key = tuple(rng.randrange(a.dim) for _ in range(3))
+    return AlgebraTable(a.dim, a.basis_labels,
+                        Tensor3(a.dim, a.dim, a.dim, _bumped(a.c.entries, key, rng)))
 
 
 def _perturb_maps(maps: tuple[Matrix, ...], rng: random.Random) -> tuple[Matrix, ...]:
@@ -70,16 +71,8 @@ def _perturb_maps(maps: tuple[Matrix, ...], rng: random.Random) -> tuple[Matrix,
         return maps
     idx = rng.randrange(len(maps))
     m = maps[idx]
-    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
-    entries = dict(m.entries)
-    value = entries.get((r, c), Fraction(0)) + _nonzero_scalar(rng)
-    if value:
-        entries[(r, c)] = value
-    else:
-        entries.pop((r, c), None)
-    out = list(maps)
-    out[idx] = Matrix(m.rows, m.cols, entries)
-    return tuple(out)
+    key = rng.randrange(m.rows), rng.randrange(m.cols)
+    return (*maps[:idx], Matrix(m.rows, m.cols, _bumped(m.entries, key, rng)), *maps[idx + 1:])
 
 
 def perturb_bimodule(b: Bimodule, rng: random.Random) -> Bimodule:
@@ -93,31 +86,31 @@ def perturb_bimodule(b: Bimodule, rng: random.Random) -> Bimodule:
 
 def perturb_matched_pair(mp: MatchedPair, rng: random.Random) -> MatchedPair:
     part = rng.randrange(6)
-    if part == 0 and mp.a.dim:
-        return MatchedPair(perturb_algebra(mp.a, rng), mp.b, mp.la, mp.ra, mp.lb, mp.rb)
-    if part == 1 and mp.b.dim:
-        return MatchedPair(mp.a, perturb_algebra(mp.b, rng), mp.la, mp.ra, mp.lb, mp.rb)
-    if part == 2 and mp.a.dim and mp.b.dim:
-        return MatchedPair(mp.a, mp.b, _perturb_maps(mp.la, rng), mp.ra, mp.lb, mp.rb)
-    if part == 3 and mp.a.dim and mp.b.dim:
-        return MatchedPair(mp.a, mp.b, mp.la, _perturb_maps(mp.ra, rng), mp.lb, mp.rb)
-    if part == 4 and mp.a.dim and mp.b.dim:
-        return MatchedPair(mp.a, mp.b, mp.la, mp.ra, _perturb_maps(mp.lb, rng), mp.rb)
-    if mp.a.dim and mp.b.dim:
-        return MatchedPair(mp.a, mp.b, mp.la, mp.ra, mp.lb, _perturb_maps(mp.rb, rng))
-    return mp
+    parts = [mp.a, mp.b, mp.la, mp.ra, mp.lb, mp.rb]
+    if part < 2 and parts[part].dim:
+        parts[part] = perturb_algebra(parts[part], rng)
+    elif part >= 2 and mp.a.dim and mp.b.dim:
+        parts[part] = _perturb_maps(parts[part], rng)
+    else:
+        return mp
+    return MatchedPair(*parts)
+
+
+def _perturbations(pool: list, perturb, seed: int, count: int) -> list:
+    """``count`` seeded perturbations of members of ``pool``, named after them."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        name, obj = pool[rng.randrange(len(pool))]
+        out.append((f"perturbed[{t}]:{name}", perturb(obj, rng)))
+    return out
 
 
 def algebra_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
     """Models plus seeded single-entry perturbations, for orientation duality."""
     base = standard_models()
-    rng = random.Random(seed)
-    out = list(base)
     nonempty = [(name, a) for name, a in base if a.dim]
-    for t in range(perturbations):
-        name, a = nonempty[rng.randrange(len(nonempty))]
-        out.append((f"perturbed[{t}]:{name}", perturb_algebra(a, rng)))
-    return out
+    return base + _perturbations(nonempty, perturb_algebra, seed, perturbations)
 
 
 def bimodule_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
@@ -130,12 +123,7 @@ def bimodule_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
             base.append(
                 (f"zero[{v_dim}]:trunc-int:right:{n}", zero_bimodule(trunc_integration(n, "right"), v_dim))
             )
-    rng = random.Random(seed)
-    out = list(base)
-    for t in range(perturbations):
-        name, b = base[rng.randrange(len(base))]
-        out.append((f"perturbed[{t}]:{name}", perturb_bimodule(b, rng)))
-    return out
+    return base + _perturbations(base, perturb_bimodule, seed, perturbations)
 
 
 def matched_pair_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
@@ -150,12 +138,7 @@ def matched_pair_family(seed: int = DEFAULT_SEED, perturbations: int = 200):
         ("regular-as-pair:T3", bimodule_as_pair(regular_bimodule(t3))),
         ("regular-as-pair:T2", bimodule_as_pair(regular_bimodule(t2))),
     ]
-    rng = random.Random(seed)
-    out = list(base)
-    for t in range(perturbations):
-        name, mp = base[rng.randrange(len(base))]
-        out.append((f"perturbed[{t}]:{name}", perturb_matched_pair(mp, rng)))
-    return out
+    return base + _perturbations(base, perturb_matched_pair, seed, perturbations)
 
 
 def bimodule_as_pair(b: Bimodule) -> MatchedPair:
@@ -165,42 +148,32 @@ def bimodule_as_pair(b: Bimodule) -> MatchedPair:
     return MatchedPair(b.base, zero_b, b.left_maps, b.right_maps, (zn,) * b.v_dim, (zn,) * b.v_dim)
 
 
+def _sampled(rng: random.Random, dim: int, arity: int, density: float) -> list[tuple]:
+    """``[(*index, value)]``: each index in ``range(dim) ** arity``, in
+    lexicographic order, is drawn with probability ``density`` and then
+    given a random scalar, kept if nonzero."""
+    rows = []
+    for index in product(range(dim), repeat=arity):
+        if rng.random() < density:
+            v = _scalar(rng)
+            if v:
+                rows.append((*index, v))
+    return rows
+
+
 def random_algebra(rng: random.Random, dim: int, density: float = 0.4) -> AlgebraTable:
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if rng.random() < density:
-                    v = _scalar(rng)
-                    if v:
-                        entries.append((i, j, k, v))
-    return algebra_from_entries(dim, entries)
+    return algebra_from_entries(dim, _sampled(rng, dim, 3, density))
 
 
 def random_coalgebra(rng: random.Random, dim: int, density: float = 0.4) -> CoalgebraTable:
-    entries = []
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(dim):
-                if rng.random() < density:
-                    v = _scalar(rng)
-                    if v:
-                        entries.append((k, i, j, v))
-    return coalgebra_from_entries(dim, entries)
+    return coalgebra_from_entries(dim, _sampled(rng, dim, 3, density))
 
 
 def random_maps(rng: random.Random, count: int, dim: int, density: float = 0.4):
-    out = []
-    for _ in range(count):
-        entries = {}
-        for r in range(dim):
-            for c in range(dim):
-                if rng.random() < density:
-                    v = _scalar(rng)
-                    if v:
-                        entries[(r, c)] = v
-        out.append(Matrix(dim, dim, entries))
-    return tuple(out)
+    return tuple(
+        Matrix(dim, dim, {(r, c): v for r, c, v in _sampled(rng, dim, 2, density)})
+        for _ in range(count)
+    )
 
 
 def random_bimodule(rng: random.Random, base_dim: int, v_dim: int) -> Bimodule:

@@ -158,30 +158,33 @@ class _Parser:
             f"expected a variable or '(', found {value or 'end of input'}", pos
         )
 
+    def integer(self, what: str) -> tuple[int, int]:
+        _, digits, pos = self.expect("INT", what)
+        try:
+            return int(digits), pos
+        except ValueError:  # past the interpreter's limit on str -> int digits
+            raise IdentitySyntaxError(f"integer of {len(digits)} digits is too long", pos) from None
+
     def parse_term(self) -> tuple[Fraction, Tree]:
         coeff = Fraction(1)
         if self.peek()[0] == "INT":
-            num = int(self.advance()[1])
+            num = self.integer("a coefficient")[0]
             den = 1
             if self.peek()[0] == "SLASH":
                 self.advance()
-                den_tok = self.expect("INT", "a denominator")
-                den = int(den_tok[1])
+                den, den_pos = self.integer("a denominator")
                 if den == 0:
-                    raise IdentitySyntaxError("zero denominator", den_tok[2])
+                    raise IdentitySyntaxError("zero denominator", den_pos)
             self.expect("STAR", "'*' after coefficient")
             coeff = Fraction(num, den)
         return coeff, self.parse_tree()
 
     def parse_terms(self) -> list[tuple[Fraction, Tree]]:
         terms = []
-        sign = Fraction(1)
-        if self.peek()[0] in ("PLUS", "MINUS"):
-            sign = Fraction(-1) if self.advance()[0] == "MINUS" else Fraction(1)
-        coeff, tree = self.parse_term()
-        terms.append((sign * coeff, tree))
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            sign = Fraction(-1) if self.advance()[0] == "MINUS" else Fraction(1)
+        while not terms or self.peek()[0] in ("PLUS", "MINUS"):
+            sign = Fraction(1)
+            if self.peek()[0] in ("PLUS", "MINUS"):
+                sign = Fraction(-1) if self.advance()[0] == "MINUS" else Fraction(1)
             coeff, tree = self.parse_term()
             terms.append((sign * coeff, tree))
         return terms
@@ -298,13 +301,14 @@ def _leaf_order(leaves: tuple[str, ...], variables: tuple[str, ...]) -> Callable
     return itemgetter(*positions)
 
 
-def _shape(tree: Tree, leaves: dict) -> Tree:
-    """The tree with each variable's leaf replaced by ``leaves[name]``:
-    ``SLICED``, or the ``(start, stop)`` of its index range, which hashes
-    faster than a ``range``.  One frame per level, like the parser."""
+def _relabelled(tree: Tree, leaves: dict) -> Tree:
+    """The tree with each variable's leaf replaced by ``leaves[name]``: for a
+    shape, ``SLICED`` or the ``(start, stop)`` of its index range, which hashes
+    faster than a ``range``; for a canonical form, the variable's position.
+    One frame per level, like the parser."""
     if isinstance(tree, str):
         return leaves[tree]
-    return (_shape(tree[0], leaves), _shape(tree[1], leaves))
+    return (_relabelled(tree[0], leaves), _relabelled(tree[1], leaves))
 
 
 class _Joiner:
@@ -392,13 +396,6 @@ class _Joiner:
         )
 
 
-def _renamed(tree: Tree, position: dict) -> Tree:
-    """The tree with each variable replaced by its position; one frame per level."""
-    if isinstance(tree, str):
-        return position[tree]
-    return (_renamed(tree[0], position), _renamed(tree[1], position))
-
-
 @lru_cache(maxsize=256)
 def _plan(variables: tuple[str, ...], sides: tuple) -> tuple[int, tuple, tuple]:
     """The table-independent half of ``_compile``, once per identity: the
@@ -418,7 +415,7 @@ def _plan(variables: tuple[str, ...], sides: tuple) -> tuple[int, tuple, tuple]:
     )
     position = {name: i for i, name in enumerate(variables)}
     form = tuple(
-        tuple(sorted(((c, _renamed(tree, position)) for s, c, tree, _ in plan if s == side),
+        tuple(sorted(((c, _relabelled(tree, position)) for s, c, tree, _ in plan if s == side),
                      key=repr))
         for side in range(len(sides))
     )
@@ -432,14 +429,14 @@ def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, lis
     coeff_den, plan, form = _plan(variables, tuple(map(tuple, sides)))
     by_name = {v: leaf if leaf == SLICED else (leaf.start, leaf.stop)
                for v, leaf in zip(variables, leaves)}
-    return coeff_den, [(side, coeff, _shape(tree, by_name), reorder)
+    return coeff_den, [(side, coeff, _relabelled(tree, by_name), reorder)
                        for side, coeff, tree, reorder in plan], form
 
 
 def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list,
                 first_only: bool) -> None:
     """Append the residuals of one identity on slice ``s``, in lexicographic
-    order, to ``hits``; ``width`` is its number of sides."""
+    order, to ``hits``; ``width`` is its number of sides, 1 or 2."""
     acc: dict = {}
     if width == 1:  # one integer dict per assignment: the residual
         for _, coeff, shape, reorder in compiled:
@@ -464,10 +461,7 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
                         values = acc[full] = [{} for _ in range(width)]
                     value = values[side]
                     value[k] = value.get(k, 0) + coeff * u
-        if width == 2:  # equal sides make a zero residual: one compare tells
-            failing = [full for full, (lhs, rhs) in acc.items() if lhs != rhs]
-        else:
-            failing = list(acc)
+        failing = [full for full, (lhs, rhs) in acc.items() if lhs != rhs]  # equal sides: zero
     failing.sort()
     for full in failing:
         values = acc[full]
@@ -475,12 +469,11 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
             residual = {k: v for k, v in values.items() if v}
             values = (residual,)
         else:
-            residual = dict(values[0])
-            for other in values[1:]:
-                for k, v in other.items():
-                    residual[k] = residual.get(k, 0) - v
+            lhs, rhs = values = tuple(values)
+            residual = dict(lhs)
+            for k, v in rhs.items():
+                residual[k] = residual.get(k, 0) - v
             residual = {k: v for k, v in residual.items() if v}
-            values = tuple(values)
         if residual:
             hits.append((full, residual, values))
             if first_only:
@@ -490,12 +483,12 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
 def evaluate_pass(
     algebra: AlgebraTable, scans, *, first_only: bool = False
 ) -> list[tuple[int, list[tuple[tuple[int, ...], dict, tuple[dict, ...]]]]]:
-    """Residuals of ``sides[0] - sides[1] - ...`` for each ``(variables,
-    domains, sides)`` in ``scans``, each with every side's value:
+    """Residuals of ``sides[0]``, or ``sides[0] - sides[1]``, for each
+    ``(variables, domains, sides)`` in ``scans``, each with every side's value:
     ``[(scale, [(assignment, residual, side values)])]`` in the order of
     ``scans``.  This is the one entry to the join by basis assignment.
 
-    ``sides`` holds term sums over ``variables``, every term using each
+    ``sides`` holds one or two term sums over ``variables``, every term using each
     variable exactly once, and each variable ranges over its ``domains``
     entry, an index range of the basis (``range(algebra.dim)`` for an
     untyped identity).  The hits are the assignments in the product of the

@@ -50,10 +50,7 @@ class VerdictBundle(NamedTuple):
         return all(v.holds for v in self.verdicts)
 
     def verdict_for(self, name: str) -> Verdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        return verdict_named(self.verdicts, name)
 
     def jsonable(self) -> dict:
         return {
@@ -61,6 +58,20 @@ class VerdictBundle(NamedTuple):
             "holds": self.holds,
             "verdicts": [v.jsonable() for v in self.verdicts],
         }
+
+
+def verdict_named(verdicts, name: str) -> Verdict:
+    """The first of ``verdicts`` called ``name``; KeyError if there is none."""
+    for v in verdicts:
+        if v.name == name:
+            return v
+    raise KeyError(name)
+
+
+def sorted_rows(entries: Mapping) -> list:
+    """``[[*index, "p/q"], ...]`` of sparse ``{index tuple: value}`` entries,
+    sorted by index: the rows of every table's JSON form."""
+    return [[*key, format_scalar(v)] for key, v in sorted(entries.items())]
 
 
 def scaled_scalar(value, scale: int = 1) -> str:

@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from .algebra import AlgebraTable
-from .reports import JsonEncoder
-from .tensors import InputFormatError, Matrix, Tensor3, format_scalar, parse_scalar
+from .reports import JsonEncoder, sorted_rows
+from .tensors import InputFormatError, Matrix, Tensor3, parse_scalar
 
 if TYPE_CHECKING:
     from .bialgebra import BialgebraCandidate
@@ -40,6 +40,11 @@ def _require(cond: bool, message: str, *args):
     ``cond``: the message is built only for the failure it reports."""
     if not cond:
         raise InputFormatError(message.format(*args) if args else message)
+
+
+def _require_kind(obj: Any, kind: str) -> None:
+    _require(isinstance(obj, dict), "{} payload must be an object", kind)
+    _require(obj.get("kind") == kind, "expected kind \"{}\"", kind)
 
 
 def _as_dim(obj: Any, field: str) -> int:
@@ -88,15 +93,12 @@ def algebra_jsonable(a: AlgebraTable) -> dict:
         "kind": "algebra",
         "dim": a.dim,
         "basis": list(a.basis_labels),
-        "structure": [
-            [i, j, k, format_scalar(v)] for (i, j, k), v in sorted(a.c.entries.items())
-        ],
+        "structure": sorted_rows(a.c.entries),
     }
 
 
 def algebra_from_jsonable(obj: Any) -> AlgebraTable:
-    _require(isinstance(obj, dict), "algebra payload must be an object")
-    _require(obj.get("kind") == "algebra", "expected kind \"algebra\"")
+    _require_kind(obj, "algebra")
     dim = _as_dim(obj.get("dim"), "dim")
     basis = obj.get("basis")
     _require(isinstance(basis, list) and len(basis) == dim, "basis must list dim labels")
@@ -109,28 +111,21 @@ def coalgebra_jsonable(c: CoalgebraTable) -> dict:
     return {
         "kind": "coalgebra",
         "dim": c.dim,
-        "coproduct": [
-            [k, i, j, format_scalar(v)] for (k, i, j), v in sorted(c.d.entries.items())
-        ],
+        "coproduct": sorted_rows(c.d.entries),
     }
 
 
 def coalgebra_from_jsonable(obj: Any) -> CoalgebraTable:
     from .coalgebra import CoalgebraTable
 
-    _require(isinstance(obj, dict), "coalgebra payload must be an object")
-    _require(obj.get("kind") == "coalgebra", "expected kind \"coalgebra\"")
+    _require_kind(obj, "coalgebra")
     dim = _as_dim(obj.get("dim"), "dim")
     entries = _index_rows(obj.get("coproduct"), "coproduct", (dim,) * 3, ("coproduct index",) * 3)
     return CoalgebraTable(dim, Tensor3(dim, dim, dim, entries))
 
 
 def _maps_jsonable(maps: tuple[Matrix, ...]) -> list:
-    out = []
-    for idx, m in enumerate(maps):
-        for (row, col), v in m.items():
-            out.append([idx, row, col, format_scalar(v)])
-    return out
+    return sorted_rows({(i, *key): v for i, m in enumerate(maps) for key, v in m.entries.items()})
 
 
 def _maps_from_jsonable(obj: Any, count: int, rows: int, field: str) -> tuple[Matrix, ...]:
@@ -154,8 +149,7 @@ def bimodule_jsonable(b: Bimodule) -> dict:
 def bimodule_from_jsonable(obj: Any) -> Bimodule:
     from .bimodule import Bimodule
 
-    _require(isinstance(obj, dict), "bimodule payload must be an object")
-    _require(obj.get("kind") == "bimodule", "expected kind \"bimodule\"")
+    _require_kind(obj, "bimodule")
     base = algebra_from_jsonable(obj.get("algebra"))
     v_dim = _as_dim(obj.get("v_dim"), "v_dim")
     left = _maps_from_jsonable(obj.get("l"), base.dim, v_dim, "l")
@@ -178,8 +172,7 @@ def matched_pair_jsonable(mp: MatchedPair) -> dict:
 def matched_pair_from_jsonable(obj: Any) -> MatchedPair:
     from .matched_pair import MatchedPair
 
-    _require(isinstance(obj, dict), "matched_pair payload must be an object")
-    _require(obj.get("kind") == "matched_pair", "expected kind \"matched_pair\"")
+    _require_kind(obj, "matched_pair")
     a = algebra_from_jsonable(obj.get("A"))
     b = algebra_from_jsonable(obj.get("B"))
     la = _maps_from_jsonable(obj.get("lA"), a.dim, b.dim, "lA")
@@ -200,8 +193,7 @@ def bialgebra_candidate_jsonable(bc: BialgebraCandidate) -> dict:
 def bialgebra_candidate_from_jsonable(obj: Any) -> BialgebraCandidate:
     from .bialgebra import BialgebraCandidate
 
-    _require(isinstance(obj, dict), "bialgebra_candidate payload must be an object")
-    _require(obj.get("kind") == "bialgebra_candidate", "expected kind \"bialgebra_candidate\"")
+    _require_kind(obj, "bialgebra_candidate")
     return BialgebraCandidate(
         algebra_from_jsonable(obj.get("A")), algebra_from_jsonable(obj.get("Astar"))
     )
@@ -251,6 +243,8 @@ def loads(text: str):
         raise InputFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise InputFormatError("JSON nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's limit on str -> int digits
+        raise InputFormatError("JSON integer is too long") from None
     return from_jsonable(payload)
 
 

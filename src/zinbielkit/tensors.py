@@ -40,6 +40,8 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # an integer past the interpreter's limit on str -> int digits
+        raise ValueError(f"rational literal of {len(text)} characters is too long") from None
 
 
 def format_scalar(value: Fraction) -> str:
@@ -138,12 +140,7 @@ class Matrix(Frozen):
         return Matrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, ZERO) - v
-        return Matrix(self.rows, self.cols, out)
+        return self + Matrix(other.rows, other.cols, {k: -v for k, v in other.entries.items()})
 
 
 def rank(m: Matrix) -> int:

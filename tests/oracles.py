@@ -23,11 +23,11 @@ from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.audit import ClaimSpec, evaluate_claim
 from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
 from zinbielkit.coalgebra import (
-    CoalgebraViolation, coalgebra_from_entries, format_triples, triples_jsonable,
+    CoalgebraViolation, coalgebra_from_entries, format_triples,
 )
 from zinbielkit.matched_pair import MatchedPairViolation
 from zinbielkit.identities import CLAIM_SIDES, catalog, render_identity
-from zinbielkit.reports import Verdict, VerdictBundle, failed_verdict, format_scalar
+from zinbielkit.reports import Verdict, VerdictBundle, failed_verdict, format_scalar, sorted_rows
 from zinbielkit.tensors import Matrix, rank
 
 X, T = sympy.symbols("X t")
@@ -970,7 +970,7 @@ def _co_verdict(name: str, first) -> Verdict:
         return Verdict(name, True)
     k, r = first
     return Verdict(name, False, f"at e{k}: residual = {format_triples(r)}",
-                   {"basis_index": k, "residual": triples_jsonable(r)})
+                   {"basis_index": k, "residual": sorted_rows(r)})
 
 
 def reference_co_bundle(c, title: str, names) -> VerdictBundle:

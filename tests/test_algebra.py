@@ -122,12 +122,17 @@ def test_tables_that_pass_as_right_zinbiel_are_nilpotent():
 
 
 def test_mult_matrices_are_adjoint_views(t3):
-    for i in range(t3.dim):
-        L = t3.left_mult_matrix(i)
-        R = t3.right_mult_matrix(i)
-        for j in range(t3.dim):
-            assert {r: v for (r, c), v in L.entries.items() if c == j} == t3.product_basis(i, j)
-            assert {r: v for (r, c), v in R.entries.items() if c == j} == t3.product_basis(j, i)
+    rng = random.Random(77)
+    for table in (t3, *(random_algebra(rng, 3, 0.5) for _ in range(20))):
+        for i in range(table.dim):
+            L = table.left_mult_matrix(i)
+            R = table.right_mult_matrix(i)
+            assert (L.rows, L.cols, R.rows, R.cols) == (table.dim,) * 4
+            for j in range(table.dim):
+                column = table.product_basis(i, j)
+                assert {r: v for (r, c), v in L.entries.items() if c == j} == column
+                column = table.product_basis(j, i)
+                assert {r: v for (r, c), v in R.entries.items() if c == j} == column
 
 
 def test_direct_sum_blocks(t3):

@@ -76,8 +76,11 @@ def test_catalog_round_trips():
 
 
 def test_syntax_errors_carry_position():
+    # an integer past the interpreter's str -> int digit limit is refused
+    # at its own position, as a numerator and as a denominator
     for src, pos in [("(x y", 4), ("x + ", 4), ("1/0 * x", 2), ("x = 1", 4), ("x )", 2),
-                     ("²*(x y)", 0)]:
+                     ("²*(x y)", 0), ("9" * 5000 + "*(x y)", 0),
+                     ("(x y) - 1/" + "9" * 5000 + "*(y x)", 10)]:
         with pytest.raises(IdentitySyntaxError) as err:
             parse_identity(src)
         assert err.value.position == pos

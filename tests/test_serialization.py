@@ -128,6 +128,13 @@ BAD_PAYLOADS = [
         ' "coproduct": [[0, 0, 0, "0"], [0, 0, 0, "1"]]}',
         "duplicate coproduct entry (0,0,0)",
     ),
+    # past the interpreter's str -> int digit limit: one plain line
+    (
+        '{"kind": "algebra", "dim": 1, "basis": ["a"],'
+        ' "structure": [[0, 0, 0, "1/' + "9" * 5000 + '"]]}',
+        "structure value: rational literal of 5002 characters is too long",
+    ),
+    ('{"kind": "algebra", "dim": ' + "9" * 5000 + "}", "JSON integer is too long"),
 ]
 
 

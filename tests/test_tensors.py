@@ -1,5 +1,6 @@
 """Exact sparse linear algebra: vectors, matrices, rank."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,24 @@ def matrices(draw, rows=None, cols=None):
 @given(matrices())
 def test_transpose_involution(m):
     assert m.transpose().transpose() == m
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_sum_and_difference_are_entrywise(rows, cols, data):
+    a, b = data.draw(matrices(rows, cols)), data.draw(matrices(rows, cols))
+    keys = a.entries.keys() | b.entries.keys()
+    for op in (operator.add, operator.sub):
+        want = {k: op(a.entries.get(k, 0), b.entries.get(k, 0)) for k in keys}
+        assert op(a, b) == Matrix(rows, cols, want)
+        assert all(op(a, b).entries.values())
+
+
+def test_matrix_sum_and_difference_reject_a_shape_mismatch():
+    for op in (operator.add, operator.sub):
+        with pytest.raises(DimensionMismatch):
+            op(Matrix.zero(2, 3), Matrix.zero(3, 2))
+        with pytest.raises(DimensionMismatch):
+            op(Matrix.zero(2, 3), Matrix.zero(2, 2))
 
 
 @given(matrices())
