@@ -23,9 +23,9 @@ from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.bialgebra import BialgebraCandidate, dual_reps, equivalence_audit
 from zinbielkit.bimodule import Bimodule, regular_bimodule
 from zinbielkit.fuzz import DEFAULT_SEED, bimodule_as_pair, seeded_candidates
+from zinbielkit.jsonwriter import JsonEncoder
 from zinbielkit.matched_pair import MatchedPair, zero_matched_pair
 from zinbielkit.models import trunc_integration
-from zinbielkit.reports import JsonEncoder
 from zinbielkit.serialization import dump_path
 from zinbielkit.tensors import Matrix
 

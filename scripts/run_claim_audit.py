@@ -28,7 +28,6 @@ from zinbielkit import fuzz
 from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
 # unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
-from zinbielkit.reports import JsonEncoder
 
 
 def run(args: argparse.Namespace) -> str:
@@ -38,6 +37,8 @@ def run(args: argparse.Namespace) -> str:
         for name, table in fuzz.standard_models(args.max_n)
     ]
     if args.format == "json":
+        from zinbielkit.jsonwriter import JsonEncoder
+
         payloads = [audit_report_jsonable(report) for report in reports]
         collection = {"kind": "claim_audit_collection", "reports": payloads}
         return json.dumps(collection, indent=2, sort_keys=True, cls=JsonEncoder) + "\n"

@@ -11,7 +11,7 @@ from importlib import import_module
 # first access (PEP 562), so ``import zinbielkit.cli`` compiles only the
 # modules the command runs.
 _EXPORTS = {
-    "algebra": ("AlgebraTable", "algebra_from_entries", "direct_sum"),
+    "algebra": ("AlgebraTable", "algebra_from_entries"),
     "audit": ("CLAIMS", "audit_claims", "audit_report_jsonable", "audit_report_text"),
     "bialgebra": (
         "BialgebraCandidate",
@@ -21,12 +21,14 @@ _EXPORTS = {
         "drinfeld_double",
         "dual_reps",
         "equivalence_audit",
+        "rank",
         "standard_pairing",
     ),
     "bimodule": (
         "Bimodule",
         "check_bimodule",
         "check_derived_relations",
+        "direct_sum",
         "induced_subadjacent_map",
         "regular_bimodule",
         "semidirect_sum",
@@ -66,8 +68,8 @@ _EXPORTS = {
         "zero_matched_pair",
     ),
     "models": ("free_halfshuffle", "trivial_models", "trunc_integration"),
-    "serialization": ("dumps", "from_jsonable", "load_path", "loads", "to_jsonable"),
-    "tensors": ("Matrix", "Scalar", "Tensor3", "Vector", "format_scalar", "parse_scalar", "rank"),
+    "serialization": ("dumps", "from_jsonable", "load_path", "loads", "parse_scalar", "to_jsonable"),
+    "tensors": ("Matrix", "Scalar", "Tensor3", "Vector", "format_scalar"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

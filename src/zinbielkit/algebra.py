@@ -134,27 +134,3 @@ def algebra_from_entries(
         data[key] = v
     return AlgebraTable(dim, labels, Tensor3(dim, dim, dim, data))
 
-
-def direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
-    """Block-diagonal product table on the concatenated bases."""
-    return sum_table(a, b.dim, b.c.entries, b.basis_labels)
-
-
-def sum_table(a: AlgebraTable, p: int, b_entries: dict, labels: Iterable[str],
-              la=(), ra=(), lb=(), rb=()) -> AlgebraTable:
-    """Product table on A + B, for B of dimension ``p`` with structure
-    constants ``b_entries`` and basis ``labels``:
-    (x+a)(y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a).
-    la and ra hold a matrix per basis vector of A, acting on B, and lb and rb
-    one per basis vector of B, acting on A; an empty family is zero."""
-    n = a.dim
-    entries = [(i, j, k, v) for (i, j, k), v in a.c.entries.items()]
-    entries += [(n + i, n + j, n + k, v) for (i, j, k), v in b_entries.items()]
-    # per family: the offsets of its index and of the space it acts on, and
-    # whether its index is the left factor
-    for family, at, on, left in ((la, 0, n, True), (ra, 0, n, False),
-                                 (lb, n, 0, True), (rb, n, 0, False)):
-        for t, m in enumerate(family, at):
-            entries += [(t, on + col, on + row, v) if left else (on + col, t, on + row, v)
-                        for (row, col), v in m.entries.items()]
-    return algebra_from_entries(n + p, entries, a.basis_labels + tuple(labels))

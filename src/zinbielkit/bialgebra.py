@@ -21,6 +21,7 @@ finding, never patched over.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from .matched_pair import (
     matched_pair_verdict,
 )
 from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
-from .tensors import ZERO, Frozen, Matrix, rank
+from .tensors import ZERO, Frozen, Matrix
 
 
 class BilinearFormTable(Frozen):
@@ -85,6 +86,33 @@ def _invariance(a: AlgebraTable, g: Matrix, name: str) -> Verdict:
         f"at (e{t[0]},e{t[1]},e{t[2]}): B(xy,z) = {left}, B(x,yz) = {right}",
         {"tuple": list(t), "lhs": left, "rhs": right},
     )
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over the rationals: each row is cleared of denominators,
+    then Bareiss fraction-free elimination runs in integers."""
+    a: list[list[int]] = []
+    for r in range(m.rows):
+        row = [m.get(r, c) for c in range(m.cols)]
+        scale = math.lcm(*(q.denominator for q in row))
+        a.append([int(q * scale) for q in row])
+    r = 0
+    prev = 1
+    for col in range(m.cols):
+        if r == m.rows:
+            break
+        piv = next((i for i in range(r, m.rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m.rows):
+            for j in range(col + 1, m.cols):
+                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
+            a[i][col] = 0
+        prev = a[r][col]
+        r += 1
+    return r
 
 
 def check_form(a: AlgebraTable, form: BilinearFormTable) -> VerdictBundle:

@@ -30,12 +30,37 @@ checks of ``matched_pair``, comes from one typed scan (``first_witness_verdict``
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraTable, sum_table
+from .algebra import AlgebraTable, algebra_from_entries
 from .identities import ExactValues, evaluate_pass, parse_term_sum
-from .reports import Verdict, failed_verdict
+from .reports import Verdict, format_vector, vector_jsonable
 from .tensors import DimensionMismatch, Frozen, Matrix
+
+
+def sum_table(a: AlgebraTable, p: int, b_entries: dict, labels: Iterable[str],
+              la=(), ra=(), lb=(), rb=()) -> AlgebraTable:
+    """Product table on A + B, for B of dimension ``p`` with structure
+    constants ``b_entries`` and basis ``labels``:
+    (x+a)(y+b) = (x.y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a).
+    la and ra hold a matrix per basis vector of A, acting on B, and lb and rb
+    one per basis vector of B, acting on A; an empty family is zero."""
+    n = a.dim
+    entries = [(i, j, k, v) for (i, j, k), v in a.c.entries.items()]
+    entries += [(n + i, n + j, n + k, v) for (i, j, k), v in b_entries.items()]
+    # per family: the offsets of its index and of the space it acts on, and
+    # whether its index is the left factor
+    for family, at, on, left in ((la, 0, n, True), (ra, 0, n, False),
+                                 (lb, n, 0, True), (rb, n, 0, False)):
+        for t, m in enumerate(family, at):
+            entries += [(t, on + col, on + row, v) if left else (on + col, t, on + row, v)
+                        for (row, col), v in m.entries.items()]
+    return algebra_from_entries(n + p, entries, a.basis_labels + tuple(labels))
+
+
+def direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
+    """Block-diagonal product table on the concatenated bases."""
+    return sum_table(a, b.dim, b.c.entries, b.basis_labels)
 
 
 class Bimodule(Frozen):
@@ -151,6 +176,22 @@ _RELATIONS = {
     "left_of_product_r_then_l": ("((x y) v)", "(x (v y))"),
     "right_maps_commute": ("((v y) x)", "((v x) y)"),
 }
+
+
+def failed_verdict(name: str, assignment, var_names, lhs, rhs, residual=None) -> Verdict:
+    """The failing verdict witnessed by lhs != rhs at a basis assignment; the
+    JSON witness carries ``residual`` only if it is given."""
+    where = ", ".join(f"{n}=e{i}" for n, i in zip(var_names, assignment))
+    text = f"at {where}: lhs = {format_vector(lhs)}, rhs = {format_vector(rhs)}"
+    data = {
+        "tuple": list(assignment),
+        "variables": list(var_names),
+        "lhs": vector_jsonable(lhs),
+        "rhs": vector_jsonable(rhs),
+    }
+    if residual is not None:
+        data["residual"] = vector_jsonable(residual)
+    return Verdict(name, False, text, data)
 
 
 def first_witness_verdict(

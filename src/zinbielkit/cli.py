@@ -23,15 +23,15 @@ trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
 Each command is a fresh interpreter, so this module imports at load time
 only what every algebra command runs: ``algebra``, ``identities``,
 ``models`` and ``reports``.  The rest is imported by the subcommand and
-input kind that run it: an algebra ``audit`` loads ``audit``; ``model``,
-``construct`` and every JSON input load ``serialization``; and a JSON input
-loads the module of its kind with what that imports: ``coalgebra``;
-``bimodule``; ``matched_pair`` with ``audit`` and ``bimodule``; or, for a
-bialgebra candidate, all of these and ``bialgebra``.  The library functions
-that a command looks up here by name when it runs are still bound here at
-load time, as ``_deferred`` stand-ins, so a wrapper bound over one of these
-names (a profiler's, say) finds it and is what runs.  Any other name is
-imported where it is used.
+input kind that run it: an algebra ``audit`` loads ``audit``; JSON output
+loads ``jsonwriter``; ``model``, ``construct`` and every JSON input load it
+and ``serialization``; and a JSON input loads the module of its kind with
+what that imports: ``coalgebra``; ``bimodule``; ``matched_pair`` with
+``audit`` and ``bimodule``; or, for a bialgebra candidate, all of these and
+``bialgebra``.  The library functions that a command looks up here by name
+when it runs are still bound here at load time, as ``_deferred``
+stand-ins, so a wrapper bound over one of these names (a profiler's, say)
+finds it and is what runs.  Any other name is imported where it is used.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .identities import catalog, evaluate, parse_identity
 # unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
 from .identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
 from .models import free_halfshuffle, trunc_integration
-from .reports import JsonEncoder, Verdict, format_assignment, format_vector, vector_jsonable
+from .reports import Verdict, format_assignment, format_vector, vector_jsonable
 from .tensors import InputFormatError
 
 if TYPE_CHECKING:
@@ -108,23 +108,24 @@ check_matched_pair, double, induced_commassoc_pair, induced_lie_pair = _deferred
 dumps, load_path = _deferred("serialization", "dumps", "load_path")
 
 
+def _count(text: str) -> int:
+    """A model spec's count: decimal digits only, as the identity DSL reads them."""
+    if not text.isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
 def _build_model(spec: str):
     parts = spec.split(":")
     try:
         if parts[0] == "trunc-int" and len(parts) == 3:
-            orientation = parts[1]
-            n = int(parts[2])
-            if orientation not in ("right", "left") or n < 0:
+            if parts[1] not in ("right", "left"):
                 raise ValueError(spec)
-            return trunc_integration(n, orientation)
+            return trunc_integration(_count(parts[2]), parts[1])
         if parts[0] == "free" and len(parts) == 3:
-            letters, max_len = int(parts[1]), int(parts[2])
-            return free_halfshuffle(letters, max_len)
+            return free_halfshuffle(_count(parts[1]), _count(parts[2]))
         if parts[0] == "zero" and len(parts) == 2:
-            n = int(parts[1])
-            if n < 0:
-                raise ValueError(spec)
-            return algebra_from_entries(n, [])
+            return algebra_from_entries(_count(parts[1]), [])
     except ValueError:
         raise InputFormatError(f"bad model spec: {spec!r}") from None
     raise InputFormatError(f"unknown model spec: {spec!r}")
@@ -163,6 +164,8 @@ def _emit(text: str, out_path: str | None):
 
 
 def _emit_json(payload: dict, out_path: str | None):
+    from .jsonwriter import JsonEncoder
+
     _emit(json.dumps(payload, indent=2, sort_keys=True, cls=JsonEncoder) + "\n", out_path)
 
 

@@ -58,7 +58,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import AlgebraTable, sum_table
+from .algebra import AlgebraTable
 from .audit import ClaimSpec, evaluate_claim
 from .bimodule import (
     _AXIOMS,
@@ -68,11 +68,12 @@ from .bimodule import (
     axiom_scans,
     column_matrices,
     first_witness_verdict,
+    sum_table,
 )
 from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
 from .identities import CLAIM_SIDES, debug_logger, right_zinbiel_residuals
-from .reports import Verdict, VerdictBundle, format_matrix, format_vector
-from .tensors import DimensionMismatch, Frozen, Matrix
+from .reports import Verdict, VerdictBundle, format_vector
+from .tensors import DimensionMismatch, Frozen, Matrix, format_scalar
 
 
 class MatchedPair(Frozen):
@@ -124,6 +125,12 @@ class MatchedPairViolation(NamedTuple):
     condition: str
     where: tuple[int, ...]
     residual: object  # raw dict for vector conditions, Matrix for bimodule axioms
+
+
+def format_matrix(m: Matrix) -> str:
+    if m.is_zero:
+        return "0"
+    return ", ".join(f"[{r},{c}]={format_scalar(v)}" for (r, c), v in m.items())
 
 
 def format_violation(v: MatchedPairViolation) -> str:

@@ -3,7 +3,7 @@
 Canonical form: entry lists sorted by index tuple, scalars rendered "p/q" or
 "p", keys sorted, two-space indent, trailing newline.  Serializing the same
 object twice (or after a round trip) yields identical bytes.  The text comes
-from ``reports.JsonEncoder``, the one encoder of every JSON output, byte-
+from ``jsonwriter.JsonEncoder``, the one encoder of every JSON output, byte-
 identical to ``json.dumps(indent=2, sort_keys=True)``.
 
 All readers validate: unknown kinds, missing fields, out-of-range indices,
@@ -21,12 +21,15 @@ and is importable from here as well.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from .algebra import AlgebraTable
-from .reports import JsonEncoder, sorted_rows
-from .tensors import InputFormatError, Matrix, Tensor3, parse_scalar
+from .jsonwriter import JsonEncoder
+from .reports import sorted_rows
+from .tensors import InputFormatError, Matrix, Tensor3
 
 if TYPE_CHECKING:
     from .bialgebra import BialgebraCandidate
@@ -57,6 +60,21 @@ def _as_index(obj: Any, bound: int, field: str) -> int:
     _require(isinstance(obj, int) and not isinstance(obj, bool), "{} must be an integer", field)
     _require(0 <= obj < bound, "{} {} out of range [0,{})", field, obj, bound)
     return obj
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse ``"p/q"`` or ``"p"`` into an exact rational.
+
+    Only integer/fraction literals are accepted (no floats, no whitespace).
+    """
+    if not isinstance(text, str) or not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # an integer past the interpreter's limit on str -> int digits
+        raise ValueError(f"rational literal of {len(text)} characters is too long") from None
 
 
 # Each distinct scalar string is parsed once; a payload repeats few of them.

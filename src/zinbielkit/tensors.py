@@ -8,16 +8,12 @@ entries and are treated as immutable after construction.
 
 from __future__ import annotations
 
-import math
-import re
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 Scalar = Fraction
 
 ZERO = Fraction(0)
-
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class DimensionMismatch(ValueError):
@@ -29,23 +25,8 @@ class InputFormatError(ValueError):
     model spec, an unknown name, an unreadable or unwritable path."""
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into an exact rational.
-
-    Only integer/fraction literals are accepted (no floats, no whitespace).
-    """
-    if not isinstance(text, str) or not _SCALAR_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:  # an integer past the interpreter's limit on str -> int digits
-        raise ValueError(f"rational literal of {len(text)} characters is too long") from None
-
-
 def format_scalar(value: Fraction) -> str:
-    """Inverse of :func:`parse_scalar`: reduced ``"p/q"`` with q > 0, or ``"p"``."""
+    """Inverse of ``serialization.parse_scalar``: reduced ``"p/q"`` with q > 0, or ``"p"``."""
     return str(value)
 
 
@@ -141,41 +122,6 @@ class Matrix(Frozen):
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + Matrix(other.rows, other.cols, {k: -v for k, v in other.entries.items()})
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the rationals by Bareiss fraction-free elimination.
-
-    Denominators are cleared row-wise first (rank-preserving), then the
-    elimination runs entirely in arbitrary-precision integers.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[int]] = []
-    for r in range(m.rows):
-        row = [m.get(r, c) for c in range(m.cols)]
-        scale = 1
-        for q in row:
-            scale = scale * q.denominator // math.gcd(scale, q.denominator)
-        a.append([int(q * scale) for q in row])
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        r += 1
-    return r
 
 
 class Tensor3(Frozen):

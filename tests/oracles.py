@@ -21,14 +21,14 @@ import sympy
 
 from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.audit import ClaimSpec, evaluate_claim
-from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport
+from zinbielkit.bimodule import _AXIOMS, Bimodule, SubadjacentReport, failed_verdict
 from zinbielkit.coalgebra import (
     CoalgebraViolation, coalgebra_from_entries, format_triples,
 )
 from zinbielkit.matched_pair import MatchedPairViolation
 from zinbielkit.identities import CLAIM_SIDES, catalog, render_identity
-from zinbielkit.reports import Verdict, VerdictBundle, failed_verdict, format_scalar, sorted_rows
-from zinbielkit.tensors import Matrix, rank
+from zinbielkit.reports import Verdict, VerdictBundle, format_scalar, sorted_rows
+from zinbielkit.tensors import Matrix
 
 X, T = sympy.symbols("X t")
 
@@ -788,9 +788,19 @@ def reference_induced_subadjacent_map(b) -> SubadjacentReport:
     return SubadjacentReport(maps, _matrix_equality_verdict("bracket_representation", pairs()))
 
 
+def reference_rank(m) -> int:
+    """The rank of a ``Matrix`` by sympy's elimination over the rationals.
+    ``to_DM()`` ranks in sympy's exact domain QQ: the generic ``rank()``
+    takes seconds per dense 26 x 26 form."""
+    values = [m.get(r, c) for r in range(m.rows) for c in range(m.cols)]
+    entries = [sympy.Rational(q.numerator, q.denominator) for q in values]
+    return sympy.Matrix(m.rows, m.cols, entries).to_DM().rank()
+
+
 def reference_check_form(a, form):
     """The bilinear-form verdicts as ``bialgebra.check_form`` gave them when
-    the invariance check summed ``g.get`` over all dim^3 tuples."""
+    the invariance check summed ``g.get`` over all dim^3 tuples; the rank is
+    sympy's, not the library's."""
     g = form.g
     sym = Verdict("symmetric", True)
     for (i, j), v in sorted(g.entries.items()):
@@ -823,7 +833,7 @@ def reference_check_form(a, form):
             )
             break
 
-    r = rank(g)
+    r = reference_rank(g)
     nondeg = (
         Verdict("nondegenerate", True)
         if r == form.dim

@@ -7,8 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbielkit.algebra import AlgebraTable, algebra_from_entries, direct_sum
+from zinbielkit.algebra import AlgebraTable, algebra_from_entries
 from zinbielkit.audit import audit_claims
+from zinbielkit.bimodule import direct_sum
 from zinbielkit.fuzz import random_algebra
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.models import free_halfshuffle, trunc_integration

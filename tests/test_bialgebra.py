@@ -20,13 +20,14 @@ from zinbielkit.bialgebra import (
     equivalence_audit,
     standard_pairing,
 )
-from zinbielkit.identities import right_zinbiel_residuals
+from zinbielkit.identities import catalog, right_zinbiel_residuals
 from zinbielkit.matched_pair import (
     check_matched_pair,
     double,
     induced_lie_pair,
     matched_pair_verdict,
 )
+from zinbielkit.serialization import load_path
 from zinbielkit.tensors import Matrix
 
 
@@ -328,6 +329,21 @@ def test_check_form_matches_reference_scan(candidates, pool_candidates):
         cases.append((a, BilinearFormTable(n, g)))
     for a, form in cases:
         assert check_form(a, form) == oracles.reference_check_form(a, form)
+
+
+def test_positive_controls_match_the_check_form_oracle(corpus_dir):
+    # the dim-2 positive candidate of the corpus and the one dim-1 pair
+    z1 = algebra_from_entries(1, [])
+    for bc in (load_path(corpus_dir / "candidate_dim2_positive.json"), BialgebraCandidate(z1, z1)):
+        d, form = drinfeld_double(bc), standard_pairing(bc.a.dim)
+        want = oracles.reference_check_form(d, form)
+        assert want.holds
+        assert check_form(d, form) == want
+        manin = check_manin_triple(bc)
+        assert manin.holds
+        invariant = want.verdict_for("invariant")._replace(name="pairing_invariant")
+        assert manin.verdict_for("pairing_invariant") == invariant
+        assert oracles.reference_evaluate(d, catalog()["right_zinbiel"]) == []
 
 
 @pytest.mark.xfail(

@@ -4,6 +4,7 @@ import contextlib
 import filecmp
 import functools
 import gc
+import importlib.util
 import io
 import json
 import logging
@@ -504,17 +505,47 @@ def _zinbielkit_modules_after(request, argv) -> set[str]:
     return set(run.stdout.split())
 
 
+# The module of the JSON writer, which only a command that writes JSON loads.
+_WRITER = "zinbielkit.jsonwriter"
+
+# The library lines (``wc -l``) of the modules a model-spec check loads; each
+# is compiled from source on every command, so code that drifts back onto this
+# path fails here.
+_DEFAULT_PATH_LINES = 1765
+
+
+def _library_lines(modules) -> int:
+    return sum(len(Path(importlib.util.find_spec(m).origin).read_text(encoding="utf-8")
+                   .splitlines()) for m in modules)
+
+
 def test_each_command_loads_only_the_modules_it_runs(request):
     base = _zinbielkit_modules_after(request, ["check", "trunc-int:right:3", "right_zinbiel"])
-    assert not base & _STRUCTURAL
+    assert not base & (_STRUCTURAL | {_WRITER})
     assert {"zinbielkit.cli", "zinbielkit.identities", "zinbielkit.models"} <= base
+    assert _library_lines(base) <= _DEFAULT_PATH_LINES
     audit = _zinbielkit_modules_after(request, ["audit", "--model", "free:2:2"])
     assert audit - base == {"zinbielkit.audit"}
+    check_json = _zinbielkit_modules_after(
+        request, ["check", "trunc-int:right:3", "right_zinbiel", "--format", "json"])
+    assert check_json - base == {_WRITER}
+    audit_json = _zinbielkit_modules_after(request, ["audit", "--model", "free:2:2", "--format", "json"])
+    assert audit_json - base == {"zinbielkit.audit", _WRITER}
     model = _zinbielkit_modules_after(request, ["model", "trunc-int:right:3"])
-    assert model - base == {"zinbielkit.serialization"}
+    assert model - base == {"zinbielkit.serialization", _WRITER}
     co_left = _zinbielkit_modules_after(request, ["check", "tests/corpus/dual_t3.json", "co_left"])
     assert not {"zinbielkit.bialgebra", "zinbielkit.bimodule", "zinbielkit.matched_pair"} & co_left
     assert {"zinbielkit.coalgebra", "zinbielkit.serialization"} <= co_left
+
+
+@pytest.mark.parametrize("spec", [
+    "zero:1_0", "zero:-1", "zero:", "zero: 2", "zero:0x1", "trunc-int:right:+3",
+    "trunc-int:right: 3", "trunc-int:left:3 ", "trunc-int:right:3.0", "free:+2:2", "free:2:2_0",
+])
+def test_model_spec_counts_are_decimal_digits_only(spec, capsys):
+    for argv in (["check", spec, "right_zinbiel"], ["audit", "--model", spec], ["model", spec]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: bad model spec: {spec!r}\n"), argv
 
 
 def test_logging_configured_after_import_gets_the_debug_record(request):

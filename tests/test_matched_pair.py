@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from zinbielkit import fuzz, matched_pair
-from zinbielkit.algebra import algebra_from_entries, direct_sum
+from zinbielkit.algebra import algebra_from_entries
 from zinbielkit.bialgebra import BialgebraCandidate, dual_reps
 from zinbielkit.identities import right_zinbiel_residuals
-from zinbielkit.bimodule import regular_bimodule, semidirect_sum
+from zinbielkit.bimodule import direct_sum, regular_bimodule, semidirect_sum
 from zinbielkit.matched_pair import (
     MatchedPair,
     check_commassoc_matched_pair,

@@ -1,5 +1,6 @@
-"""The JSON writer and the scaled-integer formatting in ``reports``: each must
-give exactly what the stdlib encoder and the Fraction formatters give."""
+"""The JSON writer (``jsonwriter``) and the scaled-integer formatting in
+``reports``: each must give exactly what the stdlib encoder and the Fraction
+formatters give."""
 
 import json
 import math
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zinbielkit.reports import JsonEncoder, format_vector, vector_jsonable
+from zinbielkit.jsonwriter import JsonEncoder
+from zinbielkit.reports import format_vector, vector_jsonable
 
 TESTS = Path(__file__).resolve().parent
 

@@ -4,16 +4,17 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from zinbielkit.bialgebra import rank
+from zinbielkit.serialization import parse_scalar
 from zinbielkit.tensors import (
     DimensionMismatch,
     Matrix,
     Tensor3,
     Vector,
     format_scalar,
-    parse_scalar,
-    rank,
 )
 
 scalars = st.fractions(
@@ -27,7 +28,7 @@ def test_scalar_text_round_trip(q):
 
 
 def test_parse_scalar_rejects_junk():
-    for bad in ("", "1/0", "a/b", "1.5", "--2", "1/ 2/3"):
+    for bad in ("", "1/0", "a/b", "1.5", "--2", "1/ 2/3", "3\n", "-1/2\n"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
@@ -84,6 +85,25 @@ def test_rank_bounds_and_transpose_invariance(m):
     r = rank(m)
     assert 0 <= r <= min(m.rows, m.cols)
     assert rank(m.transpose()) == r
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A rows x cols matrix, each side 0 to 5, drawn as the product of a
+    rows x k and a k x cols factor, so that most are rank-deficient."""
+    rows, cols, k = (draw(st.integers(0, 5)) for _ in range(3))
+    left = [[draw(scalars) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(scalars) for _ in range(cols)] for _ in range(k)]
+    return Matrix(rows, cols, {
+        (r, c): sum((left[r][t] * right[t][c] for t in range(k)), Fraction(0))
+        for r in range(rows) for c in range(cols)
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(), low_rank_matrices()))
+def test_rank_matches_sympy(m):
+    assert rank(m) == oracles.reference_rank(m)
 
 
 def test_rank_known_values():
