@@ -5,10 +5,10 @@ catalog's sides.  One sparse-join pass (``identities.evaluate_pass``)
 reads every claim on a table and gives both side values and the residual
 at every basis tuple where they differ; the audit records that complete
 list of failing tuples in lexicographic order, and the first entry doubles
-as the headline witness.  The claims of a pass share their tree-shape
-tensors slice by slice, and claims equal up to renaming (``derived_1..3``
-and ``right_zinbiel``; ``derived_4`` and ``left_relation``) share one scan
-and one failure list: only the variables in their witness data differ.
+as the headline witness.  To list them all, the pass reads the first
+range whole, its claims sharing their tensors; claims equal up to renaming
+(``derived_1..3`` and ``right_zinbiel``; ``derived_4`` and ``left_relation``)
+share one scan and one failure list, with only their variables differing.
 The text and JSON of each witness value and basis tuple are formatted once
 per audit, for every claim and both targets.  The orientation and the
 vacuous flag are read off the pass's own Zinbiel verdicts (see
@@ -177,14 +177,14 @@ def audit_claims(
     ``right``, ``left``, or ``auto``, which picks right if the table passes
     the right check, else left if it passes the left one, else right.  Each
     check is read off its claim's verdict; a check whose claim the filter
-    leaves out is a scan of the catalog identity of that name, stopping at
-    its first residual, and ``auto`` scans the left one only when the right
-    one fails.
+    leaves out is a scan of the catalog identity of that name, read slice
+    by slice to stop at its first residual, and ``auto`` scans the left one
+    only when the right one fails.
 
     The claims on one table are read in one pass of the sparse join
-    (``identities.evaluate_pass``), so they share its tensors slice by
-    slice, and equal claims share one scan.  The verdicts are then built one
-    claim at a time, and the pass's hits dropped after its last verdict.
+    (``identities.evaluate_pass``), one whole read listing every failure,
+    and equal claims share one scan.  The verdicts are then built one claim
+    at a time, and the pass's hits dropped after its last verdict.
     The witness memo lives for this call: every claim of both targets reads
     the values and tuples the earlier ones formatted.  The symmetrized table
     is built only when a selected claim targets it.

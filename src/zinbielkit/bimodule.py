@@ -21,10 +21,10 @@ No check multiplies an action matrix.  A family F is a representation,
 F_{x.y} = F_x F_y, iff ``((x y) v) = (x (y v))`` holds on a table where x
 acts on v by F from the left alone; for a bracket table, [F_x, F_y] is
 ``(x (y v)) - (y (x v))`` (``_REPRESENTATION``, ``_BRACKET_REPRESENTATION``).
-The sub-adjacent map x -> l_x - r_x is checked on the sum table of the
-base's commutator table and V, on which the base acts by l - r from the left
-alone.  Every verdict that stops at its first witness, here and in the pair
-checks of ``matched_pair``, comes from one typed scan (``first_witness_verdict``).
+The sub-adjacent map x -> l_x - r_x is checked on the sum table of the base's
+commutator table and V, where the base acts by l - r from the left alone.  A
+first-witness verdict, here and in ``matched_pair``, is one typed scan read
+slice by slice to stop early (``first_witness_verdict``); a full scan reads whole.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ _XYV = ("x", "y", "v")
 def axiom_scans(table: AlgebraTable, p: range, q: range, p_signs: dict | None = None):
     """Yield (axiom, hits) per axiom, all three read in one pass on ``table``
     (``identities.evaluate_pass``) with x and y over ``p`` and v over ``q``,
-    so that they share its tensors slice by slice.  A hit is ((i, j, beta),
+    one whole read that lists every violation.  A hit is ((i, j, beta),
     P part, Q part): the residual split into its components on ``p`` and on
     ``q``, every index counted from its range's start, with Fraction values,
     the P part times ``p_signs[axiom]`` (1 if absent).  Each axiom's hits

@@ -5,9 +5,9 @@ found, 2 = input error, or an ``--out`` that cannot be written.  All reports
 are deterministic.  ``check`` and ``audit`` share one engine, the sparse join
 of ``identities``: identities and claims on an algebra read it by basis
 assignment through its one entry (``evaluate_pass``), and the coalgebra
-checks read it by output index on the dual product table
-(``evaluate_by_output``).  It runs sequentially; --parallel N is accepted for
-compatibility and ignored.
+checks by output index on the dual product table, in
+``coalgebra.evaluate_by_output``.  It runs sequentially; --parallel N is
+accepted for compatibility and ignored.
 
 Every check gives one ``reports.Verdict`` and a violation count: ``check``
 prints the verdict's witness text as its detail line, and in JSON its
@@ -23,10 +23,10 @@ trunc-int:left:N, free:K:M, zero:N, and regular-bimodule:SPEC.
 Each command is a fresh interpreter, so this module imports at load time
 only what every algebra command runs: ``algebra``, ``identities``,
 ``models`` and ``reports``.  The rest is imported by the subcommand and
-input kind that run it: an algebra ``audit`` loads ``audit``; JSON output
-loads ``jsonwriter``; ``model``, ``construct`` and every JSON input load it
-and ``serialization``; and a JSON input loads the module of its kind with
-what that imports: ``coalgebra``; ``bimodule``; ``matched_pair`` with
+input kind that run it: an algebra ``audit`` loads ``audit``; JSON output,
+``model`` and ``construct`` load ``jsonwriter``; those two and every JSON
+input load ``serialization``; and a JSON input loads the module of its kind
+with what that imports: ``coalgebra``; ``bimodule``; ``matched_pair`` with
 ``audit`` and ``bimodule``; or, for a bialgebra candidate, all of these and
 ``bialgebra``.  The library functions that a command looks up here by name
 when it runs are still bound here at load time, as ``_deferred``

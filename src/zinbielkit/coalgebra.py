@@ -32,7 +32,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import CLAIM_SIDES, difference, evaluate_by_output, parse_term_sum
+from .identities import CLAIM_SIDES, ExactValues, _compile, _Joiner, difference, parse_term_sum
 from .reports import Verdict, VerdictBundle, format_sum, sorted_rows
 from .tensors import Frozen, Tensor3
 
@@ -134,6 +134,55 @@ CO_IDENTITIES: dict[str, tuple[tuple[str, ...], str, str]] = {
     #   = (id (x) Delta) o (tau o Delta) + (id (x) (tau o Delta)) o (tau o Delta)
     "co_derived_3": (_XYZ, *CLAIM_SIDES["derived_3"]),
 }
+
+
+def evaluate_by_output(
+    algebra: AlgebraTable,
+    variables: tuple[str, ...],
+    terms,
+    *,
+    first_only: bool = False,
+) -> list[tuple[int, dict]]:
+    """The term sum read out by output: ``[(k, {assignment: e_k coefficient})]``
+    over the ``k`` where some assignment fails, ascending, each with all of
+    its failing assignments; ``first_only`` stops after the least such ``k``.
+    This is the shape of a coalgebra check on the transposed table.
+
+    The children of each term's root are read, unsliced, from the table's
+    shape memo; the root is joined one output at a time through the table's
+    by-output index, so an early stop skips the later outputs.  Every term
+    must be a product.
+    """
+    if len(variables) < 2:
+        raise ValueError("an output read-out needs at least two variables")
+    domains = (range(algebra.dim),) * len(variables)
+    coeff_den, compiled, _ = _compile(variables, domains, (terms,))
+    joiner = _Joiner(algebra)
+    roots = [(coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
+             for _, coeff, shape, reorder in compiled]
+    exact = ExactValues(joiner.d ** (len(variables) - 1) * coeff_den)
+    hits: list = []
+    outputs = 0
+    for k, products in joiner.by_output.items():
+        outputs += 1
+        acc: dict[tuple[int, ...], int] = {}
+        for coeff, left, right, reorder in roots:
+            for kl, kr, c in products:
+                if kl in left and kr in right:
+                    scaled, right_rows = coeff * c, right[kr].items()
+                    for a, u in left[kl].items():
+                        u *= scaled
+                        for b, w in right_rows:
+                            full = reorder(a + b)
+                            acc[full] = acc.get(full, 0) + u * w
+        joiner.joined += len(acc)
+        residual = {a: exact[u] for a, u in acc.items() if u}
+        if residual:
+            hits.append((k, residual))
+            if first_only:
+                break
+    joiner.log("output join", domains, outputs, algebra.dim, "outputs", joiner.joined, len(hits))
+    return hits
 
 
 @cache

@@ -16,27 +16,25 @@ Evaluation is a sparse join: each product tree becomes a sparse tensor,
 joined bottom-up over the nonzero structure constants only, so the
 ``dim^vars`` basis tuples are never walked one at a time.  Each variable
 ranges over an index range, ``range(dim)`` unless typed: a check on A + V
-reads x over A and v over V.  Assignments are read one slice of the first
-variable at a time.  A tree's tensor depends only on its shape, the tree
-with each leaf its variable's range and the sliced leaf marked apart.  A
-shape without the sliced leaf is the same in every slice, and is memoized
-per table (``AlgebraTable._shape_tensors``) for as long as the table lives,
-typed and untyped alike: read unsliced, ``(x (y z))``, ``(y (x z))`` and
-``(z (y x))`` are one tensor, and every identity, claim and check on the
-table reads the shapes an earlier one built.  A shape with the sliced leaf
-is kept for one slice only, so an evaluation's memory grows by at most one
-slice's tensors.  Identities still share those: a check reads all of its
-identities over one table and one first range in a single pass
-(``evaluate_pass``), every identity on a slice before the next slice, as
-the claims of an audit and the axioms of a bimodule do.  Identities of one
-pass that are equal up to renaming their variables (on equal domains) are
-read once: the audit's ``derived_1..3`` are ``right_zinbiel`` renamed, and
-share its hit list, which no caller may then change.  Residuals come out
-in lexicographic order of their basis tuples, so the first reported
-residual is a deterministic witness.  Each identity logs one DEBUG record on
-the ``zinbielkit.identities`` logger with the size of the tuple space, the
-slices visited, the tensor entries it joined (not those it read from a
-store, nor an equal identity's hits) and the residual count.
+reads x over A and v over V.  A tree's tensor depends only on its shape,
+the tree with each leaf its variable's range, and is memoized per table
+(``AlgebraTable._shape_tensors``): ``(x (y z))``, ``(y (x z))`` and ``(z (y
+x))`` are one tensor, read by every later identity, claim and check on the
+table.  A check reads all of its identities over one table and one first
+range in one pass (``evaluate_pass``).  A scan that lists every residual
+reads that range whole, each product root straight from its two children.
+One that stops at its first residual, so that a failing table stops early,
+or that has a root child of three or more leaves, which could be large held
+whole, reads one slice of the first variable at a time, and keeps a shape
+with the sliced leaf for that slice only.  Identities of one pass that are
+equal up to renaming their variables (on equal domains) are read once: the
+audit's ``derived_1..3`` are ``right_zinbiel`` renamed, and share its hit
+list, which no caller may then change.  Residuals come out in lexicographic
+order of their basis tuples, so the first reported residual is a
+deterministic witness.  Each identity logs one DEBUG record on the
+``zinbielkit.identities`` logger with the size of the tuple space, the
+slices visited, the entries it joined or index pairs it read at a root (not
+those read from a store, nor an equal identity's hits) and the residual count.
 """
 
 from __future__ import annotations
@@ -316,12 +314,11 @@ class _Joiner:
     joining only index pairs whose product is nonzero.
 
     A shape without the sliced leaf is kept in the table's memo
-    (``AlgebraTable._shape_tensors``), so it outlives this joiner.  A shape
-    with it is kept in ``sliced`` only while its slice is read: the pass
-    clears that store before the next slice, and it goes with the joiner.
+    (``AlgebraTable._shape_tensors``), so it outlives this joiner; one with
+    it, in ``sliced`` until the pass clears that store for the next slice.
     Assignments are in leaf order; each term's ``reorder`` maps them to
     variable order.  ``joined`` counts the nonzero entries this joiner
-    built, for the DEBUG records of ``log``."""
+    built, and the index pairs a whole read took at a root, for ``log``."""
 
     def __init__(self, algebra: AlgebraTable):
         self.dim = algebra.dim
@@ -330,16 +327,17 @@ class _Joiner:
         self.sliced: dict = {}
         self.joined = 0
 
-    def join(self, left: Tensor, right: Tensor) -> Tensor:
+    def blocks(self, left: Tensor, right: Tensor) -> list:
+        """[(products, left rows, right rows)] per nonzero product of indices."""
         if len(left) <= len(right):
-            matches = [(kl, kr, t) for kl in left
-                       for kr, t in self.by_left.get(kl, ()) if kr in right]
-        else:
-            matches = [(kl, kr, t) for kr in right
-                       for kl, t in self.by_right.get(kr, ()) if kl in left]
+            return [(t, left[kl].items(), right[kr].items())
+                    for kl in left for kr, t in self.by_left.get(kl, ()) if kr in right]
+        return [(t, left[kl].items(), right[kr].items())
+                for kr in right for kl, t in self.by_right.get(kr, ()) if kl in left]
+
+    def join(self, left: Tensor, right: Tensor) -> Tensor:
         out: Tensor = {}
-        for kl, kr, products in matches:
-            left_rows, right_rows = left[kl].items(), right[kr].items()
+        for products, left_rows, right_rows in self.blocks(left, right):
             if len(products) == 1:
                 ((k, c),) = products
                 row = out.setdefault(k, {})
@@ -350,7 +348,7 @@ class _Joiner:
                         row[ab] = row.get(ab, 0) + u * w
                 continue
             pairs = [(a + b, u * w) for a, u in left_rows for b, w in right_rows]
-            for k, c in products:
+            for k, c in products:  # each output's row shares the pairs' keys
                 row = out.setdefault(k, {})
                 for a, u in pairs:
                     row[a] = row.get(a, 0) + u * c
@@ -433,14 +431,15 @@ def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, lis
                        for side, coeff, tree, reorder in plan], form
 
 
-def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list,
-                first_only: bool) -> None:
-    """Append the residuals of one identity on slice ``s``, in lexicographic
-    order, to ``hits``; ``width`` is its number of sides, 1 or 2."""
-    acc: dict = {}
-    if width == 1:  # one integer dict per assignment: the residual
-        for _, coeff, shape, reorder in compiled:
-            same = reorder is _same_order
+def _read_slice(joiner: _Joiner, s, compiled: list, width: int, hits: list, first_only: bool):
+    """Append one identity's residuals, in lexicographic order, to ``hits``:
+    on slice ``s`` from its joined roots, or for ``s`` None on the whole first
+    range, each product root read from its two children, and each of its
+    ``width`` sides summed per assignment in an accumulator of its own."""
+    tensor, accs = joiner.tensor, [{} for _ in range(width)]
+    for side, coeff, shape, reorder in compiled:
+        acc, same = accs[side], reorder is _same_order
+        if s is not None or isinstance(shape[0], int):  # a sliced or a one-leaf root
             for k, rows in tensor(shape, s)[0].items():
                 for a, u in rows.items():
                     full = a if same else reorder(a)
@@ -449,33 +448,33 @@ def _read_slice(tensor: Callable, s: int, compiled: list, width: int, hits: list
                         acc[full] = {k: coeff * u}
                     else:
                         value[k] = value.get(k, 0) + coeff * u
-        failing = [full for full, value in acc.items() if any(value.values())]
-    else:  # one dict per side and assignment
-        for side, coeff, shape, reorder in compiled:
-            same = reorder is _same_order
-            for k, rows in tensor(shape, s)[0].items():
-                for a, u in rows.items():
-                    full = a if same else reorder(a)
-                    values = acc.get(full)
-                    if values is None:
-                        values = acc[full] = [{} for _ in range(width)]
-                    value = values[side]
-                    value[k] = value.get(k, 0) + coeff * u
-        failing = [full for full, (lhs, rhs) in acc.items() if lhs != rhs]  # equal sides: zero
-    failing.sort()
+            continue
+        blocks = joiner.blocks(tensor(shape[0])[0], tensor(shape[1])[0])
+        joiner.joined += len(blocks)
+        for products, left_rows, right_rows in blocks:
+            for k, c in products:
+                c *= coeff
+                for a, u in left_rows:
+                    u *= c
+                    for b, w in right_rows:
+                        full = a + b if same else reorder(a + b)
+                        value = acc.get(full)
+                        if value is None:
+                            acc[full] = {k: u * w}
+                        else:
+                            value[k] = value.get(k, 0) + u * w
+    lhs, rhs = accs[0], accs[-1]
+    failing = sorted(  # two sides fail where they differ, if only by zeros
+        [full for full, value in lhs.items() if any(value.values())] if width == 1
+        else [full for full in lhs.keys() | rhs.keys() if lhs.get(full) != rhs.get(full)])
     for full in failing:
-        values = acc[full]
-        if width == 1:
-            residual = {k: v for k, v in values.items() if v}
-            values = (residual,)
-        else:
-            lhs, rhs = values = tuple(values)
-            residual = dict(lhs)
-            for k, v in rhs.items():
-                residual[k] = residual.get(k, 0) - v
-            residual = {k: v for k, v in residual.items() if v}
+        values = tuple(acc.get(full, {}) for acc in accs)
+        residual = dict(values[0])
+        for k, v in values[1].items() if width == 2 else ():
+            residual[k] = residual.get(k, 0) - v
+        residual = {k: v for k, v in residual.items() if v}
         if residual:
-            hits.append((full, residual, values))
+            hits.append((full, residual, values if width == 2 else (residual,)))
             if first_only:
                 return
 
@@ -502,46 +501,48 @@ def evaluate_pass(
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  All scans
-    share one first range, and read it one slice at a time, in index order:
-    every identity reads a slice before the pass moves to the next one, so
-    identities that share a sliced shape join its tensor once, and the pass
-    then drops every sliced tensor.  Memory grows by at most one slice's
-    tensors beside the slice-free shapes of the table's memo.  With
-    ``first_only`` each stops at its own first residual, and the pass at the
-    last of them, so later slices are never joined.
+    share one first range.  A full pass reads it whole, each root straight
+    from its two children, and sorts each scan's hits once.  A pass with a
+    root child of three or more leaves (large, held whole) or ``first_only``
+    reads a slice at a time, every identity on a slice before the next; with
+    ``first_only`` each scan stops at its own first residual, and the pass
+    at the last of them, so a failing table's later slices are never joined.
 
     A scan whose canonical form (see ``_plan``) and domains equal an earlier
     one's is not read again: renamed variables, or terms in another order,
     give the same hits.  Such equal scans share one hit list, so a caller
     must not change a list that another scan of the same pass may hold
     (``evaluate`` passes one scan, so its list is its own).  Each scan logs
-    its own DEBUG record, with the entries it joined itself: 0 for a scan
-    that read an earlier one's hits.
+    its own DEBUG record, with the entries it joined or index pairs it read
+    at a root itself: 0 for a scan that read an earlier one's hits.
     """
     joiner = _Joiner(algebra)
     first = scans[0][1][0] if scans[0][1] else range(algebra.dim)
+    whole = not first_only and all(  # no root child of three or more leaves
+        len([*_leaves(child)]) < 3 for _, _, sides in scans for terms in sides
+        for _, tree in terms for child in (tree if isinstance(tree, tuple) else ()))
     plans = []  # one per distinct scan: (compiled, width, scale, hits)
     by_form: dict[tuple, int] = {}
     owners = []  # per scan: its plan, and whether it is that plan's first scan
     for variables, domains, sides in scans:
         if (domains[0] if domains else range(algebra.dim)) != first:
             raise ValueError("the scans of one pass need one first range")
-        coeff_den, compiled, form = _compile(variables, (SLICED, *domains[1:]), sides)
+        leaves = (first if whole else SLICED, *domains[1:])
+        coeff_den, compiled, form = _compile(variables, leaves, sides)
         n = by_form.setdefault((form, tuple(domains)), len(plans))
         owners.append((n, n == len(plans)))
         if n == len(plans):
             scale = joiner.d ** max(len(variables) - 1, 0) * coeff_den
             plans.append((compiled, len(sides), scale, []))
-    joined = [0] * len(plans)
-    visited = [0] * len(plans)
+    joined, visited = [0] * len(plans), [0] * len(plans)
     reading = list(range(len(plans)))
-    for s in first:
+    for s in [None] if whole else first:
         for n in reading:
             compiled, width, _, hits = plans[n]
             before = joiner.joined
-            _read_slice(joiner.tensor, s, compiled, width, hits, first_only)
+            _read_slice(joiner, s, compiled, width, hits, first_only)
             joined[n] += joiner.joined - before
-            visited[n] += 1
+            visited[n] += len(first) if whole else 1
         joiner.sliced.clear()
         if first_only:
             reading = [n for n in reading if not plans[n][3]]
@@ -551,57 +552,6 @@ def evaluate_pass(
         joiner.log("sparse join", domains, visited[n], len(first), "slices",
                    joined[n] if owner else 0, len(plans[n][3]))
     return [plans[n][2:] for n, _ in owners]
-
-
-def evaluate_by_output(
-    algebra: AlgebraTable,
-    variables: tuple[str, ...],
-    terms,
-    *,
-    first_only: bool = False,
-) -> list[tuple[int, dict]]:
-    """The term sum read out by output: ``[(k, {assignment: e_k coefficient})]``
-    over the ``k`` where some assignment fails, ascending, each with all of
-    its failing assignments; ``first_only`` stops after the least such ``k``.
-    This is the shape of a coalgebra check on the transposed table.
-
-    The children of each term's root are read, unsliced, from the table's
-    shape memo; the root is joined one output at a time through the table's
-    by-output index, so an early stop skips the later outputs.  Every term
-    must be a product.
-    """
-    if len(variables) < 2:
-        raise ValueError("an output read-out needs at least two variables")
-    domains = (range(algebra.dim),) * len(variables)
-    coeff_den, compiled, _ = _compile(variables, domains, (terms,))
-    joiner = _Joiner(algebra)
-    roots = [
-        (coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
-        for _, coeff, shape, reorder in compiled
-    ]
-    exact = ExactValues(joiner.d ** (len(variables) - 1) * coeff_den)
-    hits: list = []
-    outputs = 0
-    for k, products in joiner.by_output.items():
-        outputs += 1
-        acc: dict[tuple[int, ...], int] = {}
-        for coeff, left, right, reorder in roots:
-            for kl, kr, c in products:
-                if kl in left and kr in right:
-                    scaled, right_rows = coeff * c, right[kr].items()
-                    for a, u in left[kl].items():
-                        u *= scaled
-                        for b, w in right_rows:
-                            full = reorder(a + b)
-                            acc[full] = acc.get(full, 0) + u * w
-        joiner.joined += len(acc)
-        residual = {a: exact[u] for a, u in acc.items() if u}
-        if residual:
-            hits.append((k, residual))
-            if first_only:
-                break
-    joiner.log("output join", domains, outputs, algebra.dim, "outputs", joiner.joined, len(hits))
-    return hits
 
 
 def evaluate(

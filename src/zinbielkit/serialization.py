@@ -4,7 +4,7 @@ Canonical form: entry lists sorted by index tuple, scalars rendered "p/q" or
 "p", keys sorted, two-space indent, trailing newline.  Serializing the same
 object twice (or after a round trip) yields identical bytes.  The text comes
 from ``jsonwriter.JsonEncoder``, the one encoder of every JSON output, byte-
-identical to ``json.dumps(indent=2, sort_keys=True)``.
+identical to ``json.dumps(indent=2, sort_keys=True)``; ``dumps`` imports it.
 
 All readers validate: unknown kinds, missing fields, out-of-range indices,
 malformed scalars, and duplicate entries raise InputFormatError.  One reader
@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from .algebra import AlgebraTable
-from .jsonwriter import JsonEncoder
 from .reports import sorted_rows
 from .tensors import InputFormatError, Matrix, Tensor3
 
@@ -251,6 +250,7 @@ def from_jsonable(obj: Any):
 
 
 def dumps(obj) -> str:
+    from .jsonwriter import JsonEncoder  # a command that writes no JSON never compiles it
     return json.dumps(to_jsonable(obj), indent=2, sort_keys=True, cls=JsonEncoder) + "\n"
 
 

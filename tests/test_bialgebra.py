@@ -173,6 +173,14 @@ def test_equivalence_audit_matches_checks_of_a_fresh_pair(candidates, pool_candi
     assert read_twice == 34  # 18 of the 20 seeded candidates and all 16 of the pool
 
 
+def _assert_matched_pair_matches_the_oracle(bc):
+    # Every violation of the dual pair, in order, against the oracle's full
+    # per-tuple scans; the library reads them from whole passes.
+    mp = dual_reps(bc)
+    want = oracles.reference_check_matched_pair(mp)
+    assert check_matched_pair(mp) == want, (bc.a.c, bc.astar.c)
+
+
 def test_equivalence_positive_controls_on_small_right_zinbiel_pairs():
     # Every ordered pair of the dim-2 right-Zinbiel tables with entries in
     # {-1, 0, 1}: unlike the seeded candidates, many pairs hold all four
@@ -188,6 +196,7 @@ def test_equivalence_positive_controls_on_small_right_zinbiel_pairs():
     for a, astar in product(tables, repeat=2):
         b = equivalence_audit(BialgebraCandidate(a, astar)).booleans
         assert b[0] == b[2] == b[3], (a.c, astar.c, b)
+        _assert_matched_pair_matches_the_oracle(BialgebraCandidate(a, astar))
         assert b[1] or not b[0], (a.c, astar.c, b)  # condition 1 implies 2
         outcomes[b] += 1
         if all(b) and (a.c.entries or astar.c.entries):
@@ -218,6 +227,7 @@ def test_equivalence_positive_controls_on_sparse_dim_3_right_zinbiel_tables():
     for a, astar in pairs:
         b = equivalence_audit(BialgebraCandidate(a, astar)).booleans
         assert b[0] == b[2] == b[3], (a.c, astar.c, b)
+        _assert_matched_pair_matches_the_oracle(BialgebraCandidate(a, astar))
         assert b[1] or not b[0], (a.c, astar.c, b)  # condition 1 implies 2
         outcomes[a.dim, b] += 1
     assert outcomes == {
@@ -344,6 +354,7 @@ def test_positive_controls_match_the_check_form_oracle(corpus_dir):
         invariant = want.verdict_for("invariant")._replace(name="pairing_invariant")
         assert manin.verdict_for("pairing_invariant") == invariant
         assert oracles.reference_evaluate(d, catalog()["right_zinbiel"]) == []
+        _assert_matched_pair_matches_the_oracle(bc)
 
 
 @pytest.mark.xfail(

@@ -508,10 +508,11 @@ def _zinbielkit_modules_after(request, argv) -> set[str]:
 # The module of the JSON writer, which only a command that writes JSON loads.
 _WRITER = "zinbielkit.jsonwriter"
 
-# The library lines (``wc -l``) of the modules a model-spec check loads; each
-# is compiled from source on every command, so code that drifts back onto this
-# path fails here.
-_DEFAULT_PATH_LINES = 1765
+# The library lines (``wc -l``) of the modules a model-spec check loads, and
+# of those a JSON-input structural audit loads; each is compiled from source on
+# every command, so code that drifts back onto these paths fails here.
+_DEFAULT_PATH_LINES = 1715
+_CANDIDATE_AUDIT_LINES = 3343
 
 
 def _library_lines(modules) -> int:
@@ -534,8 +535,12 @@ def test_each_command_loads_only_the_modules_it_runs(request):
     model = _zinbielkit_modules_after(request, ["model", "trunc-int:right:3"])
     assert model - base == {"zinbielkit.serialization", _WRITER}
     co_left = _zinbielkit_modules_after(request, ["check", "tests/corpus/dual_t3.json", "co_left"])
-    assert not {"zinbielkit.bialgebra", "zinbielkit.bimodule", "zinbielkit.matched_pair"} & co_left
+    assert not {"zinbielkit.bialgebra", "zinbielkit.bimodule", "zinbielkit.matched_pair",
+                _WRITER} & co_left
     assert {"zinbielkit.coalgebra", "zinbielkit.serialization"} <= co_left
+    candidate = _zinbielkit_modules_after(request, ["audit", "tests/corpus/candidate_t2_zero.json"])
+    assert _WRITER not in candidate and "zinbielkit.bialgebra" in candidate
+    assert _library_lines(candidate) <= _CANDIDATE_AUDIT_LINES
 
 
 @pytest.mark.parametrize("spec", [

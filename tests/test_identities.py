@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zinbielkit
 from zinbielkit import audit
@@ -380,8 +380,8 @@ def _entries(tensor) -> int:
 
 
 def test_claims_of_one_audit_pass_share_sliced_tensors(caplog):
-    # derived_4 has the sides of left_relation, so in one pass it reads every
-    # tensor left_relation joined, slice by slice, and joins none itself.
+    # derived_4 has the sides of left_relation, so in one pass it reads the
+    # hits left_relation read, and joins none itself.
     table = trunc_integration(5, "right")
     with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
         audit_claims(table, "right", claims=["left_relation", "derived_4"])
@@ -401,7 +401,7 @@ def test_slice_free_shapes_are_reused_across_calls_and_sliced_ones_are_not(caplo
     assert all(table._shape_tensors[shape] is tensor for shape, tensor in memo.items())
     slice_free = sum(_entries(t) for shape, t in memo.items() if not isinstance(shape[0], int))
     assert slice_free > 0
-    assert second == first - slice_free > 0  # only the sliced shapes are joined again
+    assert second == first - slice_free > 0  # only the roots are read again
 
 
 def test_the_table_memo_holds_no_sliced_shape_and_no_partial_tensor():
@@ -500,7 +500,7 @@ def test_joined_counts_are_pinned(caplog):
     with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
         right_zinbiel_residuals(trunc_integration(5, "right"))
         evaluate(free_halfshuffle(2, 3), catalog()["lie_admissible"])
-    assert _joined(caplog.records) == [105, 132]
+    assert _joined(caplog.records) == [45, 120]
 
 
 def test_exact_values_are_fractions(t5, l3):
@@ -532,3 +532,95 @@ def test_debug_record_per_evaluate_call(caplog, t5):
     assert records[0].getMessage().endswith(f"{len(evaluate(t5, ident))} residuals")
     assert "2*3*6 = 36 basis tuples, 2 of 2 slices" in records[2].getMessage()
     assert records[2].getMessage().endswith(f" {len(hits)} residuals")
+
+
+_SHAPES_3 = ("((a b) c)", "(a (b c))")
+
+
+@st.composite
+def whole_read_passes(draw):
+    """A random table of dimension 1 to 4 and a full pass over it: a scan of
+    a one- or two-sided identity in 3 or 4 variables, each variable over a
+    random index range, then the same scan with its variables renamed."""
+    dim = draw(st.integers(1, 4))
+    table = _random_table(draw(st.randoms(use_true_random=False)), dim)
+    names = "wxyz"[:draw(st.sampled_from([3, 4]))]
+    shapes = _SHAPES_3 if len(names) == 3 else _SHAPES_4
+
+    def term_sum() -> str:
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            tree = draw(st.sampled_from(shapes))
+            for slot, name in zip("abcd", draw(st.permutations(names))):
+                tree = tree.replace(slot, name)
+            coeff = draw(st.sampled_from(["", "2 * ", "1/2 * ", "5/3 * "]))
+            terms.append(f"{draw(st.sampled_from('+-'))} {coeff}{tree}")
+        return " ".join(terms)
+
+    sources = [term_sum() for _ in range(draw(st.integers(1, 2)))]
+    ranges = []
+    for _ in names:
+        lo = draw(st.integers(0, dim - 1))
+        ranges.append(range(lo, draw(st.integers(lo + 1, dim))))
+    renaming = str.maketrans(dict(zip(names, draw(st.permutations(names)))))
+    scans = [(tuple(variables), tuple(ranges), tuple(parse_term_sum(s) for s in sides))
+             for variables, sides in ((names, sources),
+                                      (names.translate(renaming),
+                                       [s.translate(renaming) for s in sources]))]
+    return table, scans
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_read_passes())
+def test_full_and_first_only_passes_match_the_reference_scan(case):
+    # Full passes read the first range whole unless a root child has three
+    # leaves; first-only passes read it slice by slice.  Both must give the
+    # per-tuple scan's residuals and side values, and share a renamed scan.
+    table, scans = case
+    variables, domains, sides = scans[0]
+    rhs = sides[1] if len(sides) == 2 else ()
+    ident = Identity(variables, difference(sides[0], rhs).terms)
+    want = [(a, r) for a, r in oracles.reference_evaluate(table, ident)
+            if all(i in d for i, d in zip(a, domains))]
+    at = [oracles.compile_terms(table, variables, terms) for terms in sides]
+    (scale, hits), (renamed_scale, renamed_hits) = evaluate_pass(table, scans)
+    assert renamed_hits is hits and renamed_scale == scale
+
+    def exact(value):
+        return {k: Fraction(u, scale) for k, u in value.items() if u}
+
+    assert [(a, exact(r)) for a, r, _ in hits] == want
+    for a, r, values in hits:
+        assert [exact(v) for v in values] == ([f(a) for f in at] if rhs else [exact(r)])
+    first, renamed_first = evaluate_pass(table, scans, first_only=True)
+    assert renamed_first[1] is first[1] and first[0] == scale
+    assert [(a, exact(r), [exact(v) for v in values]) for a, r, values in first[1]] == [
+        (a, exact(r), [exact(v) for v in values]) for a, r, values in hits[:1]]
+
+
+def test_a_root_child_of_three_leaves_keeps_unit_slices(caplog):
+    # right_zinbiel alone reads its first range, range(1, 6), whole, which
+    # leaves a leaf over that range in the memo.  Beside an identity with a
+    # three-leaf root child it reads slice by slice, as a first-only pass
+    # does on this table, which passes: every slice, the same joined count,
+    # and no shape over the first range kept.
+    narrow = catalog()["right_zinbiel"]
+    wide = parse_identity("(((w x) y) z) - (w (x (y z)))")
+    domains = (range(1, 6),) + (range(6),) * 3
+    scan_of = {ident: (ident.variables, domains[:len(ident.variables)], (ident.terms,))
+               for ident in (narrow, wide)}
+    runs = {"whole": ([narrow], False), "first_only": ([narrow], True),
+            "beside_wide": ([narrow, wide], False)}
+    joined, first_range_in_memo = {}, {}
+    for name, (idents, first_only) in runs.items():
+        table = trunc_integration(5, "right")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+            evaluate_pass(table, [scan_of[i] for i in idents], first_only=first_only)
+        records = [r.getMessage() for r in caplog.records if r.name == "zinbielkit.identities"]
+        assert len(records) == len(idents)
+        assert all("5 of 5 slices" in record for record in records), records
+        joined[name] = _joined(caplog.records)[0]
+        first_range_in_memo[name] = any("(1, 6)" in repr(s) for s in table._shape_tensors)
+    assert joined["beside_wide"] == joined["first_only"]
+    assert first_range_in_memo == {"whole": True, "first_only": False, "beside_wide": False}

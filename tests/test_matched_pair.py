@@ -91,10 +91,10 @@ def test_joined_counts_are_pinned_and_values_are_fractions(caplog):
         violations = check_matched_pair(dual_reps(BialgebraCandidate(t3, t3)))
     joined = [int(r.getMessage().split(", ")[-2].split()[0])
               for r in caplog.records if r.name == "zinbielkit.identities"]
-    # Both base scans read the one table t3: the second reuses its slice-free
-    # shapes and joins its sliced ones again.  Then three axioms per action
-    # system, each read in one pass.
-    assert joined == [30, 24, 92, 62, 88, 80, 50, 88]
+    # Both base scans read the one table t3 whole: the second reuses its
+    # memoized children and reads its roots from them again.  Then three
+    # axioms per action system, each read in one pass.
+    assert joined == [15, 9, 51, 36, 39, 39, 24, 39]
     values = [
         v
         for violation in violations
