@@ -21,20 +21,21 @@ the tree with each leaf its variable's range, and is memoized per table
 (``AlgebraTable._shape_tensors``): ``(x (y z))``, ``(y (x z))`` and ``(z (y
 x))`` are one tensor, read by every later identity, claim and check on the
 table.  A check reads all of its identities over one table and one first
-range in one pass (``evaluate_pass``).  A scan that lists every residual
-reads that range whole, each product root straight from its two children.
-One that stops at its first residual, so that a failing table stops early,
-or that has a root child of three or more leaves, which could be large held
-whole, reads one slice of the first variable at a time, and keeps a shape
-with the sliced leaf for that slice only.  Identities of one pass that are
-equal up to renaming their variables (on equal domains) are read once: the
-audit's ``derived_1..3`` are ``right_zinbiel`` renamed, and share its hit
-list, which no caller may then change.  Residuals come out in lexicographic
-order of their basis tuples, so the first reported residual is a
-deterministic witness.  Each identity logs one DEBUG record on the
-``zinbielkit.identities`` logger with the size of the tuple space, the
-slices visited, the entries it joined or index pairs it read at a root (not
-those read from a store, nor an equal identity's hits) and the residual count.
+range in one pass (``evaluate_pass``), each product root straight from its
+two children.  Its slices differ only in how much of that range they cover.
+A scan that lists every residual reads it whole.  One that stops at its
+first residual, so that a failing table stops early, or that has a root
+child of three or more leaves, which could be large held whole, reads one
+index at a time, and keeps a shape with the sliced leaf for that slice only.
+Identities of one pass that are equal up to renaming their variables (on
+equal domains) are read once: the audit's ``derived_1..3`` are
+``right_zinbiel`` renamed, and share its hit list, which no caller may then
+change.  Residuals come out in lexicographic order of their basis tuples,
+so the first reported residual is a deterministic witness.  Each identity
+logs one DEBUG record on the ``zinbielkit.identities`` logger with the size
+of the tuple space, the slices visited, the entries it joined or index pairs
+it read at a root (not those read from a store, nor an equal identity's
+hits) and the residual count.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ class _Joiner:
     it, in ``sliced`` until the pass clears that store for the next slice.
     Assignments are in leaf order; each term's ``reorder`` maps them to
     variable order.  ``joined`` counts the nonzero entries this joiner
-    built, and the index pairs a whole read took at a root, for ``log``."""
+    built, and the index pairs each read took at a root, for ``log``."""
 
     def __init__(self, algebra: AlgebraTable):
         self.dim = algebra.dim
@@ -338,20 +339,13 @@ class _Joiner:
     def join(self, left: Tensor, right: Tensor) -> Tensor:
         out: Tensor = {}
         for products, left_rows, right_rows in self.blocks(left, right):
-            if len(products) == 1:
-                ((k, c),) = products
+            for k, c in products:
                 row = out.setdefault(k, {})
                 for a, u in left_rows:
                     u *= c
                     for b, w in right_rows:
                         ab = a + b
                         row[ab] = row.get(ab, 0) + u * w
-                continue
-            pairs = [(a + b, u * w) for a, u in left_rows for b, w in right_rows]
-            for k, c in products:  # each output's row shares the pairs' keys
-                row = out.setdefault(k, {})
-                for a, u in pairs:
-                    row[a] = row.get(a, 0) + u * c
         for k in list(out):
             row = {a: u for a, u in out[k].items() if u}
             if row:
@@ -433,13 +427,13 @@ def _compile(variables: tuple[str, ...], leaves: tuple, sides) -> tuple[int, lis
 
 def _read_slice(joiner: _Joiner, s, compiled: list, width: int, hits: list, first_only: bool):
     """Append one identity's residuals, in lexicographic order, to ``hits``:
-    on slice ``s`` from its joined roots, or for ``s`` None on the whole first
-    range, each product root read from its two children, and each of its
-    ``width`` sides summed per assignment in an accumulator of its own."""
+    on slice ``s``, or for ``s`` None on the whole first range, each product
+    root read from its two children, and each of its ``width`` sides summed
+    per assignment in an accumulator of its own."""
     tensor, accs = joiner.tensor, [{} for _ in range(width)]
     for side, coeff, shape, reorder in compiled:
         acc, same = accs[side], reorder is _same_order
-        if s is not None or isinstance(shape[0], int):  # a sliced or a one-leaf root
+        if shape == SLICED or isinstance(shape[0], int):  # a one-leaf root
             for k, rows in tensor(shape, s)[0].items():
                 for a, u in rows.items():
                     full = a if same else reorder(a)
@@ -449,7 +443,7 @@ def _read_slice(joiner: _Joiner, s, compiled: list, width: int, hits: list, firs
                     else:
                         value[k] = value.get(k, 0) + coeff * u
             continue
-        blocks = joiner.blocks(tensor(shape[0])[0], tensor(shape[1])[0])
+        blocks = joiner.blocks(tensor(shape[0], s)[0], tensor(shape[1], s)[0])
         joiner.joined += len(blocks)
         for products, left_rows, right_rows in blocks:
             for k, c in products:
@@ -501,12 +495,13 @@ def evaluate_pass(
 
     Multilinearity means only assignments on which some product tree is
     nonzero can fail, so nothing walks the ``dim^vars`` tuples.  All scans
-    share one first range.  A full pass reads it whole, each root straight
-    from its two children, and sorts each scan's hits once.  A pass with a
-    root child of three or more leaves (large, held whole) or ``first_only``
-    reads a slice at a time, every identity on a slice before the next; with
-    ``first_only`` each scan stops at its own first residual, and the pass
-    at the last of them, so a failing table's later slices are never joined.
+    share one first range, and every root is read straight from its two
+    children.  A full pass reads the range whole, and sorts each scan's hits
+    once.  A pass with a root child of three or more leaves (large, held
+    whole) or ``first_only`` reads a slice at a time, every identity on a
+    slice before the next; with ``first_only`` each scan stops at its own
+    first residual, and the pass at the last of them, so a failing table's
+    later slices are never read.
 
     A scan whose canonical form (see ``_plan``) and domains equal an earlier
     one's is not read again: renamed variables, or terms in another order,

@@ -4,6 +4,7 @@ import itertools
 import logging
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -503,6 +504,37 @@ def test_joined_counts_are_pinned(caplog):
     assert _joined(caplog.records) == [45, 120]
 
 
+def test_a_first_only_pass_reads_its_roots_from_their_children(caplog):
+    # The table passes, so every unit slice is read; each root counts the
+    # index pairs it reads, not the entries of a joined root tensor.
+    with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
+        assert holds(trunc_integration(5, "right"), catalog()["right_zinbiel"])
+    assert _joined(caplog.records) == [95]
+
+
+def test_a_wide_root_child_is_read_without_its_root_tensor():
+    # (((x0 x1) x2) ...) - (x0 (x1 (x2 ...))) on the all-ones dim-3 table:
+    # both roots have a child of seven leaves, so the pass reads unit slices;
+    # each root is read straight from its two children, and no slice joins
+    # a root tensor.
+    names = [f"x{i}" for i in range(8)]
+    left, right = names[0], names[-1]
+    for name in names[1:]:
+        left = f"({left} {name})"
+    for name in reversed(names[:-1]):
+        right = f"({name} {right})"
+    ident = parse_identity(f"{left} - {right}")
+    ones = algebra_from_entries(3, [(i, j, k, Fraction(1)) for i, j, k
+                                    in itertools.product(range(3), repeat=3)])
+    tracemalloc.start()
+    try:
+        assert evaluate(ones, ident) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * 2**20
+
+
 def test_exact_values_are_fractions(t5, l3):
     residuals = evaluate(t5, catalog()["lie_admissible"])
     values = [v for _, r in residuals for v in r.values()]
@@ -574,8 +606,9 @@ def whole_read_passes(draw):
 @given(whole_read_passes())
 def test_full_and_first_only_passes_match_the_reference_scan(case):
     # Full passes read the first range whole unless a root child has three
-    # leaves; first-only passes read it slice by slice.  Both must give the
-    # per-tuple scan's residuals and side values, and share a renamed scan.
+    # leaves; first-only passes read it slice by slice.  Either way each root
+    # is read from its two children, and both must give the per-tuple scan's
+    # residuals and side values, and share a renamed scan.
     table, scans = case
     variables, domains, sides = scans[0]
     rhs = sides[1] if len(sides) == 2 else ()
@@ -602,8 +635,9 @@ def test_a_root_child_of_three_leaves_keeps_unit_slices(caplog):
     # right_zinbiel alone reads its first range, range(1, 6), whole, which
     # leaves a leaf over that range in the memo.  Beside an identity with a
     # three-leaf root child it reads slice by slice, as a first-only pass
-    # does on this table, which passes: every slice, the same joined count,
-    # and no shape over the first range kept.
+    # does on this table, which passes: every slice, each root read from its
+    # two children on that slice (so the same joined count), and no shape
+    # over the first range kept.
     narrow = catalog()["right_zinbiel"]
     wide = parse_identity("(((w x) y) z) - (w (x (y z)))")
     domains = (range(1, 6),) + (range(6),) * 3
