@@ -33,32 +33,26 @@ class AlgebraTable(Frozen):
             raise DimensionMismatch("structure tensor shape != dim^3")
 
     @cached_property
-    def _pair_products(self) -> dict:
-        """(i, j) -> tuple of (k, coefficient); the sparse product table."""
-        table: dict[tuple[int, int], list] = {}
-        for (i, j, k), v in self.c.entries.items():
-            table.setdefault((i, j), []).append((k, v))
-        return {key: tuple(sorted(val)) for key, val in table.items()}
-
-    @cached_property
     def _factor_rows(self) -> tuple[int, dict, dict, dict]:
         """The sparse product table over the integers, indexed by one factor
         and by the output.
 
         Returns ``(d, by_left, by_right, by_output)``: ``d`` is the least
         common denominator of the structure constants, ``by_left`` maps ``i``
-        to ``[(j, ((k, d * c[i, j, k]), ...)), ...]`` over the nonzero pairs
+        to ``[(j, [(k, d * c[i, j, k]), ...]), ...]`` over the nonzero pairs
         and ``by_right`` maps ``j`` to ``[(i, ...), ...]``, so a join finds
         the partners of an index without probing all ``dim`` of them.
         ``by_output`` maps each ``k`` that some product reaches, in ascending
         order, to ``[(i, j, d * c[i, j, k]), ...]``.
         """
         d = math.lcm(*(v.denominator for v in self.c.entries.values()))
+        pairs: dict[tuple[int, int], list] = {}
+        for (i, j, k), v in self.c.entries.items():
+            pairs.setdefault((i, j), []).append((k, v.numerator * (d // v.denominator)))
         by_left: dict[int, list] = {}
         by_right: dict[int, list] = {}
         by_output: dict[int, list] = {}
-        for (i, j), terms in self._pair_products.items():
-            scaled = tuple((k, v.numerator * (d // v.denominator)) for k, v in terms)
+        for (i, j), scaled in pairs.items():
             by_left.setdefault(i, []).append((j, scaled))
             by_right.setdefault(j, []).append((i, scaled))
             for k, v in scaled:
@@ -73,7 +67,7 @@ class AlgebraTable(Frozen):
 
     def product_basis(self, i: int, j: int) -> dict:
         """Raw coefficient dict of e_i * e_j."""
-        return {k: v for k, v in self._pair_products.get((i, j), ())}
+        return {k: v for (p, q, k), v in self.c.entries.items() if (p, q) == (i, j)}
 
     def _mult_matrix(self, i: int, side: int) -> Matrix:
         """Matrix of v -> e_i * v for ``side`` 0, of v -> v * e_i for 1."""

@@ -226,10 +226,10 @@ def _check_algebra(a: AlgebraTable, name: str):
     cat = catalog()
     if name in cat:
         ident = cat[name]
-    elif "(" in name:
-        ident = parse_identity(name)
-    else:
+    elif name.strip().isidentifier():
         raise InputFormatError(f"unknown identity {name!r} (and not an expression)")
+    else:
+        ident = parse_identity(name)
     residuals = evaluate(a, ident)
     if not residuals:
         return Verdict(name, True), 0

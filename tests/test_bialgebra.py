@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from zinbielkit import fuzz, matched_pair, trunc_integration
+from zinbielkit import bialgebra, fuzz, matched_pair, trunc_integration
 from zinbielkit.algebra import AlgebraTable, algebra_from_entries
 from zinbielkit.bialgebra import (
     BialgebraCandidate,
@@ -110,11 +110,36 @@ def test_drinfeld_double_layout(t2):
 
 
 def test_pairing_invariant_on_every_seeded_double(candidates, pool_candidates):
-    for name, bc in candidates + pool_candidates:
+    # check_manin_triple takes three of its verdicts from how the double and
+    # the pairing are built; each is checked here on the built objects.
+    rng = random.Random(2024)
+    drawn = [(f"random[{t}]", fuzz.random_candidate(rng, rng.randint(0, 5))) for t in range(200)]
+    for name, bc in candidates + pool_candidates + drawn:
+        n = bc.a.dim
+        d, form = drinfeld_double(bc), standard_pairing(n)
+        leaks = [key for key in d.c.entries if key[0] < n and key[1] < n and key[2] >= n]
+        leaks += [key for key in d.c.entries if key[0] >= n and key[1] >= n and key[2] < n]
+        assert leaks == [], name
+        assert all((i < n) != (j < n) for i, j in form.g.entries), name
+        assert oracles.reference_check_form(d, form).verdict_for("invariant").holds, name
+
+
+def test_manin_triple_scans_only_the_double(monkeypatch, candidates):
+    # Blocks, isotropy and invariance hold by construction, so neither
+    # condition 1 nor the audit builds the pairing or sums its invariance.
+    def unused(*args):
+        raise AssertionError("the Manin-triple check built a pairing or summed its invariance")
+
+    for name in ("standard_pairing", "check_form"):
+        monkeypatch.setattr(bialgebra, name, unused)
+    names = ("blocks_are_subalgebras", "isotropic_blocks", "double_right_zinbiel",
+             "pairing_invariant")
+    for name, bc in candidates:
         bundle = check_manin_triple(bc)
-        assert bundle.verdict_for("pairing_invariant").holds, name
-        assert bundle.verdict_for("isotropic_blocks").holds, name
-        assert bundle.verdict_for("blocks_are_subalgebras").holds, name
+        assert tuple(v.name for v in bundle.verdicts) == names, name
+        scan = right_zinbiel_residuals(drinfeld_double(bc), first_only=True)
+        assert bundle.holds == (not scan), name
+        assert equivalence_audit(bc).conditions[0].holds == bundle.holds, name
 
 
 def test_double_residual_json_entries_ascend(candidates):
