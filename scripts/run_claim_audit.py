@@ -4,8 +4,7 @@
 One report per model, in family order: truncated integration tables in both
 orientations, the free half-shuffle tables, and the trivial models.  The
 orientation gate is picked per table off its claim pass (right first) unless
-forced.  Claims are evaluated sequentially; --parallel N is accepted for
-compatibility and ignored.
+forced.
 
     python scripts/run_claim_audit.py
     python scripts/run_claim_audit.py --max-n 5 --claims lie_admissible,center_symmetric
@@ -51,8 +50,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="largest truncation order to include")
     p.add_argument("--orientation", choices=("auto", "right", "left"), default="auto")
     p.add_argument("--claims", default=None, help="comma-separated claim filter")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="accepted for compatibility; ignored")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, metavar="FILE")
     args = p.parse_args(argv)

@@ -43,7 +43,7 @@ class AlgebraTable(Frozen):
         and ``by_right`` maps ``j`` to ``[(i, ...), ...]``, so a join finds
         the partners of an index without probing all ``dim`` of them.
         ``by_output`` maps each ``k`` that some product reaches, in ascending
-        order, to ``[(i, j, d * c[i, j, k]), ...]``.
+        order, to ``[(i, j, d * c[i, j, k]), ...]``, read by ``coalgebra.read_co_check``.
         """
         d = math.lcm(*(v.denominator for v in self.c.entries.values()))
         pairs: dict[tuple[int, int], list] = {}

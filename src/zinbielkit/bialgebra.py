@@ -38,7 +38,8 @@ from .matched_pair import (
     induced_lie_pair,
     matched_pair_verdict,
 )
-from .reports import Verdict, VerdictBundle, format_scalar, format_vector, vector_jsonable
+from .reports import (
+    Verdict, VerdictBundle, format_assignment, format_scalar, format_vector, vector_jsonable)
 from .tensors import ZERO, Frozen, Matrix
 
 
@@ -189,13 +190,10 @@ def check_manin_triple(bc: BialgebraCandidate) -> VerdictBundle:
     zin = Verdict("double_right_zinbiel", True)
     hits = right_zinbiel_residuals(drinfeld_double(bc), first_only=True)
     if hits:
-        (x, y, z), res = hits[0]
-        zin = Verdict(
-            "double_right_zinbiel",
-            False,
-            f"at (e{x},e{y},e{z}): residual = {format_vector(res)}",
-            {"tuple": [x, y, z], "residual": vector_jsonable(res)},
-        )
+        assignment, res = hits[0]
+        text = f"at {format_assignment(assignment)}: residual = {format_vector(res)}"
+        zin = Verdict("double_right_zinbiel", False, text,
+                      {"tuple": list(assignment), "residual": vector_jsonable(res)})
     return VerdictBundle("manin_triple", (
         Verdict("blocks_are_subalgebras", True),
         Verdict("isotropic_blocks", True),

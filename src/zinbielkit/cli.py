@@ -6,7 +6,7 @@ are deterministic.  ``check`` and ``audit`` share one engine, the sparse join
 of ``identities``: identities and claims on an algebra read it by basis
 assignment through its one entry (``evaluate_pass``), and the coalgebra
 checks by output index on the dual product table, in
-``coalgebra.evaluate_by_output``.  It runs sequentially; --parallel N is
+``coalgebra.read_co_check``.  It runs sequentially; --parallel N is
 accepted for compatibility and ignored.
 
 Every check gives one ``reports.Verdict`` and a violation count: ``check``
@@ -91,6 +91,7 @@ check_bimodule, check_derived_relations, induced_subadjacent_map = _deferred(
     check_co_right,
     check_cocomm_coassoc,
     check_lie_coalgebra,
+    coalgebra_verdict,
     dualize,
     dualize_co,
 ) = _deferred(
@@ -100,11 +101,13 @@ check_bimodule, check_derived_relations, induced_subadjacent_map = _deferred(
     "check_co_right",
     "check_cocomm_coassoc",
     "check_lie_coalgebra",
+    "coalgebra_verdict",
     "dualize",
     "dualize_co",
 )
-check_matched_pair, double, induced_commassoc_pair, induced_lie_pair = _deferred(
-    "matched_pair", "check_matched_pair", "double", "induced_commassoc_pair", "induced_lie_pair")
+check_matched_pair, double, induced_commassoc_pair, induced_lie_pair, matched_pair_verdict = (
+    _deferred("matched_pair", "check_matched_pair", "double", "induced_commassoc_pair",
+              "induced_lie_pair", "matched_pair_verdict"))
 dumps, load_path = _deferred("serialization", "dumps", "load_path")
 
 
@@ -177,18 +180,6 @@ def _counted(verdict_of, name: str, violations: list):
     return verdict_of(name, violations), len(violations)
 
 
-def _coalgebra_counted(name: str, violations: list):
-    from .coalgebra import coalgebra_verdict
-
-    return _counted(coalgebra_verdict, name, violations)
-
-
-def _matched_pair_counted(name: str, violations: list):
-    from .matched_pair import matched_pair_verdict
-
-    return _counted(matched_pair_verdict, name, violations)
-
-
 def _first_failing(name: str, verdicts):
     """(Verdict, count) of a verdict sequence, witnessed by its first failure."""
     failing = [v for v in verdicts if not v.holds]
@@ -249,8 +240,8 @@ def _check_algebra(a: AlgebraTable, name: str):
 # so a wrapper bound over that name here (a profiler's, say) is what runs.
 _CHECKS = {
     "CoalgebraTable": ("coalgebra", {
-        "co_right": lambda c, name: _coalgebra_counted(name, check_co_right(c)),
-        "co_left": lambda c, name: _coalgebra_counted(name, check_co_left(c)),
+        "co_right": lambda c, name: _counted(coalgebra_verdict, name, check_co_right(c)),
+        "co_left": lambda c, name: _counted(coalgebra_verdict, name, check_co_left(c)),
         "cocomm_coassoc": lambda c, name: _first_failing(name, check_cocomm_coassoc(c).verdicts),
         "lie_coalgebra": lambda c, name: _first_failing(name, check_lie_coalgebra(c).verdicts),
         "aux": lambda c, name: _first_failing(name, check_aux_coalgebra_identities(c).verdicts),
@@ -262,7 +253,7 @@ _CHECKS = {
     }),
     "MatchedPair": ("matched-pair", dict.fromkeys(
         ("matched_pair", "compatibility"),
-        lambda mp, name: _matched_pair_counted(name, check_matched_pair(mp)),
+        lambda mp, name: _counted(matched_pair_verdict, name, check_matched_pair(mp)),
     )),
     "BialgebraCandidate": ("bialgebra-candidate", {
         "manin_triple": lambda bc, name: _first_failing(name, check_manin_triple(bc).verdicts),

@@ -20,9 +20,9 @@ is therefore one row of ``CO_IDENTITIES`` evaluated by the identity engine;
 the right-orientation check on dualize(A) carries exactly the residual
 coefficients of the right-orientation identity on A, which the tests assert
 entrywise.  A violation is the basis index k plus the residual 3-tensor at
-e_k, so the engine is read out by output (``evaluate_by_output``): one
-output index at a time in ascending order, which lets a check stop at the
-least failing basis vector instead of computing every residual first.
+e_k, so the engine is read out by output (``read_co_check``): one output
+index at a time in ascending order, which lets a check stop at the least
+failing basis vector instead of computing every residual first.
 """
 
 from __future__ import annotations
@@ -136,83 +136,67 @@ CO_IDENTITIES: dict[str, tuple[tuple[str, ...], str, str]] = {
 }
 
 
-def evaluate_by_output(
-    algebra: AlgebraTable,
-    variables: tuple[str, ...],
-    terms,
-    *,
-    first_only: bool = False,
-) -> list[tuple[int, dict]]:
-    """The term sum read out by output: ``[(k, {assignment: e_k coefficient})]``
-    over the ``k`` where some assignment fails, ascending, each with all of
-    its failing assignments; ``first_only`` stops after the least such ``k``.
-    This is the shape of a coalgebra check on the transposed table.
-
-    The children of each term's root are read, unsliced, from the table's
-    shape memo; the root is joined one output at a time through the table's
-    by-output index, so an early stop skips the later outputs.  Every term
-    must be a product.
-    """
-    if len(variables) < 2:
-        raise ValueError("an output read-out needs at least two variables")
-    domains = (range(algebra.dim),) * len(variables)
-    coeff_den, compiled, _ = _compile(variables, domains, (terms,))
-    joiner = _Joiner(algebra)
-    roots = [(coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
-             for _, coeff, shape, reorder in compiled]
-    exact = ExactValues(joiner.d ** (len(variables) - 1) * coeff_den)
-    hits: list = []
-    outputs = 0
-    for k, products in joiner.by_output.items():
-        outputs += 1
-        acc: dict[tuple[int, ...], int] = {}
-        for coeff, left, right, reorder in roots:
-            for kl, kr, c in products:
-                if kl in left and kr in right:
-                    scaled, right_rows = coeff * c, right[kr].items()
-                    for a, u in left[kl].items():
-                        u *= scaled
-                        for b, w in right_rows:
-                            full = reorder(a + b)
-                            acc[full] = acc.get(full, 0) + u * w
-        joiner.joined += len(acc)
-        residual = {a: exact[u] for a, u in acc.items() if u}
-        if residual:
-            hits.append((k, residual))
-            if first_only:
-                break
-    joiner.log("output join", domains, outputs, algebra.dim, "outputs", joiner.joined, len(hits))
-    return hits
-
-
 @cache
 def _terms(name: str) -> tuple:
     _, lhs, rhs = CO_IDENTITIES[name]
     return difference(parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ()).terms
 
 
-def _residuals(c: CoalgebraTable, name: str, first_only: bool) -> list[tuple[int, Triples]]:
-    """[(k, residual at e_k)] over the basis vectors where the check fails."""
+def read_co_check(c: CoalgebraTable, name: str, *, first_only: bool = False) -> list:
+    """The ``CO_IDENTITIES`` check ``name`` on the dual table, read by output:
+    a ``CoalgebraViolation`` per failing basis vector e_k, ascending, with all
+    of its failing assignments (a 2-variable check's keys padded to 3-tuples
+    ending in 0); ``first_only`` stops after the least such ``k``.
+
+    Each root is joined from its two unsliced children, read from the dual's
+    shape memo, one output at a time through the dual's by-output index, so
+    an early stop skips the later outputs.
+    """
     variables = CO_IDENTITIES[name][0]
-    hits = evaluate_by_output(c._dual, variables, _terms(name), first_only=first_only)
-    if len(variables) == 2:  # 2-leg residuals as 3-leg dicts with a padded last index
-        return [(k, {(i, j, 0): v for (i, j), v in r.items()}) for k, r in hits]
+    domains = (range(c.dim),) * len(variables)
+    coeff_den, compiled, _ = _compile(variables, domains, (_terms(name),))
+    joiner = _Joiner(c._dual)
+    roots = [(coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
+             for _, coeff, shape, reorder in compiled]
+    exact = ExactValues(joiner.d ** (len(variables) - 1) * coeff_den)
+    pad = (0,) * (3 - len(variables))
+    hits: list[CoalgebraViolation] = []
+    outputs = 0
+    for k, products in joiner.by_output.items():
+        outputs += 1
+        acc: dict[tuple[int, ...], int] = {}
+        for coeff, left, right, reorder in roots:
+            for kl, kr, v in products:
+                if kl in left and kr in right:
+                    scaled, right_rows = coeff * v, right[kr].items()
+                    for a, u in left[kl].items():
+                        u *= scaled
+                        for b, w in right_rows:
+                            full = reorder(a + b)
+                            acc[full] = acc.get(full, 0) + u * w
+        joiner.joined += len(acc)
+        residual = {a + pad: exact[u] for a, u in acc.items() if u}
+        if residual:
+            hits.append(CoalgebraViolation(k, residual))
+            if first_only:
+                break
+    joiner.log("output join", domains, outputs, c.dim, "outputs", joiner.joined, len(hits))
     return hits
 
 
-def check_co_right(c: CoalgebraTable, *, first_only: bool = False) -> list[CoalgebraViolation]:
+def check_co_right(c: CoalgebraTable) -> list[CoalgebraViolation]:
     """(id (x) Delta) o Delta = (Delta (x) id) o Delta + ((tau o Delta) (x) id) o Delta."""
-    return [CoalgebraViolation(k, r) for k, r in _residuals(c, "co_right", first_only)]
+    return read_co_check(c, "co_right")
 
 
-def check_co_left(c: CoalgebraTable, *, first_only: bool = False) -> list[CoalgebraViolation]:
+def check_co_left(c: CoalgebraTable) -> list[CoalgebraViolation]:
     """(Delta (x) id) o Delta = (id (x) Delta) o Delta + (id (x) (tau o Delta)) o Delta."""
-    return [CoalgebraViolation(k, r) for k, r in _residuals(c, "co_left", first_only)]
+    return read_co_check(c, "co_left")
 
 
 def coalgebra_verdict(name: str, violations) -> Verdict:
     """The verdict of a co-check, witnessed at its least failing basis vector;
-    ``violations`` are (k, residual at e_k) pairs in ascending k."""
+    ``violations`` are ``CoalgebraViolation``s in ascending k."""
     if not violations:
         return Verdict(name, True)
     k, r = violations[0]
@@ -222,7 +206,7 @@ def coalgebra_verdict(name: str, violations) -> Verdict:
 
 def _bundle(c: CoalgebraTable, kind: str, names: tuple[str, ...]) -> VerdictBundle:
     return VerdictBundle(
-        kind, tuple(coalgebra_verdict(n, _residuals(c, n, first_only=True)) for n in names)
+        kind, tuple(coalgebra_verdict(n, read_co_check(c, n, first_only=True)) for n in names)
     )
 
 

@@ -799,7 +799,8 @@ def reference_rank(m) -> int:
 
 def reference_check_form(a, form):
     """The bilinear-form verdicts as ``bialgebra.check_form`` gave them when
-    the invariance check summed ``g.get`` over all dim^3 tuples; the rank is
+    the invariance check summed ``g.get`` over all dim^3 tuples, each basis
+    product taken once from the dense ``table_product``; the rank is
     sympy's, not the library's."""
     g = form.g
     sym = Verdict("symmetric", True)
@@ -814,15 +815,11 @@ def reference_check_form(a, form):
             break
 
     inv = Verdict("invariant", True)
+    products = {(i, j): table_product(a, _basis(i), _basis(j))
+                for i, j in product(range(a.dim), repeat=2)}
     for i, j, l in product(range(a.dim), repeat=3):
-        lhs = sum(
-            (v * g.get(k, l) for k, v in table_product(a, _basis(i), _basis(j)).items()),
-            Fraction(0),
-        )
-        rhs = sum(
-            (v * g.get(i, m) for m, v in table_product(a, _basis(j), _basis(l)).items()),
-            Fraction(0),
-        )
+        lhs = sum((v * g.get(k, l) for k, v in products[i, j].items()), Fraction(0))
+        rhs = sum((v * g.get(i, m) for m, v in products[j, l].items()), Fraction(0))
         if lhs != rhs:
             inv = Verdict(
                 "invariant",
@@ -971,7 +968,8 @@ def reference_co_residuals(c, name: str, first_only: bool = False) -> list:
 
 
 def reference_check_co(c, name: str, first_only: bool = False) -> list:
-    """check_co_right / check_co_left for ``name`` "co_right" / "co_left"."""
+    """check_co_right / check_co_left for ``name`` "co_right" / "co_left",
+    and ``coalgebra.read_co_check`` for any check name."""
     return [CoalgebraViolation(k, r) for k, r in reference_co_residuals(c, name, first_only)]
 
 

@@ -11,6 +11,7 @@ import oracles
 from zinbielkit import fuzz, trunc_integration
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals
 from zinbielkit.coalgebra import (
+    CO_IDENTITIES,
     CoalgebraTable,
     antisym_coproduct,
     check_aux_coalgebra_identities,
@@ -23,6 +24,7 @@ from zinbielkit.coalgebra import (
     dualize_co,
     format_triples,
     opposite_coproduct,
+    read_co_check,
     sym_coproduct,
 )
 from zinbielkit.tensors import Tensor3
@@ -162,8 +164,15 @@ def test_integration_dual_coproduct_values(t3):
 
 def test_first_only_stops_at_first_violation(t3):
     c = dualize(t3)
-    assert check_co_left(c, first_only=True) == check_co_left(c)[:1]
-    assert check_co_right(dualize(t3), first_only=True) == []
+    assert read_co_check(c, "co_left", first_only=True) == check_co_left(c)[:1]
+    assert read_co_check(c, "co_right", first_only=True) == []
+
+
+def test_two_leg_checks_pad_their_residual_keys(t3):
+    assert all(len(variables) >= 2 for variables, _, _ in CO_IDENTITIES.values())
+    hits = read_co_check(dualize(t3), "cocommutative")
+    assert hits and all(len(key) == 3 and key[2] == 0 for _, r in hits for key in r)
+    assert hits == oracles.reference_check_co(dualize(t3), "cocommutative")
 
 
 def test_construction_guards():
@@ -224,8 +233,10 @@ def _equivalence_tables(seed) -> list:
 def test_co_checks_match_composition_calculus(seed):
     for c in _equivalence_tables(seed):
         for name, check in (("co_right", check_co_right), ("co_left", check_co_left)):
-            assert check(c) == oracles.reference_check_co(c, name)
-            assert check(c, first_only=True) == oracles.reference_check_co(c, name, True)
+            got = check(c)
+            assert got == oracles.reference_check_co(c, name)
+            assert got[:1] == oracles.reference_check_co(c, name, True)
+            assert read_co_check(c, name, first_only=True) == got[:1]
         for check, names in (
             (check_cocomm_coassoc, ("cocommutative", "coassociative")),
             (check_lie_coalgebra, ("antisymmetric", "co_jacobi")),
@@ -238,9 +249,9 @@ def test_co_checks_match_composition_calculus(seed):
 def test_debug_record_per_output_read_out(caplog, t3):
     c = dualize(t3)
     with caplog.at_level(logging.DEBUG, logger="zinbielkit.identities"):
-        check_co_left(c)
-        check_co_left(c, first_only=True)
-        check_co_right(c)
+        read_co_check(c, "co_left")
+        read_co_check(c, "co_left", first_only=True)
+        read_co_check(c, "co_right")
     records = [r.getMessage() for r in caplog.records if r.name == "zinbielkit.identities"]
     assert len(records) == 3
     assert all(m.startswith("output join: 4^3 = 64 basis tuples, ") for m in records)
