@@ -84,9 +84,7 @@ def _claim_scan(table: AlgebraTable, spec: ClaimSpec) -> tuple:
     return variables, (range(table.dim),) * len(variables), sides
 
 
-def evaluate_claim(
-    table: AlgebraTable, spec: ClaimSpec, target_name: str, evaluated: tuple | None = None
-) -> Verdict:
+def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, evaluated: tuple | None = None) -> Verdict:
     """Verdict of lhs == rhs with the complete failing-tuple list attached.
 
     Witness text is the lexicographically first failure; witness data lists
@@ -113,7 +111,7 @@ def evaluate_claim(
     _, headline, failures = built[key]
     data = {
         "variables": list(variables),
-        "target": target_name,
+        "target": spec.target,
         "failure_count": len(failures),
         "failures": failures,
     }
@@ -209,7 +207,7 @@ def audit_claims(
         evaluations = evaluate_pass(table, [_claim_scan(table, spec) for spec in specs])
         evaluations.reverse()  # popped in turn, so hits go with the pass's last verdict
         for spec in specs:
-            verdicts[spec.name] = evaluate_claim(table, spec, target, (*evaluations.pop(), memo))
+            verdicts[spec.name] = evaluate_claim(table, spec, (*evaluations.pop(), memo))
         memo[2].clear()  # only the scans of one pass are shared
     results = [verdicts[spec.name] for spec in selected]
 

@@ -13,14 +13,14 @@ family.  These are exactly the conditions under which the semidirect sum
 (x+u)*(y+v) = x.y + (l_x v + r_y u) inherits the right-orientation Zinbiel
 identity from the base (the V*V block is zero by construction).  On the
 semidirect sum each axiom is one identity, with x and y over the base and v
-over V (``_AXIOMS``), so ``check_bimodule`` reads the three in one typed
-pass over it, and the derived relations are three more scans on the same
-table (``_RELATIONS``).
+over V (``_AXIOMS``, rows of ``identities.LAWS`` renamed), so
+``check_bimodule`` reads the three in one typed pass over it, and the
+derived relations are three more scans on the same table (``_RELATIONS``).
 
 No check multiplies an action matrix.  A family F is a representation,
-F_{x.y} = F_x F_y, iff ``((x y) v) = (x (y v))`` holds on a table where x
-acts on v by F from the left alone; for a bracket table, [F_x, F_y] is
-``(x (y v)) - (y (x v))`` (``_REPRESENTATION``, ``_BRACKET_REPRESENTATION``).
+F_{x.y} = F_x F_y, iff the ``associative`` law holds on a table where x acts
+on v by F from the left alone, with x and y over the base and v over the
+module; for a bracket table, the ``bracket_representation`` law.
 The sub-adjacent map x -> l_x - r_x is checked on the sum table of the base's
 commutator table and V, where the base acts by l - r from the left alone.  A
 first-witness verdict, here and in ``matched_pair``, is one typed scan read
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import ExactValues, evaluate_pass, parse_term_sum
+from .identities import ExactValues, evaluate_pass, law_sides, parse_sides, parse_term_sum
 from .reports import Verdict, format_vector, vector_jsonable
 from .tensors import DimensionMismatch, Frozen, Matrix
 
@@ -99,12 +99,13 @@ class BimoduleViolation(NamedTuple):
     residual: Matrix
 
 
-# The axioms as identities on A + V, x and y over A and v over V.  Every scan
-# takes its variables in the order (x, y, v), so hits come in (i, j, beta) order.
+# The axioms as identities lhs - rhs on A + V, x and y over A and v over V.
+# Every scan takes its variables in the order (x, y, v), so hits come in
+# (i, j, beta) order.
 _AXIOMS = {
-    "left_composition": "(x (y v)) - ((x y) v) - ((y x) v)",
-    "mixed_composition": "(x (v y)) - (v (x y))",
-    "right_composition": "(v (x y)) - ((v x) y) - ((x v) y)",
+    "left_composition": law_sides("right_zinbiel", "xyv"),
+    "mixed_composition": law_sides("left_relation", "xvy"),
+    "right_composition": law_sides("right_zinbiel", "vxy"),
 }
 _XYV = ("x", "y", "v")
 
@@ -119,8 +120,8 @@ def axiom_scans(table: AlgebraTable, p: range, q: range, p_signs: dict | None = 
     are read off the pass's list as they are converted, and each yielded
     list is emptied when the next axiom starts, so that no two axioms'
     converted hits are held at once."""
-    evaluations = evaluate_pass(table, [(_XYV, (p, p, q), (parse_term_sum(source),))
-                                        for source in _AXIOMS.values()])
+    evaluations = evaluate_pass(table, [(_XYV, (p, p, q), (parse_sides(*sides).terms,))
+                                        for sides in _AXIOMS.values()])
     evaluations.reverse()
     for axiom in _AXIOMS:
         scale, hits = evaluations.pop()
@@ -172,9 +173,9 @@ class DerivedRelationsReport(NamedTuple):
 
 # The derived relations as two-sided identities on A + V, variables as in _AXIOMS.
 _RELATIONS = {
-    "left_of_product_l_then_r": ("((x y) v)", "((x v) y)"),
-    "left_of_product_r_then_l": ("((x y) v)", "(x (v y))"),
-    "right_maps_commute": ("((v y) x)", "((v x) y)"),
+    "left_of_product_l_then_r": law_sides("right_relation", "xyv"),
+    "left_of_product_r_then_l": law_sides("left_of_product_r_then_l", "xyv"),
+    "right_maps_commute": law_sides("right_relation", "vyx"),
 }
 
 
@@ -251,13 +252,6 @@ class SubadjacentReport(NamedTuple):
     representation: Verdict
 
 
-# A family F acting by x.v = F_x v on a table with x and y over its base and v
-# over the module: F is a representation, or for a bracket table a bracket
-# representation.  The pair checks of ``matched_pair`` read these too.
-_REPRESENTATION = ("((x y) v)", "(x (y v))")
-_BRACKET_REPRESENTATION = ("((x y) v)", "(x (y v)) - (y (x v))")
-
-
 def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     """The family x -> l_x - r_x, with its bracket-representation verdict.
 
@@ -270,5 +264,6 @@ def induced_subadjacent_map(b: Bimodule) -> SubadjacentReport:
     maps = tuple(b.left_maps[i] - b.right_maps[i] for i in range(n))
     table = sum_table(b.base.commutator(), b.v_dim, {}, (f"v{k}" for k in range(b.v_dim)), maps)
     domains = (range(n), range(n), range(n, table.dim))
-    return SubadjacentReport(maps, first_witness_verdict(
-        "bracket_representation", table, _BRACKET_REPRESENTATION, _XYV, domains))
+    verdict = first_witness_verdict("bracket_representation", table,
+                                    law_sides("bracket_representation", "xyv"), _XYV, domains)
+    return SubadjacentReport(maps, verdict)

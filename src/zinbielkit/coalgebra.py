@@ -16,8 +16,9 @@ coproducts at e_k is the e_k coefficient of a product tree at
 
 so, for example, ((tau o Delta) (x) id) o Delta reads ((y x) z), and
 (tau (x) id) o (Delta (x) id) o (tau o Delta) reads (z (y x)).  Each check
-is therefore one row of ``CO_IDENTITIES`` evaluated by the identity engine;
-the right-orientation check on dualize(A) carries exactly the residual
+is therefore one row of ``CO_IDENTITIES``, the sides of an
+``identities.LAWS`` row, evaluated by the identity engine; the
+right-orientation check on dualize(A) carries exactly the residual
 coefficients of the right-orientation identity on A, which the tests assert
 entrywise.  A violation is the basis index k plus the residual 3-tensor at
 e_k, so the engine is read out by output (``read_co_check``): one output
@@ -28,11 +29,11 @@ failing basis vector instead of computing every residual first.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, algebra_from_entries
-from .identities import CLAIM_SIDES, ExactValues, _compile, _Joiner, difference, parse_term_sum
+from .identities import CLAIM_SIDES, LAWS, ExactValues, _compile, _Joiner, parse_sides
 from .reports import Verdict, VerdictBundle, format_sum, sorted_rows
 from .tensors import Frozen, Tensor3
 
@@ -108,23 +109,24 @@ def format_triples(t: Triples) -> str:
 _XY, _XYZ = ("x", "y"), ("x", "y", "z")
 
 # check -> (variables, lhs, rhs): the check at e_k is the e_k coefficient of
-# lhs - rhs on the dual table, with rhs "" for 0.  The variables are given,
-# not read off the terms, because they fix the order of the residual's keys.
+# lhs - rhs on the dual table, the sides of an ``identities.LAWS`` row.  The
+# variables are given, not read off the terms, because they fix the order of
+# the residual's keys.
 CO_IDENTITIES: dict[str, tuple[tuple[str, ...], str, str]] = {
-    "co_right": (_XYZ, *CLAIM_SIDES["right_zinbiel"]),
-    "co_left": (_XYZ, *CLAIM_SIDES["left_zinbiel"]),
-    "cocommutative": (_XY, *CLAIM_SIDES["commutative"]),
-    "coassociative": (_XYZ, *CLAIM_SIDES["associative"]),
-    "antisymmetric": (_XY, "(x y) + (y x)", ""),
-    "co_jacobi": (_XYZ, "(x (y z)) + ((x z) y) - ((x y) z)", ""),
+    "co_right": (_XYZ, *LAWS["right_zinbiel"]),
+    "co_left": (_XYZ, *LAWS["left_zinbiel"]),
+    "cocommutative": (_XY, *LAWS["commutative"]),
+    "coassociative": (_XYZ, *LAWS["associative"]),
+    "antisymmetric": (_XY, *LAWS["antisymmetric"]),
+    "co_jacobi": (_XYZ, *LAWS["co_jacobi"]),
     # (id (x) Delta) o Delta = (tau (x) id) o (id (x) Delta) o Delta
-    "co_right_relation_a": (_XYZ, "(x (y z))", "(y (x z))"),
+    "co_right_relation_a": (_XYZ, *LAWS["left_relation"]),
     # (id (x) Delta) o Delta = (tau (x) id) o (Delta (x) id) o (tau o Delta)
-    "co_right_relation_b": (_XYZ, "(x (y z))", "(z (y x))"),
+    "co_right_relation_b": (_XYZ, *LAWS["co_right_relation_b"]),
     # (Delta (x) id) o Delta = (id (x) tau) o (Delta (x) id) o Delta
-    "co_left_relation_a": (_XYZ, "((x y) z)", "((x z) y)"),
+    "co_left_relation_a": (_XYZ, *LAWS["right_relation"]),
     # (Delta (x) id) o Delta = (id (x) tau) o (id (x) Delta) o (tau o Delta)
-    "co_left_relation_b": (_XYZ, "((x y) z)", "((z y) x)"),
+    "co_left_relation_b": (_XYZ, *LAWS["co_left_relation_b"]),
     # (id (x) (tau o Delta)) o Delta = (id (x) tau) o (Delta (x) id) o Delta
     #   + (tau (x) id) o (id (x) (tau o Delta)) o (tau o Delta)
     "co_derived_1": (_XYZ, *CLAIM_SIDES["derived_1"]),
@@ -134,12 +136,6 @@ CO_IDENTITIES: dict[str, tuple[tuple[str, ...], str, str]] = {
     #   = (id (x) Delta) o (tau o Delta) + (id (x) (tau o Delta)) o (tau o Delta)
     "co_derived_3": (_XYZ, *CLAIM_SIDES["derived_3"]),
 }
-
-
-@cache
-def _terms(name: str) -> tuple:
-    _, lhs, rhs = CO_IDENTITIES[name]
-    return difference(parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ()).terms
 
 
 def read_co_check(c: CoalgebraTable, name: str, *, first_only: bool = False) -> list:
@@ -152,9 +148,9 @@ def read_co_check(c: CoalgebraTable, name: str, *, first_only: bool = False) -> 
     shape memo, one output at a time through the dual's by-output index, so
     an early stop skips the later outputs.
     """
-    variables = CO_IDENTITIES[name][0]
+    variables, lhs, rhs = CO_IDENTITIES[name]
     domains = (range(c.dim),) * len(variables)
-    coeff_den, compiled, _ = _compile(variables, domains, (_terms(name),))
+    coeff_den, compiled, _ = _compile(variables, domains, (parse_sides(lhs, rhs).terms,))
     joiner = _Joiner(c._dual)
     roots = [(coeff, joiner.tensor(shape[0])[0], joiner.tensor(shape[1])[0], reorder)
              for _, coeff, shape, reorder in compiled]

@@ -247,25 +247,6 @@ def parse_identity(src: str) -> Identity:
     return Identity(variables, terms)
 
 
-def render_tree(tree: Tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return f"({render_tree(tree[0])} {render_tree(tree[1])})"
-
-
-def render_identity(identity: Identity) -> str:
-    """Canonical source text; parse_identity(render_identity(i)) == i."""
-    parts = []
-    for idx, (coeff, tree) in enumerate(identity.terms):
-        mag = abs(coeff)
-        body = render_tree(tree) if mag == 1 else f"{mag} * {render_tree(tree)}"
-        if idx == 0:
-            parts.append(body if coeff > 0 else f"- {body}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(parts)
-
-
 Tensor = dict  # basis index k -> {leaf assignment: scaled integer coefficient of e_k}
 
 # The sliced variable's leaf, one index per slice; other leaves are ranges.
@@ -580,42 +561,57 @@ def holds(algebra: AlgebraTable, identity: Identity) -> bool:
 
 
 def right_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
-    """Check of x*(y*z) = (x*y)*z + (y*x)*z on all basis triples; the shape
-    of ``evaluate``: [(triple, residual dict), ...] in lexicographic order.
-    """
+    """The ``right_zinbiel`` law on all basis triples, in the shape of ``evaluate``."""
     return evaluate(a, _catalog()["right_zinbiel"], first_only=first_only)
 
 
 def left_zinbiel_residuals(a: AlgebraTable, first_only: bool = False) -> list:
-    """Check of (x*y)*z = x*(y*z) + x*(z*y); same shape as the right scan."""
+    """The ``left_zinbiel`` law on all basis triples, in the shape of ``evaluate``."""
     return evaluate(a, _catalog()["left_zinbiel"], first_only=first_only)
 
 
-# Claim sides, name -> (lhs, rhs), with rhs "" for 0.  The catalog identity of
-# a name is lhs - rhs; the claim audit evaluates the two sides.
-# left_relation / right_relation keep the contested labels they usually
-# travel under; the audit evaluates both on every table rather than trusting
-# the attribution.  derived_1..derived_4 are the element forms of the
-# standard tensor-map consequences of the half-shuffle law.
-CLAIM_SIDES: dict[str, tuple[str, str]] = {
+# Every law a check reads, written once over x, y and z: name -> (lhs, rhs),
+# rhs "" for 0.  Claims, co-checks, bimodule and pair laws rename these rows.
+# left_relation / right_relation keep their usual, contested labels: the audit
+# evaluates both on every table.  A row no claim states is named by its check.
+LAWS: dict[str, tuple[str, str]] = {
     "left_zinbiel": ("((x y) z)", "(x (y z)) + (x (z y))"),
     "right_zinbiel": ("(x (y z))", "((x y) z) + ((y x) z)"),
     "left_relation": ("(x (y z))", "(y (x z))"),
     "right_relation": ("((x y) z)", "((x z) y)"),
-    "derived_1": ("(x (z y))", "((x z) y) + ((z x) y)"),
-    "derived_2": ("(z (x y))", "((x z) y) + ((z x) y)"),
-    "derived_3": ("(z (y x))", "((y z) x) + ((z y) x)"),
-    "derived_4": ("(x (y z))", "(y (x z))"),
     "commutative": ("(x y)", "(y x)"),
     "associative": ("((x y) z)", "(x (y z))"),
     "jacobi": ("(x (y z)) + (y (z x)) + (z (x y))", ""),
     "center_symmetric": ("((x y) z) - (x (y z))", "((z y) x) - (z (y x))"),
-    "lie_admissible": (
-        "(x (y z)) - (x (z y)) - ((y z) x) + ((z y) x) "
-        "+ (y (z x)) - (y (x z)) - ((z x) y) + ((x z) y) "
-        "+ (z (x y)) - (z (y x)) - ((x y) z) + ((y x) z)",
-        "",
-    ),
+    "lie_admissible": ("(x (y z)) - (x (z y)) - ((y z) x) + ((z y) x) + (y (z x)) - (y (x z)) "
+                       "- ((z x) y) + ((x z) y) + (z (x y)) - (z (y x)) - ((x y) z) + ((y x) z)",
+                       ""),
+    "antisymmetric": ("(x y)", "- (y x)"),
+    "co_jacobi": ("(x (y z)) + ((x z) y) - ((x y) z)", ""),
+    "co_right_relation_b": ("(x (y z))", "(z (y x))"),
+    "co_left_relation_b": ("((x y) z)", "((z y) x)"),
+    "left_of_product_r_then_l": ("((x y) z)", "(x (z y))"),
+    "bracket_representation": ("((x y) z)", "(x (y z)) - (y (x z))"),
+    "lie_compatibility": ("(x (y z)) + ((y x) z) - ((z x) y)", "((x y) z) + (y (x z))"),
+}
+
+
+def law_sides(name: str, renamed: str) -> tuple[str, str]:
+    """The sides of ``LAWS[name]``, its x, y and z renamed to ``renamed``."""
+    return tuple(side.translate(str.maketrans("xyz", renamed)) for side in LAWS[name])
+
+
+# Claim sides; the catalog identity of a name is lhs - rhs.  derived_1..4 are
+# the element forms of the tensor-map consequences of the half-shuffle law.
+CLAIM_SIDES: dict[str, tuple[str, str]] = {
+    **{name: LAWS[name] for name in
+       ("left_zinbiel", "right_zinbiel", "left_relation", "right_relation")},
+    "derived_1": law_sides("right_zinbiel", "xzy"),
+    "derived_2": law_sides("right_zinbiel", "zxy"),
+    "derived_3": law_sides("right_zinbiel", "zyx"),
+    "derived_4": LAWS["left_relation"],
+    **{name: LAWS[name] for name in
+       ("commutative", "associative", "jacobi", "center_symmetric", "lie_admissible")},
 }
 
 
@@ -626,11 +622,14 @@ def difference(lhs_terms, rhs_terms) -> Identity:
 
 
 @cache
+def parse_sides(lhs: str, rhs: str) -> Identity:
+    """lhs - rhs, with rhs "" for 0, parsed once per process, unchecked."""
+    return difference(parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ())
+
+
+@cache
 def _catalog() -> dict[str, Identity]:
-    return {
-        name: difference(parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ())
-        for name, (lhs, rhs) in CLAIM_SIDES.items()
-    }
+    return {name: parse_sides(*sides) for name, sides in CLAIM_SIDES.items()}
 
 
 def catalog() -> dict[str, Identity]:

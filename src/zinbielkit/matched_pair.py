@@ -20,9 +20,10 @@ these are exactly equivalent to the double
 
 passing the right-orientation Zinbiel check.  So ``check_matched_pair``
 scans both base tables, then runs the three bimodule axiom identities
-(``bimodule._AXIOMS``) on the double per action system, x and y over P and a
-over Q.  On Q's component they are the action's bimodule axioms; on P's,
-compat_r is -left, compat_l_1 is right and compat_l_2 is -mixed (``_ON_P``).
+(``bimodule._AXIOMS``, rows of ``identities.LAWS`` renamed) on the double per
+action system, x and y over P and a over Q.  On Q's component they are the
+action's bimodule axioms; on P's, compat_r is -left, compat_l_1 is right and
+compat_l_2 is -mixed (``_ON_P``).
 
 The base-table prerequisite is part of the check on purpose: with all maps
 zero the double degenerates to the direct sum, so "matched pair" must imply
@@ -40,12 +41,13 @@ and the other half is the same check on (h, g, k, f).  Both halves are read
 off one action table, ``double(MatchedPair(g, h, f, 0, k, 0))``: on it
 x.a = f(x)a lies in h and a.x = k(a)x in g, so every mixed product lands in
 one summand and every term above is a single tree.  With x and y over P and
-v, a and b over Q, the four identities are
+v, a and b over Q, the four identities are ``identities.LAWS`` rows, their
+x, y and z renamed:
 
-    representation:          ((x y) v) = (x (y v))
-    bracket representation:  ((x y) v) = (x (y v)) - (y (x v))
-    commutative associative: (x (a b)) = ((x a) b) + ((a x) b)
-    Lie:                     (x (a b)) + ((a x) b) - ((b x) a) = ((x a) b) + (a (x b))
+    representation:          associative, to (x, y, v)
+    bracket representation:  bracket_representation, to (x, y, v)
+    commutative associative: right_zinbiel, to (x, a, b)
+    Lie:                     lie_compatibility, to (x, a, b)
 
 with (P, Q) = (g, h) in one half and (h, g) in the other.  Each is a typed
 scan of the table, stopped at its first witness; no action matrix is
@@ -60,18 +62,9 @@ from typing import NamedTuple
 
 from .algebra import AlgebraTable
 from .audit import ClaimSpec, evaluate_claim
-from .bimodule import (
-    _AXIOMS,
-    _BRACKET_REPRESENTATION,
-    _REPRESENTATION,
-    _XYV,
-    axiom_scans,
-    column_matrices,
-    first_witness_verdict,
-    sum_table,
-)
+from .bimodule import _AXIOMS, _XYV, axiom_scans, column_matrices, first_witness_verdict, sum_table
 from .bimodule import check_bimodule  # noqa: F401  (unused; ROADMAP item 1, step A drops it)
-from .identities import CLAIM_SIDES, debug_logger, right_zinbiel_residuals
+from .identities import LAWS, debug_logger, law_sides, right_zinbiel_residuals
 from .reports import Verdict, VerdictBundle, format_vector
 from .tensors import DimensionMismatch, Frozen, Matrix, format_scalar
 
@@ -202,20 +195,19 @@ def double(mp: MatchedPair) -> AlgebraTable:
     return mp._double
 
 
-# The two identities of one half of a pair check on the action table, x and y
-# over P and a and b over Q; the other half swaps P and Q.
-_COMMASSOC_COMPATIBILITY = ("(x (a b))", "((x a) b) + ((a x) b)")
-_LIE_COMPATIBILITY = ("(x (a b)) + ((a x) b) - ((b x) a)", "((x a) b) + (a (x b))")
 _XAB = ("x", "a", "b")
 
 
 def _pair_bundle(kind, claims, g, h, f, k, names, representation, compatibility) -> VerdictBundle:
-    """f is g acting on h, k is h acting on g; names holds each half's
-    (representation, compatibility) verdict names."""
+    """f is g acting on h, k is h acting on g; claims are the ``LAWS`` names
+    each table is checked for, names holds each half's (representation,
+    compatibility) verdict names, and representation and compatibility are
+    the ``LAWS`` names of one half's identities on the action table: x and y
+    over P and v over Q, and x over P and a and b over Q."""
     verdicts = [
-        evaluate_claim(table, ClaimSpec(f"{side}_{claim}", *sides, "product"), "product")
+        evaluate_claim(table, ClaimSpec(f"{side}_{claim}", *LAWS[claim], "product"))
         for side, table in (("g", g), ("h", h))
-        for claim, sides in claims
+        for claim in claims
     ]
     zero_g, zero_h = (Matrix.zero(g.dim, g.dim),) * h.dim, (Matrix.zero(h.dim, h.dim),) * g.dim
     table = double(MatchedPair(g, h, f, zero_h, k, zero_g))
@@ -223,12 +215,13 @@ def _pair_bundle(kind, claims, g, h, f, k, names, representation, compatibility)
     # per half: its names, P, Q, and the names shown for x, y and for a, b
     halves = ((names[0], on_g, on_h, ("x", "y"), ("a", "b")),
               (names[1], on_h, on_g, ("a", "b"), ("x", "y")))
+    rep_sides, compat_sides = law_sides(representation, "xyv"), law_sides(compatibility, "xab")
     for (rep, _), p, q, (x, y), _ in halves:
         verdicts.append(
-            first_witness_verdict(rep, table, representation, _XYV, (p, p, q), (x, y, "v")))
+            first_witness_verdict(rep, table, rep_sides, _XYV, (p, p, q), (x, y, "v")))
     for (_, compat), p, q, (x, _), (a, b) in halves:
         verdicts.append(first_witness_verdict(
-            compat, table, compatibility, _XAB, (p, q, q), (x, a, b), residual=True))
+            compat, table, compat_sides, _XAB, (p, q, q), (x, a, b), residual=True))
     return VerdictBundle(kind, tuple(verdicts))
 
 
@@ -238,10 +231,9 @@ def check_commassoc_matched_pair(
     """Matched pair of commutative associative tables: mu acts on h, rho on g."""
     return _pair_bundle(
         "commutative_associative_pair",
-        [(claim, CLAIM_SIDES[claim]) for claim in ("commutative", "associative")],
-        g, h, mu, rho,
+        ("commutative", "associative"), g, h, mu, rho,
         (("mu_representation", "compat_mu"), ("rho_representation", "compat_rho")),
-        _REPRESENTATION, _COMMASSOC_COMPATIBILITY,
+        "associative", "right_zinbiel",
     )
 
 
@@ -251,10 +243,9 @@ def check_lie_matched_pair(
     """Matched pair of Lie bracket tables: rho is g acting on h, mu is h on g."""
     return _pair_bundle(
         "lie_pair",
-        [("antisymmetric", ("(x y)", "- (y x)")), ("jacobi", CLAIM_SIDES["jacobi"])],
-        g, h, rho, mu,
+        ("antisymmetric", "jacobi"), g, h, rho, mu,
         (("rho_representation", "compat_on_h"), ("mu_representation", "compat_on_g")),
-        _BRACKET_REPRESENTATION, _LIE_COMPATIBILITY,
+        "bracket_representation", "lie_compatibility",
     )
 
 

@@ -85,7 +85,7 @@ def test_criterion_03_symmetrization_of_passing_models():
         checked += 1
         sym = a.symmetrize()
         for spec in (commutative, associative):
-            v = evaluate_claim(sym, spec, "product")
+            v = evaluate_claim(sym, spec)
             if not v.holds:
                 bad.append((name, spec.name, v.witness_text))
     ok = checked >= 15 and not bad

@@ -28,7 +28,6 @@ from zinbielkit.identities import (
     left_zinbiel_residuals,
     parse_identity,
     parse_term_sum,
-    render_identity,
     right_zinbiel_residuals,
 )
 from zinbielkit.models import free_halfshuffle, trunc_integration
@@ -67,13 +66,13 @@ def identity_sources(draw):
 @given(identity_sources())
 def test_parse_render_round_trip(src):
     ident = parse_identity(src)
-    assert parse_identity(render_identity(ident)) == ident
+    assert parse_identity(oracles.render_identity(ident)) == ident
 
 
 def test_catalog_round_trips():
     for name, ident in catalog().items():
         assert parse_identity(oracles.catalog_source(name)) == ident
-        assert parse_identity(render_identity(ident)) == ident
+        assert parse_identity(oracles.render_identity(ident)) == ident
 
 
 def test_syntax_errors_carry_position():
@@ -200,7 +199,7 @@ def test_sparse_join_matches_reference_scan():
     for table in tables:
         for ident in identities:
             want = oracles.reference_evaluate(table, ident)
-            assert evaluate(table, ident) == want, render_identity(ident)
+            assert evaluate(table, ident) == want, oracles.render_identity(ident)
             assert evaluate(table, ident, first_only=True) == want[:1]
 
 
@@ -322,7 +321,7 @@ def test_typed_sparse_join_matches_filtered_reference_scan():
                 want = [
                     (a, r) for a, r in want_all if all(i in d for i, d in zip(a, domains))
                 ]
-                assert _typed(table, ident, domains) == want, (render_identity(ident), domains)
+                assert _typed(table, ident, domains) == want, (oracles.render_identity(ident), domains)
                 assert _typed(table, ident, domains, first_only=True) == want[:1]
                 failing += bool(want)
             if not n % 2:
@@ -355,7 +354,7 @@ def test_claim_sides_match_reference_scan():
                 }
                 for a, residual in oracles.reference_evaluate(target, ident)
             ]
-            verdict = evaluate_claim(target, spec, spec.target)
+            verdict = evaluate_claim(target, spec)
             got = (verdict.witness_data or {}).get("failures", [])
             keys = ("tuple", "lhs", "rhs", "residual")
             assert [{k: f[k] for k in keys} for f in got] == want, spec.name
