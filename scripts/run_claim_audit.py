@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import gc
 
-if __name__ == "__main__":  # a short-lived process, as in zinbielkit/__main__.py
+# Run as a script, this is a short-lived process, as in zinbielkit/__main__.py:
+# the collector is off from here, and the block at the end freezes every live
+# object once main() is done, so that the interpreter's last collection at exit
+# skips them.  Imported, the module leaves the caller's collector alone.
+if __name__ == "__main__":
     gc.disable()
 
 import argparse
@@ -24,13 +28,16 @@ import sys
 from pathlib import Path
 
 from zinbielkit import fuzz
-from zinbielkit.audit import audit_claims, audit_report_jsonable, audit_report_text
+from zinbielkit.audit import (
+    audit_claims, audit_report_jsonable, audit_report_text, check_claim_filter,
+)
 # unused: bound for a tracer that patches these names here (ROADMAP item 1, step A)
 from zinbielkit.identities import left_zinbiel_residuals, right_zinbiel_residuals  # noqa: F401
 
 
 def run(args: argparse.Namespace) -> str:
     claims = args.claims.split(",") if args.claims is not None else None
+    check_claim_filter(claims)  # before the family's tables are built
     reports = [
         audit_claims(table, args.orientation, claims=claims, subject=name)
         for name, table in fuzz.standard_models(args.max_n)
@@ -69,4 +76,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

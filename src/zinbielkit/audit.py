@@ -73,9 +73,8 @@ class AuditReport(NamedTuple):
 @cache
 def _claim_sides(lhs: str, rhs: str) -> tuple[tuple[str, ...], tuple]:
     """(variables, (lhs terms, rhs terms)) of a claim, parsed once per process."""
-    lhs_terms = parse_term_sum(lhs)
-    rhs_terms = parse_term_sum(rhs) if rhs else ()
-    return difference(lhs_terms, rhs_terms).variables, (lhs_terms, rhs_terms)
+    sides = (parse_term_sum(lhs), parse_term_sum(rhs) if rhs else ())
+    return difference(*sides).variables, sides
 
 
 def _claim_scan(table: AlgebraTable, spec: ClaimSpec) -> tuple:
@@ -109,12 +108,8 @@ def evaluate_claim(table: AlgebraTable, spec: ClaimSpec, evaluated: tuple | None
     if key not in built:
         built[key] = (hits, *_witnesses(scale, hits, bool(spec.rhs), by_scale, places))
     _, headline, failures = built[key]
-    data = {
-        "variables": list(variables),
-        "target": spec.target,
-        "failure_count": len(failures),
-        "failures": failures,
-    }
+    data = {"variables": list(variables), "target": spec.target,
+            "failure_count": len(failures), "failures": failures}
     return Verdict(spec.name, False, headline, data)
 
 
@@ -162,6 +157,14 @@ def _witnesses(scale: int, hits: list, two_sided: bool, by_scale: dict, places: 
     return headline, failures
 
 
+def check_claim_filter(claims: list[str] | None) -> None:
+    """Raise ``ValueError`` on an empty or unknown name in a claim filter."""
+    unknown = set(claims or ()) - {c.name for c in CLAIMS}
+    if unknown:  # "" for an empty filter, or a stray comma in one
+        raise ValueError("empty claim name in the claim filter" if "" in unknown
+                         else f"unknown claim(s): {', '.join(sorted(unknown))}")
+
+
 def audit_claims(
     algebra: AlgebraTable,
     orientation: str,
@@ -190,13 +193,8 @@ def audit_claims(
     if orientation not in ("auto", *_ORIENTATION_CLAIM):
         raise ValueError(
             f"orientation must be 'auto', 'left' or 'right', got {orientation!r}")
+    check_claim_filter(claims)
     selected = [c for c in CLAIMS if claims is None or c.name in claims]
-    if claims is not None:
-        unknown = set(claims) - {c.name for c in CLAIMS}
-        if "" in unknown:  # an empty filter, or a stray comma in one
-            raise ValueError("empty claim name in the claim filter")
-        if unknown:
-            raise ValueError(f"unknown claim(s): {', '.join(sorted(unknown))}")
     by_target: dict[str, list[ClaimSpec]] = {}
     for spec in selected:
         by_target.setdefault(spec.target, []).append(spec)
@@ -213,8 +211,7 @@ def audit_claims(
 
     def passes(side: str) -> bool:
         gate = _ORIENTATION_CLAIM[side]
-        verdict = verdicts.get(gate)
-        return verdict.holds if verdict is not None else holds(algebra, catalog()[gate])
+        return verdicts[gate].holds if gate in verdicts else holds(algebra, catalog()[gate])
 
     if orientation == "auto":
         orientation = next((side for side in ("right", "left") if passes(side)), None)

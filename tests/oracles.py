@@ -7,7 +7,9 @@ dictionary arithmetic on the raw structure-constant entries, identity sums
 by the per-tuple scan the library's sparse join replaced, the
 structural checks by the full-table scans their indexed kernels replaced,
 and the coalgebra checks by the composition calculus of coproducts that
-their transposed identities replaced.
+their transposed identities replaced.  The change-of-basis helpers move a
+table and its residuals to another basis, so the engine is compared with
+itself on a second, dense input.
 Agreement is always exact; there are no tolerances anywhere.  The module
 also holds the few helpers that only tests call, so that the library does
 not compile them on every command.
@@ -1051,3 +1053,53 @@ def pair_basis(form, i: int, j: int) -> Fraction:
 def coproduct_basis(coalgebra, k: int) -> dict:
     """Delta(e_k) as {(i, j): coefficient} over the nonzero entries."""
     return {(i, j): v for (kk, i, j), v in coalgebra.d.entries.items() if kk == k}
+
+
+# -- change of basis -----------------------------------------------------------
+
+
+def elementary_product(dim: int, moves) -> tuple[Matrix, Matrix]:
+    """(P, P⁻¹) for P the product of the elementary matrices I + c E_ij of
+    ``moves`` ``[(i, j, c), ...]`` (i != j), in order; both are integral,
+    since (I + c E_ij)⁻¹ = I - c E_ij."""
+    p = [[int(r == s) for s in range(dim)] for r in range(dim)]
+    p_inv = [row[:] for row in p]
+    for i, j, c in moves:
+        for r in range(dim):  # P <- P (I + c E_ij): column j += c column i
+            p[r][j] += c * p[r][i]
+        p_inv[i] = [a - c * b for a, b in zip(p_inv[i], p_inv[j])]  # (I - c E_ij) P⁻¹
+    return tuple(Matrix(dim, dim, {(r, s): Fraction(v) for r, row in enumerate(m)
+                                   for s, v in enumerate(row) if v}) for m in (p, p_inv))
+
+
+def transported_table(table, p: Matrix, p_inv: Matrix):
+    """The table in the basis P e_0, ..., P e_{dim-1}:
+    e_i *' e_j = P⁻¹ (P e_i * P e_j), with default labels."""
+    entries = []
+    for i, j in product(range(table.dim), repeat=2):
+        prod: dict = {}
+        for (a, b, k), v in table.c.entries.items():
+            w = p.get(a, i) * p.get(b, j)
+            if w:
+                prod[k] = prod.get(k, 0) + w * v
+        entries += [(i, j, k, v) for k, v in reference_apply(p_inv, prod).items()]
+    return algebra_from_entries(table.dim, entries)
+
+
+def transported_residuals(residuals, p: Matrix, p_inv: Matrix) -> list:
+    """R'(e_i, e_j, ...) = P⁻¹ R(P e_i, P e_j, ...) on every basis tuple, from
+    R's residual list ``[(assignment, {index: Fraction})]``, P applied to one
+    argument at a time; the nonzero ones, in lexicographic order, in the
+    shape of ``identities.evaluate``."""
+    moved = dict(residuals)
+    for axis in range(len(residuals[0][0]) if residuals else 0):
+        step: dict = {}
+        for a, vec in moved.items():
+            for (x, y), w in p.entries.items():
+                if x == a[axis]:
+                    acc = step.setdefault((*a[:axis], y, *a[axis + 1:]), {})
+                    for k, v in vec.items():
+                        acc[k] = acc.get(k, 0) + w * v
+        moved = step
+    out = [(t, reference_apply(p_inv, vec)) for t, vec in sorted(moved.items())]
+    return [(t, vec) for t, vec in out if vec]

@@ -310,18 +310,47 @@ def test_console_entry_points():
     assert "FAILS" in run.stdout
 
 
-def _python(request, *args):
+def _python(request, *args, text=True):
     """A fresh interpreter run from the repository root with ``src`` on the path."""
     paths = [str(request.config.rootpath / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         cwd=request.config.rootpath,
         timeout=20,
     )
+
+
+# A text and a JSON golden of each input kind (algebra, bimodule, coalgebra,
+# bialgebra candidate, matched pair), exit 1 among them, run as processes.
+_PROCESS_GOLDENS = (
+    "check_right_zinbiel_l3", "audit_bimodule_broken", "check_co_right_dual_t3",
+    "audit_candidate_t2_zero", "check_matched_pair_dual_reps_t3",
+)
+_PROCESS_CASES = [case for case in GOLDEN_CASES
+                  if case[1].rpartition(".")[0] in _PROCESS_GOLDENS]
+
+
+@pytest.mark.parametrize("argv,golden,code", _PROCESS_CASES, ids=[g for _, g, _ in _PROCESS_CASES])
+def test_golden_bytes_through_python_m_zinbielkit(request, argv, golden, code, goldens_dir, tmp_path):
+    # text on stdout, JSON written with --out
+    out = tmp_path / "out"
+    to_file = golden.endswith(".json")
+    run = _python(request, "-m", "zinbielkit", *argv, *(["--out", str(out)] if to_file else []),
+                  text=False)
+    assert run.returncode == code, run.stderr
+    assert (out.read_bytes() if to_file else run.stdout) == (goldens_dir / golden).read_bytes()
+    assert run.stderr == b""
+
+
+def test_input_error_through_python_m_zinbielkit(request):
+    argv = ("audit", "--model", "trunc-int:right:3", "--claims", "no_such_claim")
+    run = _python(request, "-m", "zinbielkit", *argv, text=False)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == AUDIT_ERRORS[argv].encode()
 
 
 def test_check_with_vanishing_products_ends_at_once(request):
@@ -484,6 +513,26 @@ def test_claim_audit_script_input_errors_exit_2(request, args, message):
     assert run.stderr.startswith(message) and run.stderr.count("\n") == 1, run.stderr
 
 
+@pytest.mark.parametrize("claims,message", [
+    ("nope", "error: unknown claim(s): nope\n"),
+    ("lie_admissible,", "error: empty claim name in the claim filter\n"),
+])
+def test_claim_audit_script_checks_its_claim_filter_before_any_table(
+        request, monkeypatch, capsys, claims, message):
+    from zinbielkit import fuzz
+
+    def no_tables(max_n):
+        raise AssertionError("a table was built before the claim filter was checked")
+
+    spec = importlib.util.spec_from_file_location(
+        "run_claim_audit", request.config.rootpath / "scripts" / "run_claim_audit.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(fuzz, "standard_models", no_tables)
+    assert script.main(["--max-n", "200", "--claims", claims]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 # Modules that no algebra check runs: a subcommand or input kind imports the
 # ones it needs.
 _STRUCTURAL = {
@@ -527,7 +576,7 @@ _WRITER = "zinbielkit.jsonwriter"
 # of those a JSON-input structural audit loads; each is compiled from source on
 # every command, so code that drifts back onto these paths fails here.
 _DEFAULT_PATH_LINES = 1694
-_CANDIDATE_AUDIT_LINES = 3267
+_CANDIDATE_AUDIT_LINES = 3264
 
 
 def _library_lines(modules) -> int:
@@ -612,39 +661,63 @@ def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(request, tmp_p
         assert _cyclic_garbage_after(request, small) == _cyclic_garbage_after(request, large)
 
 
+# the collector's state at exit, printed by an atexit hook: off, with every
+# object the command left frozen out of the interpreter's last collection
+_AT_EXIT = "collector on: False, frozen: True\n"
+_EXIT_HOOK = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(f'collector on: {gc.isenabled()}, '\n"
+              "                              f'frozen: {gc.get_freeze_count() > 0}'))\n")
+
+
+# (argv, exit code, stdout, last line of stderr): every way a command ends
+_ENDINGS = [
+    (["check", "trunc-int:right:2", "right_zinbiel"], 0,
+     "right_zinbiel: HOLDS (trunc-int:right:2)\n", None),
+    (["check", "trunc-int:left:2", "right_zinbiel"], 1,
+     "right_zinbiel: FAILS (trunc-int:left:2) violations=7\n"
+     "  at (e0,e1,e0): residual = -e1\n", None),
+    (["check", "zero:-1", "right_zinbiel"], 2, "", "error: bad model spec: 'zero:-1'"),
+    (["check"], 2, "", "zinbielkit check: error: the following arguments are required: input, name"),
+]
+
+
 def test_python_m_zinbielkit_runs_without_the_cyclic_collector(request):
-    code = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print('collector on:', gc.isenabled()))\n"
-        "sys.argv = ['zinbielkit', 'check', 'trunc-int:right:2', 'right_zinbiel']\n"
-        "runpy.run_module('zinbielkit', run_name='__main__', alter_sys=True)"
-    )
-    run = _python(request, "-c", code)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "right_zinbiel: HOLDS (trunc-int:right:2)\ncollector on: False\n"
+    for argv, code, stdout, last_err in _ENDINGS:
+        src = (
+            _EXIT_HOOK
+            + f"sys.argv = ['zinbielkit', *{argv!r}]\n"
+            "runpy.run_module('zinbielkit', run_name='__main__', alter_sys=True)"
+        )
+        run = _python(request, "-c", src)
+        assert run.returncode == code, (argv, run.stderr)
+        assert run.stdout == stdout + _AT_EXIT, argv
+        assert run.stderr.splitlines()[-1:] == ([last_err] if last_err else []), argv
 
 
 def test_claim_audit_script_turns_the_collector_off_only_as_a_script(request):
     script = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print('collector on:', gc.isenabled()))\n"
-        "sys.argv = ['run_claim_audit.py', '--max-n', '1', '--claims', 'right_zinbiel']\n"
+        _EXIT_HOOK
+        + "sys.argv = ['run_claim_audit.py', '--max-n', '1', '--claims', 'right_zinbiel']\n"
         "runpy.run_path('scripts/run_claim_audit.py', run_name='__main__')"
     )
-    module = ("import gc, sys; sys.path.insert(0, 'scripts'); import run_claim_audit; "
-              "print(gc.isenabled())")
+    # imported, and its main() called, as a long-lived caller does
+    module = ("import contextlib, gc, io, sys; sys.path.insert(0, 'scripts'); import run_claim_audit\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = run_claim_audit.main(['--max-n', '1', '--claims', 'right_zinbiel'])\n"
+              "print(rc, gc.isenabled(), gc.get_freeze_count())")
     run, loaded = _python(request, "-c", script), _python(request, "-c", module)
-    assert run.returncode == 0 and run.stdout.endswith("collector on: False\n"), run.stderr
-    assert loaded.stdout == "True\n", loaded.stderr
+    assert run.returncode == 0 and run.stdout.endswith(_AT_EXIT), run.stderr
+    assert loaded.stdout == "0 True 0\n", loaded.stderr
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_cli_main_leaves_the_callers_collector_as_it_was(enabled, capsys):
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         assert main(["check", "trunc-int:right:2", "right_zinbiel"]) == 0
         assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
 

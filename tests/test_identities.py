@@ -657,3 +657,34 @@ def test_a_root_child_of_three_leaves_keeps_unit_slices(caplog):
         first_range_in_memo[name] = any("(1, 6)" in repr(s) for s in table._shape_tensors)
     assert joined["beside_wide"] == joined["first_only"]
     assert first_range_in_memo == {"whole": True, "first_only": False, "beside_wide": False}
+
+
+_TRANSPORTED_MODELS = {
+    spec: build for spec, build in (
+        ("trunc-int:right:4", lambda: trunc_integration(4, "right")),
+        ("trunc-int:left:4", lambda: trunc_integration(4, "left")),
+        ("free:2:2", lambda: free_halfshuffle(2, 2)),
+        ("free:1:4", lambda: free_halfshuffle(1, 4)),
+    )
+}
+
+
+@pytest.mark.parametrize("spec", _TRANSPORTED_MODELS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_every_catalog_residual_transforms_as_a_tensor_under_a_change_of_basis(spec, data):
+    # Every catalog law is basis-free, so on the table moved to the basis
+    # P e_0, ..., P e_{dim-1} each residual list is the original's, moved:
+    # R'(e_i, e_j, e_k) = P⁻¹ R(P e_i, P e_j, P e_k).  P is a product of 3·dim
+    # random elementary matrices, so the moved table is dense and goes
+    # through the sparse join on far more entries than the model it came from.
+    table = _TRANSPORTED_MODELS[spec]()
+    dim = table.dim
+    move = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                     st.sampled_from([-2, -1, 1, 2])).filter(lambda m: m[0] != m[1])
+    p, p_inv = oracles.elementary_product(dim, data.draw(st.lists(move, min_size=3 * dim,
+                                                                  max_size=3 * dim)))
+    moved = oracles.transported_table(table, p, p_inv)
+    for name, identity in catalog().items():
+        want = oracles.transported_residuals(evaluate(table, identity), p, p_inv)
+        assert evaluate(moved, identity) == want, name
